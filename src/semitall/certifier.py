@@ -11,7 +11,7 @@ solution set; any lost path degrades the verdict to INCONCLUSIVE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class CertifyOptions:
     degenerate_tol: float = 1e-8
     chart_cond: float = tensorcore.DEFAULT_COND_LIMIT
     seed: object = 0
-    jobs: int = 1
     track: solver.TrackOptions = field(default_factory=solver.TrackOptions)
 
 
@@ -92,7 +91,6 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
         Y,
         opts.track,
         seed=opts.seed,
-        jobs=opts.jobs,
         reality_tol=opts.reality_tol,
     )
 
@@ -147,18 +145,6 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
     )
 
 
-def _child_opts(opts: CertifyOptions, seed: object) -> CertifyOptions:
-    return CertifyOptions(
-        span_tol=opts.span_tol,
-        reality_tol=opts.reality_tol,
-        degenerate_tol=opts.degenerate_tol,
-        chart_cond=opts.chart_cond,
-        seed=seed,
-        jobs=opts.jobs,
-        track=opts.track,
-    )
-
-
 def _tally(fmt, certs, trials, eps, seed):
     counts = {RANK_P: 0, RANK_GT_P: 0, INCONCLUSIVE: 0}
     dims = []
@@ -195,7 +181,7 @@ def perturb_experiment(
         rng = np.random.default_rng((solver._seed_entropy(seed), 101, trial))
         W = frame.W0 + eps * rng.standard_normal((fmt.u, fmt.p))
         T = tensorcore.tau(W, fmt)
-        cert = certify(T, _child_opts(opts, (solver._seed_entropy(seed), 102, trial)))
+        cert = certify(T, replace(opts, seed=(solver._seed_entropy(seed), 102, trial)))
         certs.append(cert)
         if collect is not None:
             collect(trial, cert)
@@ -221,7 +207,7 @@ def global_experiment(
         rng = np.random.default_rng((solver._seed_entropy(seed), 201, trial))
         T = tensorcore.Tensor3(rng.standard_normal((fmt.n, fmt.p, fmt.m)))
         try:
-            cert = certify(T, _child_opts(opts, (solver._seed_entropy(seed), 202, trial)))
+            cert = certify(T, replace(opts, seed=(solver._seed_entropy(seed), 202, trial)))
         except ChartViolationError:
             cert = RankCertificate(
                 verdict=INCONCLUSIVE, dim_u=0, real_points=0, n_paths=0, paths_failed=0,

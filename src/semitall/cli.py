@@ -33,7 +33,6 @@ class RunConfig:
     trials: int | None = None
     seed: int = 0
     tol: float | None = None
-    jobs: int = 1
     input: str | None = None
     output: str | None = None
     format: str = "json"
@@ -69,7 +68,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--input", type=str)
         p.add_argument("--output", type=str)
         p.add_argument("--format", choices=["json", "csv", "plain"], default="json")
@@ -166,7 +164,7 @@ def _cmd_solve(cfg: RunConfig):
     opts = solver.TrackOptions()
     if cfg.tol:
         opts.corrector_tol = cfg.tol
-    report = solver.solve_all(target, opts, seed=cfg.seed, jobs=cfg.jobs)
+    report = solver.solve_all(target, opts, seed=cfg.seed)
     doc = {
         "m": report.m, "n": report.n,
         "n_paths": report.n_paths,
@@ -182,7 +180,7 @@ def _cmd_solve(cfg: RunConfig):
 def _cmd_certify(cfg: RunConfig):
     _require(cfg, "input")
     T = tensorcore.load_tensor(cfg.input)
-    opts = certifier.CertifyOptions(seed=cfg.seed, jobs=cfg.jobs)
+    opts = certifier.CertifyOptions(seed=cfg.seed)
     if cfg.tol:
         opts.span_tol = cfg.tol
     cert = certifier.certify(T, opts)
@@ -203,7 +201,7 @@ def _cmd_certify(cfg: RunConfig):
 def _cmd_experiment(cfg: RunConfig):
     _require(cfg, "m", "n", "trials")
     fmt = tensorcore.Format(cfg.m, cfg.n)
-    opts = certifier.CertifyOptions(jobs=cfg.jobs)
+    opts = certifier.CertifyOptions()
     if cfg.tol:
         opts.span_tol = cfg.tol
     if cfg.mode == "perturb":
@@ -265,7 +263,7 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         command=args.command,
         m=args.m, n=args.n, p=args.p,
         eps=args.eps, trials=args.trials,
-        seed=args.seed, tol=args.tol, jobs=args.jobs,
+        seed=args.seed, tol=args.tol,
         input=args.input, output=args.output, format=args.format,
         mode=getattr(args, "mode", None),
     )

@@ -15,14 +15,15 @@ u + 2 in the m + n = u + 2 unknowns (a, b).  Paths follow
 
 with gamma a random unit complex constant (detour away from the
 discriminant), an order-2 tangent predictor, a Newton corrector with a
-basin guard, and adaptive step control.
+basin guard, and adaptive step control.  All paths of a solve are
+tracked in lockstep as stacked arrays, each path with its own step
+control.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,6 +45,11 @@ BLOWUP_NORM = 1e8
 
 # Hard cap on the number of start solutions (and hence paths) per solve.
 PATH_BUDGET = 10**4
+
+# Most Jacobian entries one lockstep batch holds (16 MB of complex128);
+# larger solves are tracked in consecutive batches of whole paths, so the
+# memory of a solve at the path budget stays bounded.
+STACK_ENTRIES = 2**20
 
 # Relative gap under which the second-smallest singular value of the
 # pencil marks a kernel of dimension >= 2.
@@ -190,65 +196,196 @@ def start_solutions(
     return out
 
 
-class _Homotopy:
-    """Square system [M(a, B(t)) b ; d.a - delta ; c.b - 1] and its derivatives."""
+def _solve_rows(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the stacked systems A[p] x[p] = rhs[p].
 
-    def __init__(self, B_from, B_to, gamma, c, d, delta):
-        self.B0 = gamma * B_from
-        self.dB = B_to - self.B0
-        self.u, self.n, self.m = B_from.shape
-        self.c = c
-        self.d = d
-        self.delta = delta
-
-    def slices_at(self, t: float) -> np.ndarray:
-        return self.B0 + t * self.dB
-
-    def residual(self, z: np.ndarray, t: float) -> np.ndarray:
-        a, b = z[: self.m], z[self.m :]
-        M = np.tensordot(self.slices_at(t), a, axes=([2], [0]))
-        return np.concatenate([M @ b, [self.d @ a - self.delta, self.c @ b - 1.0]])
-
-    def jacobian(self, z: np.ndarray, t: float) -> np.ndarray:
-        a, b = z[: self.m], z[self.m :]
-        Bk = self.slices_at(t)
-        M = np.tensordot(Bk, a, axes=([2], [0]))
-        Ja = np.tensordot(Bk, b, axes=([1], [0]))
-        J = np.zeros((self.u + 2, self.m + self.n), dtype=complex)
-        J[: self.u, : self.m] = Ja
-        J[: self.u, self.m :] = M
-        J[self.u, : self.m] = self.d
-        J[self.u + 1, self.m :] = self.c
-        return J
-
-    def t_derivative(self, z: np.ndarray) -> np.ndarray:
-        a, b = z[: self.m], z[self.m :]
-        M = np.tensordot(self.dB, a, axes=([2], [0]))
-        return np.concatenate([M @ b, [0.0, 0.0]])
-
-    def tangent(self, z: np.ndarray, t: float) -> np.ndarray:
-        return np.linalg.solve(self.jacobian(z, t), -self.t_derivative(z))
+    A singular system makes ``np.linalg.solve`` raise for the whole stack,
+    so the stack is then solved row by row: a singular row comes back NaN
+    and flagged False, and the other rows are solved exactly as alone.
+    """
+    try:
+        return np.linalg.solve(A, rhs[..., None])[..., 0], np.ones(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.full_like(rhs, np.nan)
+        ok = np.ones(len(A), dtype=bool)
+        for p in range(len(A)):
+            try:
+                x[p] = np.linalg.solve(A[p], rhs[p])
+            except np.linalg.LinAlgError:
+                ok[p] = False
+        return x, ok
 
 
-def _newton(hom: _Homotopy, z: np.ndarray, t: float, tol: float, iters: int):
-    """Corrector; returns (z, converged, total correction size)."""
-    moved = 0.0
-    for _ in range(iters):
-        r = hom.residual(z, t)
-        rn = float(np.max(np.abs(r)))
-        if not np.isfinite(rn) or rn > 1e10:
-            return z, False, moved
-        if rn < tol * max(1.0, float(np.max(np.abs(z)))):
-            return z, True, moved
-        try:
-            dz = np.linalg.solve(hom.jacobian(z, t), -r)
-        except np.linalg.LinAlgError:
-            return z, False, moved
-        z = z + dz
-        moved += float(np.max(np.abs(dz)))
-    r = hom.residual(z, t)
-    ok = bool(np.max(np.abs(r)) < tol * max(1.0, np.max(np.abs(z))))
-    return z, ok, moved
+class _Lockstep:
+    """Paths of the homotopy B(t) = gamma * B_from + t * (B_to - gamma * B_from),
+    tracked in lockstep.
+
+    Path p solves the square system [M(a, B(t)) b ; d_p . a - delta ;
+    c_p . b - 1] in z = (a, b); its chart rows [d_p, 0 ; 0, c_p] are row p
+    of ``charts``.  The system is bilinear, so the top u rows of the
+    Jacobian are linear in z: J_top(z, t) = L0 z + t L1 z, built for every
+    path by one matrix product [z, t z] @ [L0; L1].  Since
+    J_top(z, t) z = 2 M(a, B(t)) b, the residual is half of J_top z and
+    its t-derivative half of (L1 z) z.
+
+    Each path keeps its own t, step, step count and status; every stage of
+    the predictor-corrector makes one stacked evaluation and one stacked
+    solve over the paths still in that stage.
+    """
+
+    def __init__(self, B_from, B_to, gamma, opts: TrackOptions):
+        u, n, m = B_from.shape
+        B0 = gamma * B_from
+        S = np.stack([B0, B_to - B0])  # (2, u, n, m)
+        N = m + n
+        L = np.zeros((2, u, N, N), dtype=complex)
+        L[:, :, :m, m:] = S.transpose(0, 1, 3, 2)  # d(M b)_i / d a_k = sum_j B_ijk b_j
+        L[:, :, m:, :m] = S  # d(M b)_i / d b_j = sum_k B_ijk a_k
+        # rows (s, x) of the stacked map, so that [z, t z] @ L is J_top
+        self.L = L.transpose(0, 3, 1, 2).reshape(2 * N, u * N)
+        self.u, self.N = u, N
+        self.opts = opts
+
+    def _jacobian(self, z, t, charts):
+        """Jacobians of paths at their own t."""
+        top = (np.concatenate([z, t[:, None] * z], axis=1) @ self.L).reshape(len(z), self.u, self.N)
+        return np.concatenate([top, charts], axis=1)
+
+    def _residual(self, J, z):
+        F = (J @ z[..., None])[..., 0]
+        F[:, : self.u] *= 0.5
+        F[:, self.u :] -= self.chart_rhs
+        return F
+
+    def _tangent(self, z, t, charts):
+        J = self._jacobian(z, t, charts)
+        J1 = (z @ self.L[self.N :]).reshape(len(z), self.u, self.N)
+        rhs = np.zeros_like(z)
+        rhs[:, : self.u] = -0.5 * (J1 @ z[..., None])[..., 0]
+        return _solve_rows(J, rhs)
+
+    def _correct(self, z, t, charts, iters):
+        """Newton on each path at its own t; returns (z, converged, total
+        correction size).  A path leaves the loop on convergence, on
+        breakdown (residual beyond 1e10 or not finite) or on a singular
+        Jacobian; the last two are not converged."""
+        tol = self.opts.corrector_tol
+        z = z.copy()
+        ok = np.zeros(len(z), dtype=bool)
+        moved = np.zeros(len(z))
+        live = np.arange(len(z))
+        for _ in range(iters):
+            J = self._jacobian(z[live], t[live], charts[live])
+            F = self._residual(J, z[live])
+            rn = np.max(np.abs(F), axis=1)
+            broke = ~np.isfinite(rn) | (rn > 1e10)
+            conv = ~broke & (rn < tol * np.fmax(1.0, np.max(np.abs(z[live]), axis=1)))
+            ok[live[conv]] = True
+            step = ~(broke | conv)
+            dz, solved = _solve_rows(J[step], -F[step])
+            live = live[step][solved]
+            z[live] += dz[solved]
+            moved[live] += np.max(np.abs(dz[solved]), axis=1)
+            if not live.size:
+                return z, ok, moved
+        J = self._jacobian(z[live], t[live], charts[live])
+        F = self._residual(J, z[live])
+        ok[live] = np.max(np.abs(F), axis=1) < tol * np.fmax(1.0, np.max(np.abs(z[live]), axis=1))
+        return z, ok, moved
+
+    def run(self, z0: np.ndarray, charts: np.ndarray, delta: complex) -> tuple[np.ndarray, dict[int, PathError]]:
+        """Track every row of z0, on the chart rows of the same row of
+        ``charts``, from t = 0 to 1.  Returns the endpoints and the failed
+        rows with their errors; failed rows of the endpoint array are
+        meaningless."""
+        self.chart_rhs = np.array([delta, 1.0], dtype=complex)
+        z = z0.astype(complex)
+        failed: dict[int, PathError] = {}
+        size = max(1, STACK_ENTRIES // self.N**2)
+        for lo in range(0, len(z), size):
+            z[lo : lo + size], batch = self._run(z[lo : lo + size], charts[lo : lo + size])
+            failed.update((lo + p, exc) for p, exc in batch.items())
+        return z, failed
+
+    def _run(self, z, charts):
+        # tracks one batch in place
+        opts = self.opts
+        P = len(z)
+        t = np.zeros(P)
+        h = np.full(P, opts.initial_step)
+        steps = np.zeros(P, dtype=int)
+        failed: dict[int, PathError] = {}
+        dead = np.zeros(P, dtype=bool)
+        active = np.arange(P)
+
+        def fail(rows, reason, message):
+            dead[rows] = True
+            for p in rows:
+                failed[int(p)] = PathError(reason, message.format(t=t[p]))
+
+        while active.size:
+            steps[active] += 1
+            over = steps[active] > opts.max_steps
+            fail(active[over], PATH_STALL, f"step budget {opts.max_steps} exhausted at t = {{t:.6f}}")
+            active = active[~over]
+            h[active] = np.minimum(h[active], 1.0 - t[active])
+
+            za, ta, ha = z[active], t[active], h[active]
+            k1, ok1 = self._tangent(za, ta, charts[active])
+            k2 = np.full_like(k1, np.nan)
+            k2[ok1], ok2 = self._tangent(
+                za[ok1] + 0.5 * ha[ok1, None] * k1[ok1], ta[ok1] + 0.5 * ha[ok1], charts[active[ok1]]
+            )
+            singular = ~ok1
+            singular[ok1] = ~ok2
+            if singular.any():
+                rows = active[singular]
+                h[rows] *= 0.5
+                fail(rows[h[rows] < opts.min_step], PATH_STALL, "singular tangent at t = {t:.6f}")
+
+            rows = active[~singular]
+            hs = h[rows]
+            dz_pred = hs[:, None] * k2[~singular]
+            z_new, ok, moved = self._correct(z[rows] + dz_pred, t[rows] + hs, charts[rows], opts.max_newton)
+            # basin guard: the corrector must only refine the prediction,
+            # a large pullback signals a possible jump onto another path
+            guard = np.maximum(np.max(np.abs(dz_pred), axis=1), 1e-8)
+            ok &= ~(moved > 0.25 * guard)
+            acc = rows[ok]
+            t[acc] += hs[ok]
+            z[acc] = z_new[ok]
+            grow = ok & (moved < 0.01 * guard)
+            h[rows[grow]] = np.minimum(hs[grow] * 2.0, opts.initial_step)
+            rej = rows[~ok]
+            h[rej] *= 0.5
+            under = h[rej] < opts.min_step
+            fail(rej[under], PATH_STALL, "step underflow at t = {t:.6f}")
+            checked = np.concatenate([acc, rej[~under]])
+            blown = np.max(np.abs(z[checked]), axis=1) > BLOWUP_NORM
+            fail(checked[blown], AT_INFINITY, f"coordinate norm beyond {BLOWUP_NORM:.0e} at t = {{t:.6f}}")
+
+            active = active[~dead[active] & (t[active] < 1.0)]
+
+        ends = np.flatnonzero(~dead)
+        z[ends], ok, _ = self._correct(z[ends], np.ones(len(ends)), charts[ends], max(opts.max_newton, 20))
+        fail(ends[~ok], PATH_DIVERGE, "endpoint correction did not converge at t = 1")
+        return z, failed
+
+
+def _charts(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Chart rows [d_p, 0 ; 0, c_p] for rows d of shape (P, m) and c of (P, n)."""
+    P, m = d.shape
+    out = np.zeros((P, 2, m + c.shape[1]), dtype=complex)
+    out[:, 0, :m] = d
+    out[:, 1, m:] = c
+    return out
+
+
+def _residuals(B: tensorcore.Tensor3, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2-norms of M(a_p, B) b_p for stacked rows a (P, m) and b (P, n)."""
+    # contract b first: the (P, u, m) intermediate is the smaller, m <= n
+    Bb = np.einsum("ijk,pj->pik", B.data.astype(complex), b)
+    return np.linalg.norm(np.einsum("pik,pk->pi", Bb, a), axis=1)
 
 
 def track_path(
@@ -266,63 +403,28 @@ def track_path(
     budget), PATH_DIVERGE (corrector breakdown at the endpoint) or
     AT_INFINITY (coordinate blowup).  The b chart defaults to the affine
     functional that s0 already satisfies; the a chart defaults to a_m = -1.
+    ``opts.gamma`` must be set.
     """
     u, n, m = B_from.shape
     if B_to.shape != (u, n, m):
         raise ValueError(f"target shape {B_to.shape} does not match start shape {(u, n, m)}")
-    gamma = opts.gamma if opts.gamma is not None else complex(0.6, 0.8)
+    if opts.gamma is None:
+        raise ValueError("track_path needs opts.gamma; solve_all samples one per solve")
     if c is None:
         # recover an affine functional pinning b from the start point itself
         c = s0.b.conj() / np.linalg.norm(s0.b) ** 2
     if d is None:
         d = np.zeros(m, dtype=complex)
         d[-1] = 1.0
-    hom = _Homotopy(B_from.data, B_to.data, gamma, c, d, delta)
-    z = np.concatenate([s0.a, s0.b]).astype(complex)
-
-    t, h = 0.0, opts.initial_step
-    steps = 0
-    while t < 1.0:
-        steps += 1
-        if steps > opts.max_steps:
-            raise PathError(PATH_STALL, f"step budget {opts.max_steps} exhausted at t = {t:.6f}")
-        h = min(h, 1.0 - t)
-        try:
-            k1 = hom.tangent(z, t)
-            k2 = hom.tangent(z + 0.5 * h * k1, t + 0.5 * h)
-        except np.linalg.LinAlgError:
-            h *= 0.5
-            if h < opts.min_step:
-                raise PathError(PATH_STALL, f"singular tangent at t = {t:.6f}")
-            continue
-        z_pred = z + h * k2
-        z_new, ok, moved = _newton(hom, z_pred, t + h, opts.corrector_tol, opts.max_newton)
-        pred_len = float(np.max(np.abs(h * k2)))
-        # basin guard: the corrector must only refine the prediction,
-        # a large pullback signals a possible jump onto another path
-        if ok and moved > 0.25 * max(pred_len, 1e-8):
-            ok = False
-        if ok:
-            t += h
-            z = z_new
-            if moved < 0.01 * max(pred_len, 1e-8):
-                h = min(h * 2.0, opts.initial_step)
-        else:
-            h *= 0.5
-            if h < opts.min_step:
-                raise PathError(PATH_STALL, f"step underflow at t = {t:.6f}")
-        if np.max(np.abs(z)) > BLOWUP_NORM:
-            raise PathError(AT_INFINITY, f"coordinate norm beyond {BLOWUP_NORM:.0e} at t = {t:.6f}")
-
-    z, ok, _ = _newton(hom, z, 1.0, opts.corrector_tol, max(opts.max_newton, 20))
-    if not ok:
-        raise PathError(PATH_DIVERGE, "endpoint correction did not converge at t = 1")
-    a, b = z[:m], z[m:]
-    M = np.tensordot(B_to.data.astype(complex), a, axes=([2], [0]))
+    tracker = _Lockstep(B_from.data, B_to.data, opts.gamma, opts)
+    z, failed = tracker.run(np.concatenate([s0.a, s0.b])[None], _charts(c[None], d[None]), delta)
+    if failed:
+        raise failed[0]
+    a, b = z[0, :m], z[0, m:]
     return Solution(
         a=a,
         b=b,
-        residual=float(np.linalg.norm(M @ b)),
+        residual=float(_residuals(B_to, a[None], b[None])[0]),
         is_real=False,
         source="TRACKED",
         path_index=s0.path_index,
@@ -355,16 +457,17 @@ def solve_all(
     B: tensorcore.Tensor3,
     opts: TrackOptions | None = None,
     seed: object = 0,
-    jobs: int = 1,
     dedup_tol: float = 1e-6,
     reality_tol: float = 1e-6,
 ) -> SolveReport:
     """Track every start path to the target tensor B (shape u x n x m).
 
+    All paths are tracked in lockstep, each with its own step control.
     Endpoints closer than ``dedup_tol`` in chart coordinates are collisions:
     the later path is recorded as a WARN_MULTIPLICITY failure rather than
-    merged silently.  Paths hitting infinity are retried once with a random
-    complex chart on a.  Determinism: (seed, gamma, chart) fix every path.
+    merged silently.  Paths hitting infinity are retried once, together,
+    each on its own random complex chart on a.  Determinism: (seed, gamma,
+    chart) fix every path.
     """
     u, n, m = B.shape
     fmt = tensorcore.Format(m, n)
@@ -379,61 +482,60 @@ def solve_all(
     frame = tensorcore.make_start_frame(m, n)
     starts = start_solutions(m, n, c=c, frame=frame)
     n_paths = len(starts)
+    a0 = np.array([s.a for s in starts])
+    b0 = np.array([s.b for s in starts])
+    cs = np.broadcast_to(c, (n_paths, n))
+    e_m = np.zeros((n_paths, m))
+    e_m[:, -1] = 1.0
+    tracker = _Lockstep(frame.Aprime.data, B.data, gamma, opts)
+    z, failed = tracker.run(np.concatenate([a0, b0], axis=1), _charts(cs, e_m), -1.0)
+    # (reason, detail) of every path that ends without an endpoint
+    errors = {idx: (exc.reason, str(exc)) for idx, exc in failed.items() if exc.reason != AT_INFINITY}
 
-    def run_one(idx: int):
-        s0 = starts[idx]
-        try:
-            return ("ok", track_path(frame.Aprime, B, s0, opts, c=c))
-        except PathError as exc:
-            if exc.reason != AT_INFINITY:
-                return ("fail", PathFailureInfo(idx, exc.reason, str(exc)))
-        # one retry on a random complex a-chart for points leaving a_m = -1
-        retry_rng = np.random.default_rng((_seed_entropy(seed), 7919, idx))
-        d = retry_rng.standard_normal(m) + 1j * retry_rng.standard_normal(m)
-        d /= np.linalg.norm(d)
-        a0 = s0.a / (d @ s0.a)
-        s0r = Solution(a=a0, b=s0.b, residual=s0.residual, is_real=s0.is_real,
-                       source=s0.source, path_index=idx)
-        try:
-            sol = track_path(frame.Aprime, B, s0r, opts, c=c, d=d, delta=1.0 + 0.0j)
-        except PathError as exc:
-            return ("fail", PathFailureInfo(idx, exc.reason, "retry chart: " + str(exc)))
-        a = sol.a
-        if abs(a[-1]) < 1e-8 * np.max(np.abs(a)):
-            return ("fail", PathFailureInfo(idx, CHART_ESCAPE, "endpoint stays outside the a_m = -1 chart"))
-        a = -a / a[-1]
-        a[-1] = -1.0 + 0.0j
-        b = sol.b / (c @ sol.b)
-        M = np.tensordot(B.data.astype(complex), a, axes=([2], [0]))
-        return ("ok", Solution(a=a, b=b, residual=float(np.linalg.norm(M @ b)),
-                               is_real=False, source="TRACKED", path_index=idx))
+    # one retry for the points leaving a_m = -1, each on its own random
+    # complex a-chart d . a = 1
+    retry = np.array(sorted(set(failed) - set(errors)), dtype=int)
+    if retry.size:
+        d = np.array([_retry_chart(seed, int(idx), m) for idx in retry])
+        a_r = a0[retry] / np.sum(d * a0[retry], axis=1, keepdims=True)
+        z_r, failed_r = tracker.run(np.concatenate([a_r, b0[retry]], axis=1), _charts(cs[retry], d), 1.0)
+        for row, idx in enumerate(retry):
+            idx = int(idx)
+            if row in failed_r:
+                errors[idx] = (failed_r[row].reason, "retry chart: " + str(failed_r[row]))
+                continue
+            a, b = z_r[row, :m], z_r[row, m:]
+            if abs(a[-1]) < 1e-8 * np.max(np.abs(a)):
+                errors[idx] = (CHART_ESCAPE, "endpoint stays outside the a_m = -1 chart")
+                continue
+            a = -a / a[-1]
+            a[-1] = -1.0 + 0.0j
+            z[idx] = np.concatenate([a, b / (c @ b)])
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, range(n_paths)))
-    else:
-        results = [run_one(i) for i in range(n_paths)]
-
-    solutions: list[Solution] = []
     failures: list[PathFailureInfo] = []
-    for idx, (status, payload) in enumerate(results):
-        if status == "fail":
-            failures.append(payload)
+    keep: list[int] = []
+    for idx in range(n_paths):
+        if idx in errors:
+            failures.append(PathFailureInfo(idx, *errors[idx]))
             continue
-        sol = payload
-        collided = False
-        for kept in solutions:
-            dist = max(
-                float(np.max(np.abs(sol.a - kept.a))),
-                float(np.max(np.abs(sol.b - kept.b))),
-            )
-            if dist < dedup_tol:
-                failures.append(PathFailureInfo(idx, WARN_MULTIPLICITY,
-                                                f"endpoint within {dedup_tol:g} of path {kept.path_index}"))
-                collided = True
-                break
-        if not collided:
-            solutions.append(sol)
+        # first kept wins: one max-norm distance to every endpoint kept so far
+        near = np.flatnonzero(np.max(np.abs(z[keep] - z[idx]), axis=1) < dedup_tol)
+        if near.size:
+            failures.append(PathFailureInfo(idx, WARN_MULTIPLICITY,
+                                            f"endpoint within {dedup_tol:g} of path {keep[near[0]]}"))
+            continue
+        keep.append(idx)
+    residuals = _residuals(B, z[keep, :m], z[keep, m:])
+    solutions = [
+        Solution(a=z[idx, :m].copy(), b=z[idx, m:].copy(), residual=float(res),
+                 is_real=False, source="TRACKED", path_index=idx)
+        for idx, res in zip(keep, residuals)
+    ]
+
+    # path conservation: every start index ends as exactly one endpoint or failure
+    seen = sorted([s.path_index for s in solutions] + [f.index for f in failures])
+    if seen != list(range(n_paths)):
+        raise RuntimeError(f"path conservation violated: {n_paths} paths, indices {seen}")
 
     for sol in solutions:
         sol.is_real = projectively_real(sol.a, sol.b, reality_tol)
@@ -450,6 +552,12 @@ def solve_all(
         chart_b=c,
         seed=seed,
     )
+
+
+def _retry_chart(seed: object, idx: int, m: int) -> np.ndarray:
+    rng = np.random.default_rng((_seed_entropy(seed), 7919, idx))
+    d = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return d / np.linalg.norm(d)
 
 
 def _seed_entropy(seed: object) -> int:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semitall import polyfactor, solver, tensorcore
-from semitall.errors import ResourceLimitError
+from semitall.errors import CHART_ESCAPE, PATH_STALL, WARN_MULTIPLICITY, ResourceLimitError
 from semitall.solver import SolveReport, Solution, TrackOptions, real_filter, solve_all, start_solutions, track_path
 
 
@@ -74,6 +74,49 @@ class TestTrackPath:
         with pytest.raises(ValueError):
             track_path(frame.Aprime, other.Aprime, s0, TrackOptions())
 
+    def test_gamma_required(self):
+        frame = tensorcore.make_start_frame(3, 3)
+        s0 = start_solutions(3, 3, seed=1)[0]
+        with pytest.raises(ValueError):
+            track_path(frame.Aprime, frame.Aprime, s0, TrackOptions())
+
+
+class TestLockstep:
+    def test_singular_row_fails_alone(self):
+        rng = np.random.default_rng(27)
+        A = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        A[2] = 0.0
+        rhs = rng.standard_normal((4, 5)) + 0j
+        x, ok = solver._solve_rows(A, rhs)
+        assert ok.tolist() == [True, True, False, True]
+        for p in (0, 1, 3):
+            assert np.array_equal(x[p], np.linalg.solve(A[p], rhs[p]))
+
+    def test_singular_path_fails_alone(self):
+        # a start at z = 0 has a singular Jacobian at every t; only that
+        # row of the stack may fail, and the other rows must not move
+        m, n = 3, 4
+        frame, target = perturbed_target(m, n, 1e-2, seed=28)
+        c = solver._chart_vector(n, np.random.default_rng(28))
+        starts = start_solutions(m, n, c=c, frame=frame)
+        z0 = np.array([np.concatenate([s.a, s.b]) for s in starts])
+        z0_bad = np.insert(z0, 3, 0.0, axis=0)
+        opts = TrackOptions(gamma=complex(0.6, -0.8))
+
+        def run(z):
+            d = np.zeros((len(z), m))
+            d[:, -1] = 1.0
+            charts = solver._charts(np.broadcast_to(c, (len(z), n)), d)
+            return solver._Lockstep(frame.Aprime.data, target.data, opts.gamma, opts).run(z, charts, -1.0)
+
+        z_ref, failed_ref = run(z0)
+        z_bad, failed_bad = run(z0_bad)
+        assert not failed_ref
+        assert list(failed_bad) == [3]
+        assert failed_bad[3].reason == PATH_STALL
+        assert "singular tangent" in str(failed_bad[3])
+        assert np.max(np.abs(np.delete(z_bad, 3, axis=0) - z_ref)) < 1e-10
+
 
 class TestSolveAll:
     def test_recovers_start_system(self):
@@ -121,13 +164,59 @@ class TestSolveAll:
             assert np.array_equal(s1.a, s2.a)
             assert np.array_equal(s1.b, s2.b)
 
-    def test_jobs_parallel_matches_serial(self):
-        _, target = perturbed_target(3, 4, 1e-2, seed=12)
-        r1 = solve_all(target, seed=13, jobs=1)
-        r2 = solve_all(target, seed=13, jobs=2)
-        assert len(r1.solutions) == len(r2.solutions)
-        for s1, s2 in zip(r1.solutions, r2.solutions):
-            assert np.array_equal(s1.a, s2.a)
+    def test_lockstep_matches_single_path_tracking(self):
+        # the batch must not couple paths: each endpoint equals the one its
+        # start reaches when tracked alone (P = 1)
+        for m, n, seed in [(3, 4, 21), (4, 4, 22)]:
+            rng = np.random.default_rng(seed)
+            target = tensorcore.Tensor3(rng.standard_normal((m + n - 2, n, m)))
+            report = solve_all(target, seed=seed)
+            assert report.complete
+            frame = tensorcore.make_start_frame(m, n)
+            starts = start_solutions(m, n, c=report.chart_b, frame=frame)
+            opts = TrackOptions(gamma=report.gamma)
+            for s in report.solutions:
+                alone = track_path(frame.Aprime, target, starts[s.path_index], opts, c=report.chart_b)
+                assert np.max(np.abs(alone.a - s.a)) < 1e-10
+                assert np.max(np.abs(alone.b - s.b)) < 1e-10
+
+    def test_batches_of_whole_paths_match_one_batch(self, monkeypatch):
+        _, target = perturbed_target(4, 4, 1e-2, seed=31)
+        one = solve_all(target, seed=32)
+        monkeypatch.setattr(solver, "STACK_ENTRIES", 3 * 8**2)  # 3 paths a batch
+        split = solve_all(target, seed=32)
+        assert [s.path_index for s in split.solutions] == [s.path_index for s in one.solutions]
+        for s1, s2 in zip(one.solutions, split.solutions):
+            assert np.max(np.abs(s1.a - s2.a)) < 1e-10
+            assert np.max(np.abs(s1.b - s2.b)) < 1e-10
+
+    def test_step_budget_fails_every_path(self):
+        _, target = perturbed_target(3, 4, 1e-2, seed=23)
+        report = solve_all(target, TrackOptions(max_steps=2), seed=24)
+        assert not report.solutions
+        assert [f.index for f in report.failures] == list(range(report.n_paths))
+        assert {f.reason for f in report.failures} == {PATH_STALL}
+
+    def test_root_at_infinity_is_retried_once(self):
+        # slice 0 of B kills v, so a = e_1 (a_m = 0) solves M(a, B) b = 0:
+        # that path leaves the a_m = -1 chart, is retried on a complex
+        # chart, and ends outside a_m = -1 again
+        rng = np.random.default_rng(29)
+        data = rng.standard_normal((4, 3, 3))
+        v = rng.standard_normal(3)
+        data[:, :, 0] -= np.outer(data[:, :, 0] @ v, v) / (v @ v)
+        report = solve_all(tensorcore.Tensor3(data), seed=30)
+        assert [f.reason for f in report.failures] == [CHART_ESCAPE]
+        assert len(report.solutions) == report.n_paths - 1
+
+    def test_collisions_name_the_first_kept_path(self):
+        _, target = perturbed_target(3, 3, 1e-3, seed=25)
+        report = solve_all(target, seed=26, dedup_tol=1e3)
+        assert [s.path_index for s in report.solutions] == [0]
+        assert [f.index for f in report.failures] == list(range(1, report.n_paths))
+        for f in report.failures:
+            assert f.reason == WARN_MULTIPLICITY
+            assert f.detail == "endpoint within 1000 of path 0"
 
     def test_endpoint_separation(self):
         _, target = perturbed_target(4, 4, 1e-3, seed=14)
