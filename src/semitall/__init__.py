@@ -30,7 +30,6 @@ from .errors import (
 from .polyfactor import (
     ComplexPoly,
     DivisorSelection,
-    RootIndex,
     alpha_brute,
     alpha_closed,
     divisor_to_point,
@@ -38,7 +37,7 @@ from .polyfactor import (
     real_divisors,
 )
 from .recurrence import ConditionReport, LambdaSeq, build_N, lambda_seq, rank_conditions
-from .solver import SolveReport, Solution, TrackOptions, real_filter, solve_all, start_solutions, track_path
+from .solver import SolveReport, Solution, TrackOptions, solve_all, start_solutions, track_path
 from .tensorcore import (
     FL1,
     FL2,
@@ -67,11 +66,11 @@ __all__ = [
     "flatten", "unflatten", "pencil_eval", "psi", "span_dim",
     "sigma", "tau", "mu", "nu",
     "make_base_tensor", "make_start_frame", "save_tensor", "load_tensor",
-    "RootIndex", "ComplexPoly", "DivisorSelection",
+    "ComplexPoly", "DivisorSelection",
     "neg_roots", "real_divisors", "alpha_closed", "alpha_brute", "divisor_to_point",
     "LambdaSeq", "ConditionReport", "lambda_seq", "build_N", "rank_conditions",
     "Solution", "TrackOptions", "SolveReport",
-    "start_solutions", "track_path", "solve_all", "real_filter",
+    "start_solutions", "track_path", "solve_all",
     "RankCertificate", "ExperimentStats", "CertifyOptions",
     "certify", "perturb_experiment", "global_experiment",
     "RANK_P", "RANK_GT_P", "INCONCLUSIVE",

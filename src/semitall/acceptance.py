@@ -244,7 +244,7 @@ def criterion_7_homotopy_stability():
 
 def criterion_8_negative_control(span_tol: float | None = None):
     """Perturbations of the reference frame certify RANK_GT_P with small span."""
-    opts = certifier.CertifyOptions(span_tol=span_tol) if span_tol else None
+    opts = certifier.CertifyOptions(span_tol=span_tol) if span_tol is not None else None
     for m, n in [(3, 3), (3, 5)]:
         fmt = tensorcore.Format(m, n)
         alpha = polyfactor.alpha_closed(m, n)
@@ -272,7 +272,7 @@ def criterion_9_positive_control(span_tol: float | None = None):
             rng = np.random.default_rng((909, m, n, trial))
             T = tensorcore.random_rank_sum(fmt, fmt.p, rng)
             opts = certifier.CertifyOptions(seed=(909, m, n, trial))
-            if span_tol:
+            if span_tol is not None:
                 opts.span_tol = span_tol
             cert = certifier.certify(T, opts)
             counts[cert.verdict] += 1
@@ -287,7 +287,7 @@ def criterion_9_positive_control(span_tol: float | None = None):
 def criterion_10_plurality_evidence(span_tol: float | None = None):
     """Gaussian tensors at (3,3) produce both verdicts with frequency > 5%."""
     fmt = tensorcore.Format(3, 3)
-    opts = certifier.CertifyOptions(span_tol=span_tol) if span_tol else None
+    opts = certifier.CertifyOptions(span_tol=span_tol) if span_tol is not None else None
     stats = certifier.global_experiment(fmt, trials=200, seed=777, opts=opts)
     fr_p = stats.fraction(certifier.RANK_P)
     fr_gt = stats.fraction(certifier.RANK_GT_P)

@@ -11,7 +11,7 @@ solution set; any lost path degrades the verdict to INCONCLUSIVE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,18 +25,15 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass
 class CertifyOptions:
-    """Tolerances and seeds for one certification run.
+    """Span tolerance and seed of one certification run.
 
     ``span_tol`` sits at a cliff for near-degenerate inputs and is
-    deliberately exposed; the other knobs rarely need changing.
+    deliberately exposed; the other thresholds are module constants of
+    ``solver`` and ``tensorcore``.
     """
 
     span_tol: float = 1e-8
-    reality_tol: float = 1e-6
-    degenerate_tol: float = 1e-8
-    chart_cond: float = tensorcore.DEFAULT_COND_LIMIT
     seed: object = 0
-    track: solver.TrackOptions = field(default_factory=solver.TrackOptions)
 
 
 @dataclass(eq=False)
@@ -85,14 +82,10 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
     if p != fmt.p:
         raise ValueError(f"tensor shape {T.shape} is not critical: expected p = {fmt.p}")
 
-    W = tensorcore.sigma(T, cond_limit=opts.chart_cond)
+    W = tensorcore.sigma(T)
     Y = tensorcore.mu(W, fmt)
-    report = solver.solve_all(
-        Y,
-        opts.track,
-        seed=opts.seed,
-        reality_tol=opts.reality_tol,
-    )
+    track = solver.TrackOptions()
+    report = solver.solve_all(Y, track, seed=opts.seed)
 
     notes: list[str] = []
     psi_vectors = []
@@ -104,7 +97,7 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
         b_real = np.real(solver._aligned(sol.b))
         pencil = tensorcore.pencil_eval(a_real, Y)
         svals = np.linalg.svd(pencil, compute_uv=False)
-        if svals[-2] < opts.degenerate_tol * svals[0]:
+        if svals[-2] < solver.DEGENERATE_KERNEL_TOL * svals[0]:
             degenerate = True
             notes.append(f"path {sol.path_index}: kernel dimension >= 2 at a real solution")
             continue
@@ -132,10 +125,10 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
         paths_failed=len(report.failures),
         tolerances={
             "span_tol": opts.span_tol,
-            "reality_tol": opts.reality_tol,
-            "degenerate_tol": opts.degenerate_tol,
-            "chart_cond": opts.chart_cond,
-            "corrector_tol": opts.track.corrector_tol,
+            "reality_tol": solver.REALITY_TOL,
+            "degenerate_tol": solver.DEGENERATE_KERNEL_TOL,
+            "chart_cond": tensorcore.COND_LIMIT,
+            "corrector_tol": track.corrector_tol,
         },
         psi_matrix=psi_matrix,
         notes=notes,
@@ -150,7 +143,8 @@ def _tally(fmt, certs, trials, eps, seed):
     dims = []
     for cert in certs:
         counts[cert.verdict] += 1
-        if cert.verdict != INCONCLUSIVE or cert.n_paths:
+        # chart-violation placeholders (no paths tracked) stay out of the mean
+        if cert.n_paths > 0:
             dims.append(cert.dim_u)
     mean_dim = float(np.mean(dims)) if dims else 0.0
     return ExperimentStats(
@@ -174,6 +168,8 @@ def perturb_experiment(
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     opts = opts or CertifyOptions()
     frame = tensorcore.make_start_frame(fmt.m, fmt.n)
     certs = []
@@ -201,6 +197,8 @@ def global_experiment(
     with positive frequency; chart violations (measure zero) are tallied
     as INCONCLUSIVE.
     """
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     opts = opts or CertifyOptions()
     certs = []
     for trial in range(trials):

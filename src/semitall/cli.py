@@ -13,9 +13,9 @@ Exit codes: 0 success, 1 domain/usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,27 +23,8 @@ from . import acceptance, certifier, classifier, jsonio, polyfactor, solver, ten
 from .errors import ChartViolationError, DegenerateStartError, ResourceLimitError
 
 
-@dataclass
-class RunConfig:
-    command: str
-    m: int | None = None
-    n: int | None = None
-    p: int | None = None
-    eps: float | None = None
-    trials: int | None = None
-    seed: int = 0
-    tol: float | None = None
-    input: str | None = None
-    output: str | None = None
-    format: str = "json"
-    mode: str | None = None
-
-    def params(self) -> dict:
-        d = asdict(self)
-        d.pop("command")
-        d.pop("output")
-        d.pop("format")
-        return {k: v for k, v in d.items() if v is not None}
+# Flags echoed under "params" in every report, in this order.
+_PARAMS = ("m", "n", "p", "eps", "trials", "seed", "tol", "input", "mode")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,10 +65,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
-    missing = [x for x in names if getattr(cfg, x) is None]
+def _require(args: argparse.Namespace, *names: str) -> None:
+    missing = [x for x in names if getattr(args, x) is None]
     if missing:
-        raise ValueError(f"{cfg.command} requires {', '.join('--' + x for x in missing)}")
+        raise ValueError(f"{args.command} requires {', '.join('--' + x for x in missing)}")
 
 
 def _solution_doc(s: solver.Solution) -> dict:
@@ -101,30 +82,30 @@ def _solution_doc(s: solver.Solution) -> dict:
     }
 
 
-def _cmd_alpha(cfg: RunConfig):
-    _require(cfg, "m", "n")
-    a = polyfactor.alpha_closed(cfg.m, cfg.n)
-    p = (cfg.m - 1) * (cfg.n - 1) + 1
-    return {"m": cfg.m, "n": cfg.n, "u": cfg.m + cfg.n - 2, "alpha": a, "p": p, "alpha_lt_p": a < p}, 0
+def _cmd_alpha(args: argparse.Namespace):
+    _require(args, "m", "n")
+    a = polyfactor.alpha_closed(args.m, args.n)
+    p = (args.m - 1) * (args.n - 1) + 1
+    return {"m": args.m, "n": args.n, "u": args.m + args.n - 2, "alpha": a, "p": p, "alpha_lt_p": a < p}, 0
 
 
-def _cmd_divisors(cfg: RunConfig):
-    _require(cfg, "m", "n")
-    u, d = cfg.m + cfg.n - 2, cfg.m - 1
+def _cmd_divisors(args: argparse.Namespace):
+    _require(args, "m", "n")
+    u, d = args.m + args.n - 2, args.m - 1
     divisors = polyfactor.real_divisors(u, d)
     docs = []
     for h in divisors:
         docs.append({
             "coefficients_low_to_high": [float(c.real) for c in h.coeffs],
-            "variety_point": polyfactor.divisor_to_point(h, cfg.m),
+            "variety_point": polyfactor.divisor_to_point(h, args.m),
         })
-    return {"m": cfg.m, "n": cfg.n, "u": u, "degree": d, "count": len(divisors), "divisors": docs}, 0
+    return {"m": args.m, "n": args.n, "u": u, "degree": d, "count": len(divisors), "divisors": docs}, 0
 
 
-def _cmd_classify(cfg: RunConfig):
-    _require(cfg, "m", "n")
-    p = cfg.p if cfg.p is not None else (cfg.m - 1) * (cfg.n - 1) + 1
-    v = classifier.classify(cfg.m, cfg.n, p)
+def _cmd_classify(args: argparse.Namespace):
+    _require(args, "m", "n")
+    p = args.p if args.p is not None else (args.m - 1) * (args.n - 1) + 1
+    v = classifier.classify(args.m, args.n, p)
     return _verdict_doc(v), 0
 
 
@@ -140,31 +121,31 @@ def _verdict_doc(v: classifier.Verdict) -> dict:
     }
 
 
-def _cmd_table(cfg: RunConfig):
-    _require(cfg, "m", "n")
-    rows = classifier.theorem_table(cfg.m, cfg.n)
-    return {"m_max": cfg.m, "n_max": cfg.n, "rows": [_verdict_doc(v) for v in rows]}, 0
+def _cmd_table(args: argparse.Namespace):
+    _require(args, "m", "n")
+    rows = classifier.theorem_table(args.m, args.n)
+    return {"m_max": args.m, "n_max": args.n, "rows": [_verdict_doc(v) for v in rows]}, 0
 
 
-def _cmd_solve(cfg: RunConfig):
-    if cfg.input:
-        target = tensorcore.load_tensor(cfg.input)
+def _cmd_solve(args: argparse.Namespace):
+    if args.input:
+        target = tensorcore.load_tensor(args.input)
         u, n, m = target.shape
         fmt = tensorcore.Format(m, n)
         if u != fmt.u:
             raise ValueError(f"target tensor shape {target.shape} has u = {u}, expected {fmt.u}")
     else:
-        _require(cfg, "m", "n")
-        frame = tensorcore.make_start_frame(cfg.m, cfg.n)
-        if cfg.eps:
-            rng = np.random.default_rng(cfg.seed)
-            target = tensorcore.Tensor3(frame.Aprime.data + cfg.eps * rng.standard_normal(frame.Aprime.shape))
+        _require(args, "m", "n")
+        frame = tensorcore.make_start_frame(args.m, args.n)
+        if args.eps:
+            rng = np.random.default_rng(args.seed)
+            target = tensorcore.Tensor3(frame.Aprime.data + args.eps * rng.standard_normal(frame.Aprime.shape))
         else:
             target = frame.Aprime
     opts = solver.TrackOptions()
-    if cfg.tol:
-        opts.corrector_tol = cfg.tol
-    report = solver.solve_all(target, opts, seed=cfg.seed)
+    if args.tol is not None:
+        opts.corrector_tol = args.tol
+    report = solver.solve_all(target, opts, seed=args.seed)
     doc = {
         "m": report.m, "n": report.n,
         "n_paths": report.n_paths,
@@ -177,12 +158,12 @@ def _cmd_solve(cfg: RunConfig):
     return doc, (0 if report.complete else 2)
 
 
-def _cmd_certify(cfg: RunConfig):
-    _require(cfg, "input")
-    T = tensorcore.load_tensor(cfg.input)
-    opts = certifier.CertifyOptions(seed=cfg.seed)
-    if cfg.tol:
-        opts.span_tol = cfg.tol
+def _cmd_certify(args: argparse.Namespace):
+    _require(args, "input")
+    T = tensorcore.load_tensor(args.input)
+    opts = certifier.CertifyOptions(seed=args.seed)
+    if args.tol is not None:
+        opts.span_tol = args.tol
     cert = certifier.certify(T, opts)
     doc = {
         "verdict": cert.verdict,
@@ -198,19 +179,19 @@ def _cmd_certify(cfg: RunConfig):
     return doc, (0 if cert.verdict != certifier.INCONCLUSIVE else 2)
 
 
-def _cmd_experiment(cfg: RunConfig):
-    _require(cfg, "m", "n", "trials")
-    fmt = tensorcore.Format(cfg.m, cfg.n)
+def _cmd_experiment(args: argparse.Namespace):
+    _require(args, "m", "n", "trials")
+    fmt = tensorcore.Format(args.m, args.n)
     opts = certifier.CertifyOptions()
-    if cfg.tol:
-        opts.span_tol = cfg.tol
-    if cfg.mode == "perturb":
-        _require(cfg, "eps")
-        stats = certifier.perturb_experiment(fmt, cfg.eps, cfg.trials, seed=cfg.seed, opts=opts)
+    if args.tol is not None:
+        opts.span_tol = args.tol
+    if args.mode == "perturb":
+        _require(args, "eps")
+        stats = certifier.perturb_experiment(fmt, args.eps, args.trials, seed=args.seed, opts=opts)
     else:
-        stats = certifier.global_experiment(fmt, cfg.trials, seed=cfg.seed, opts=opts)
+        stats = certifier.global_experiment(fmt, args.trials, seed=args.seed, opts=opts)
     doc = {
-        "mode": cfg.mode,
+        "mode": args.mode,
         "m": stats.m, "n": stats.n,
         "trials": stats.trials,
         "eps": stats.eps,
@@ -221,8 +202,8 @@ def _cmd_experiment(cfg: RunConfig):
     return doc, 0
 
 
-def _cmd_selftest(cfg: RunConfig):
-    results = acceptance.run_acceptance(span_tol=cfg.tol)
+def _cmd_selftest(args: argparse.Namespace):
+    results = acceptance.run_acceptance(span_tol=args.tol)
     for r in results:
         print(r.line(), flush=True)
     doc = {
@@ -259,37 +240,32 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        m=args.m, n=args.n, p=args.p,
-        eps=args.eps, trials=args.trials,
-        seed=args.seed, tol=args.tol,
-        input=args.input, output=args.output, format=args.format,
-        mode=getattr(args, "mode", None),
-    )
     start = time.perf_counter()
     try:
-        result, code = _HANDLERS[cfg.command](cfg)
+        if args.tol is not None and not (0 < args.tol < math.inf):
+            raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
+        result, code = _HANDLERS[args.command](args)
     except (ValueError, ResourceLimitError, FileNotFoundError) as exc:
         return 1, f"error: {exc}\n"
     except (ChartViolationError, DegenerateStartError) as exc:
         return 2, f"error: {type(exc).__name__}: {exc}\n"
+    params = {k: getattr(args, k, None) for k in _PARAMS}
     report = {
-        "command": cfg.command,
-        "params": cfg.params(),
+        "command": args.command,
+        "params": {k: v for k, v in params.items() if v is not None},
         "result": result,
         "elapsed_s": time.perf_counter() - start,
     }
-    if cfg.format == "csv":
-        if cfg.command != "table":
+    if args.format == "csv":
+        if args.command != "table":
             return 1, "error: csv output is only available for table\n"
         text = _table_csv(result)
-    elif cfg.format == "plain":
+    elif args.format == "plain":
         text = jsonio.dump_plain(report)
     else:
         text = jsonio.dumps(report)
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
         return code, ""
     return code, text

@@ -31,28 +31,6 @@ _SCAN_MAX_BITS = 27
 
 
 @dataclass(frozen=True)
-class RootIndex:
-    """Index k of the root exp(i*pi*(2k+1)/u) of y^u + 1."""
-
-    u: int
-    k: int
-
-    def __post_init__(self):
-        if self.u < 1:
-            raise ValueError("u must be a positive integer")
-        if not 0 <= self.k < self.u:
-            raise ValueError(f"root index k={self.k} outside [0, {self.u})")
-
-    @property
-    def value(self) -> complex:
-        return complex(np.exp(1j * np.pi * (2 * self.k + 1) / self.u))
-
-    @property
-    def conjugate_index(self) -> int:
-        return self.u - 1 - self.k
-
-
-@dataclass(frozen=True)
 class ComplexPoly:
     """Dense univariate polynomial, coefficients lowest degree first."""
 
@@ -76,12 +54,6 @@ class ComplexPoly:
         if not self.is_real(tol):
             raise ValueError("polynomial has non-real coefficients")
         return np.array([c.real for c in self.coeffs])
-
-    def __call__(self, y: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * y + c
-        return acc
 
 
 @dataclass(frozen=True)

@@ -202,18 +202,3 @@ def rank_conditions(a, m: int, n: int, tol: float = 1e-8) -> ConditionReport:
         remainder=np.asarray(rem),
     )
 
-
-def lambda_ideal_residuals(coeffs, a, t_count: int) -> np.ndarray:
-    """Residuals sum_k c_k lambda_(k+t) for t = 1..t_count.
-
-    A polynomial with coefficient vector ``coeffs`` (lowest degree first)
-    lies in the annihilator ideal of the lambda sequence iff every residual
-    vanishes; h itself generates that ideal.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    deg = len(coeffs) - 1
-    lam = lambda_seq(a, deg + t_count + len(a)).values
-    out = np.empty(t_count)
-    for t in range(1, t_count + 1):
-        out[t - 1] = float(np.dot(coeffs, lam[t - 1 : t + deg]))
-    return out

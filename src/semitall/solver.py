@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,21 @@ from .errors import (
 # Tracked coordinates beyond this norm are declared at infinity.
 BLOWUP_NORM = 1e8
 
+# Step control: every path starts at INITIAL_STEP, which is also the step
+# ceiling, and stalls once its step falls below MIN_STEP or it has taken
+# MAX_STEPS steps; each corrector call makes at most MAX_NEWTON iterations.
+INITIAL_STEP = 0.05
+MIN_STEP = 1e-10
+MAX_NEWTON = 10
+MAX_STEPS = 20000
+
+# Endpoints closer than this in max-norm chart coordinates collide.
+DEDUP_TOL = 1e-6
+
+# Endpoints whose phase-aligned a and b have imaginary parts below this
+# are real.
+REALITY_TOL = 1e-6
+
 # Hard cap on the number of start solutions (and hence paths) per solve.
 PATH_BUDGET = 10**4
 
@@ -58,24 +73,17 @@ DEGENERATE_KERNEL_TOL = 1e-8
 
 @dataclass
 class TrackOptions:
-    """Knobs of the predictor-corrector tracker.
+    """Settings of the predictor-corrector tracker.
 
-    ``initial_step`` doubles as the step-size ceiling; ``gamma`` is sampled
-    per solve when left unset.
+    ``gamma`` is sampled per solve when left unset.
     """
 
-    initial_step: float = 0.05
-    min_step: float = 1e-10
-    max_newton: int = 10
     corrector_tol: float = 1e-12
     gamma: complex | None = None
-    max_steps: int = 20000
 
     def __post_init__(self):
-        if self.initial_step <= 0 or self.min_step <= 0 or self.corrector_tol <= 0:
-            raise ValueError("step sizes and tolerances must be positive")
-        if self.max_newton < 1 or self.max_steps < 1:
-            raise ValueError("iteration budgets must be positive")
+        if self.corrector_tol <= 0:
+            raise ValueError("corrector_tol must be positive")
         if self.gamma is not None and self.gamma == 0:
             raise ValueError("gamma must be nonzero")
 
@@ -233,7 +241,7 @@ class _Lockstep:
     solve over the paths still in that stage.
     """
 
-    def __init__(self, B_from, B_to, gamma, opts: TrackOptions):
+    def __init__(self, B_from, B_to, gamma: complex, corrector_tol: float):
         u, n, m = B_from.shape
         B0 = gamma * B_from
         S = np.stack([B0, B_to - B0])  # (2, u, n, m)
@@ -244,7 +252,7 @@ class _Lockstep:
         # rows (s, x) of the stacked map, so that [z, t z] @ L is J_top
         self.L = L.transpose(0, 3, 1, 2).reshape(2 * N, u * N)
         self.u, self.N = u, N
-        self.opts = opts
+        self.tol = corrector_tol
 
     def _jacobian(self, z, t, charts):
         """Jacobians of paths at their own t."""
@@ -269,7 +277,7 @@ class _Lockstep:
         correction size).  A path leaves the loop on convergence, on
         breakdown (residual beyond 1e10 or not finite) or on a singular
         Jacobian; the last two are not converged."""
-        tol = self.opts.corrector_tol
+        tol = self.tol
         z = z.copy()
         ok = np.zeros(len(z), dtype=bool)
         moved = np.zeros(len(z))
@@ -309,10 +317,9 @@ class _Lockstep:
 
     def _run(self, z, charts):
         # tracks one batch in place
-        opts = self.opts
         P = len(z)
         t = np.zeros(P)
-        h = np.full(P, opts.initial_step)
+        h = np.full(P, INITIAL_STEP)
         steps = np.zeros(P, dtype=int)
         failed: dict[int, PathError] = {}
         dead = np.zeros(P, dtype=bool)
@@ -325,8 +332,8 @@ class _Lockstep:
 
         while active.size:
             steps[active] += 1
-            over = steps[active] > opts.max_steps
-            fail(active[over], PATH_STALL, f"step budget {opts.max_steps} exhausted at t = {{t:.6f}}")
+            over = steps[active] > MAX_STEPS
+            fail(active[over], PATH_STALL, f"step budget {MAX_STEPS} exhausted at t = {{t:.6f}}")
             active = active[~over]
             h[active] = np.minimum(h[active], 1.0 - t[active])
 
@@ -341,12 +348,12 @@ class _Lockstep:
             if singular.any():
                 rows = active[singular]
                 h[rows] *= 0.5
-                fail(rows[h[rows] < opts.min_step], PATH_STALL, "singular tangent at t = {t:.6f}")
+                fail(rows[h[rows] < MIN_STEP], PATH_STALL, "singular tangent at t = {t:.6f}")
 
             rows = active[~singular]
             hs = h[rows]
             dz_pred = hs[:, None] * k2[~singular]
-            z_new, ok, moved = self._correct(z[rows] + dz_pred, t[rows] + hs, charts[rows], opts.max_newton)
+            z_new, ok, moved = self._correct(z[rows] + dz_pred, t[rows] + hs, charts[rows], MAX_NEWTON)
             # basin guard: the corrector must only refine the prediction,
             # a large pullback signals a possible jump onto another path
             guard = np.maximum(np.max(np.abs(dz_pred), axis=1), 1e-8)
@@ -355,10 +362,10 @@ class _Lockstep:
             t[acc] += hs[ok]
             z[acc] = z_new[ok]
             grow = ok & (moved < 0.01 * guard)
-            h[rows[grow]] = np.minimum(hs[grow] * 2.0, opts.initial_step)
+            h[rows[grow]] = np.minimum(hs[grow] * 2.0, INITIAL_STEP)
             rej = rows[~ok]
             h[rej] *= 0.5
-            under = h[rej] < opts.min_step
+            under = h[rej] < MIN_STEP
             fail(rej[under], PATH_STALL, "step underflow at t = {t:.6f}")
             checked = np.concatenate([acc, rej[~under]])
             blown = np.max(np.abs(z[checked]), axis=1) > BLOWUP_NORM
@@ -367,7 +374,7 @@ class _Lockstep:
             active = active[~dead[active] & (t[active] < 1.0)]
 
         ends = np.flatnonzero(~dead)
-        z[ends], ok, _ = self._correct(z[ends], np.ones(len(ends)), charts[ends], max(opts.max_newton, 20))
+        z[ends], ok, _ = self._correct(z[ends], np.ones(len(ends)), charts[ends], max(MAX_NEWTON, 20))
         fail(ends[~ok], PATH_DIVERGE, "endpoint correction did not converge at t = 1")
         return z, failed
 
@@ -416,7 +423,7 @@ def track_path(
     if d is None:
         d = np.zeros(m, dtype=complex)
         d[-1] = 1.0
-    tracker = _Lockstep(B_from.data, B_to.data, opts.gamma, opts)
+    tracker = _Lockstep(B_from.data, B_to.data, opts.gamma, opts.corrector_tol)
     z, failed = tracker.run(np.concatenate([s0.a, s0.b])[None], _charts(c[None], d[None]), delta)
     if failed:
         raise failed[0]
@@ -438,32 +445,21 @@ def _aligned(v: np.ndarray) -> np.ndarray:
 
 
 def projectively_real(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """Whether (a, b) is real as a pair of projective points.
+
+    Each vector is first rescaled by its entry of largest modulus (phase
+    alignment); conjugate pairs are accepted or rejected together by
+    symmetry.
+    """
     a2, b2 = _aligned(a), _aligned(b)
     return bool(max(np.max(np.abs(a2.imag)), np.max(np.abs(b2.imag))) < tol)
 
 
-def real_filter(solutions: list[Solution], tol: float = 1e-6) -> list[Solution]:
-    """Solutions whose (a, b) pair is real as a pair of projective points.
-
-    b is first rescaled by its entry of largest modulus (phase alignment);
-    conjugate pairs are accepted or rejected together by symmetry.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return [s for s in solutions if projectively_real(s.a, s.b, tol)]
-
-
-def solve_all(
-    B: tensorcore.Tensor3,
-    opts: TrackOptions | None = None,
-    seed: object = 0,
-    dedup_tol: float = 1e-6,
-    reality_tol: float = 1e-6,
-) -> SolveReport:
+def solve_all(B: tensorcore.Tensor3, opts: TrackOptions | None = None, seed: object = 0) -> SolveReport:
     """Track every start path to the target tensor B (shape u x n x m).
 
     All paths are tracked in lockstep, each with its own step control.
-    Endpoints closer than ``dedup_tol`` in chart coordinates are collisions:
+    Endpoints closer than ``DEDUP_TOL`` in chart coordinates are collisions:
     the later path is recorded as a WARN_MULTIPLICITY failure rather than
     merged silently.  Paths hitting infinity are retried once, together,
     each on its own random complex chart on a.  Determinism: (seed, gamma,
@@ -477,7 +473,6 @@ def solve_all(
     rng = np.random.default_rng(seed)
     c = _chart_vector(n, rng)
     gamma = opts.gamma if opts.gamma is not None else _sample_gamma(rng)
-    opts = replace(opts, gamma=gamma)
 
     frame = tensorcore.make_start_frame(m, n)
     starts = start_solutions(m, n, c=c, frame=frame)
@@ -487,7 +482,7 @@ def solve_all(
     cs = np.broadcast_to(c, (n_paths, n))
     e_m = np.zeros((n_paths, m))
     e_m[:, -1] = 1.0
-    tracker = _Lockstep(frame.Aprime.data, B.data, gamma, opts)
+    tracker = _Lockstep(frame.Aprime.data, B.data, gamma, opts.corrector_tol)
     z, failed = tracker.run(np.concatenate([a0, b0], axis=1), _charts(cs, e_m), -1.0)
     # (reason, detail) of every path that ends without an endpoint
     errors = {idx: (exc.reason, str(exc)) for idx, exc in failed.items() if exc.reason != AT_INFINITY}
@@ -519,10 +514,10 @@ def solve_all(
             failures.append(PathFailureInfo(idx, *errors[idx]))
             continue
         # first kept wins: one max-norm distance to every endpoint kept so far
-        near = np.flatnonzero(np.max(np.abs(z[keep] - z[idx]), axis=1) < dedup_tol)
+        near = np.flatnonzero(np.max(np.abs(z[keep] - z[idx]), axis=1) < DEDUP_TOL)
         if near.size:
             failures.append(PathFailureInfo(idx, WARN_MULTIPLICITY,
-                                            f"endpoint within {dedup_tol:g} of path {keep[near[0]]}"))
+                                            f"endpoint within {DEDUP_TOL:g} of path {keep[near[0]]}"))
             continue
         keep.append(idx)
     residuals = _residuals(B, z[keep, :m], z[keep, m:])
@@ -538,7 +533,7 @@ def solve_all(
         raise RuntimeError(f"path conservation violated: {n_paths} paths, indices {seen}")
 
     for sol in solutions:
-        sol.is_real = projectively_real(sol.a, sol.b, reality_tol)
+        sol.is_real = projectively_real(sol.a, sol.b, REALITY_TOL)
     real_count = sum(1 for s in solutions if s.is_real)
 
     return SolveReport(

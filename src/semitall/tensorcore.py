@@ -34,7 +34,7 @@ FL1 = "fl1"
 FL2 = "fl2"
 
 # Chart inversions refuse blocks with condition number beyond this.
-DEFAULT_COND_LIMIT = 1e12
+COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -184,21 +184,21 @@ def _kernel_format(Y: Tensor3) -> Format:
     return fmt
 
 
-def _guarded_solve(block: np.ndarray, rhs: np.ndarray, cond_limit: float, what: str) -> np.ndarray:
+def _guarded_solve(block: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     cond = np.linalg.cond(block)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise ChartViolationError(f"{what} block has condition number {cond:.3e} beyond {cond_limit:.1e}")
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise ChartViolationError(f"{what} block has condition number {cond:.3e} beyond {COND_LIMIT:.1e}")
     return np.linalg.solve(block, rhs)
 
 
-def sigma(T: Tensor3, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+def sigma(T: Tensor3) -> np.ndarray:
     """Chart coordinate of an n x p x m tensor: bottom block of fl2 times
     the inverse of its leading p x p block."""
     fmt = _vspace_format(T)
     F2 = flatten(T, FL2)
     top = F2[: fmt.p]
     bottom = F2[fmt.p :]
-    return _guarded_solve(top.T, bottom.T, cond_limit, "leading fl2").T
+    return _guarded_solve(top.T, bottom.T, "leading fl2").T
 
 
 def tau(W: np.ndarray, fmt: Format) -> Tensor3:
@@ -210,14 +210,14 @@ def tau(W: np.ndarray, fmt: Format) -> Tensor3:
     return unflatten(stacked, (fmt.n, fmt.p, fmt.m), FL2)
 
 
-def nu(Y: Tensor3, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+def nu(Y: Tensor3) -> np.ndarray:
     """Chart coordinate of a u x n x m tensor: minus the inverse of the
     trailing u x u block of fl1 times the leading p columns."""
     fmt = _kernel_format(Y)
     F1 = flatten(Y, FL1)
     trailing = F1[:, fmt.p :]
     leading = F1[:, : fmt.p]
-    return -_guarded_solve(trailing, leading, cond_limit, "trailing fl1")
+    return -_guarded_solve(trailing, leading, "trailing fl1")
 
 
 def mu(W: np.ndarray, fmt: Format) -> Tensor3:
@@ -324,4 +324,10 @@ def load_tensor(path) -> Tensor3:
     data = np.array([float(x) for x in doc["data"]])
     if data.size != shape[0] * shape[1] * shape[2]:
         raise ValueError("tensor file data length does not match its shape")
-    return Tensor3(data.reshape(shape))
+    data = data.reshape(shape)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        named = ", ".join(f"{tuple(int(i) for i in idx)} = {data[tuple(idx)]}" for idx in bad[:5])
+        more = ", ..." if len(bad) > 5 else ""
+        raise ValueError(f"tensor file has {len(bad)} non-finite entries: {named}{more}")
+    return Tensor3(data)

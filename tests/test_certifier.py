@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semitall import certifier, tensorcore
+from semitall import certifier, solver, tensorcore
 from semitall.certifier import (
     INCONCLUSIVE,
     RANK_GT_P,
@@ -115,6 +115,10 @@ class TestPerturbExperiment:
         with pytest.raises(ValueError):
             perturb_experiment(Format(3, 3), eps=-1.0, trials=1)
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError):
+            perturb_experiment(Format(3, 3), eps=1e-3, trials=-1)
+
 
 class TestGlobalExperiment:
     def test_both_verdicts_at_3_3(self):
@@ -132,6 +136,10 @@ class TestGlobalExperiment:
         stats = global_experiment(Format(3, 3), trials=0, seed=36)
         assert stats.trials == 0
         assert sum(stats.counts.values()) == 0
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError):
+            global_experiment(Format(3, 3), trials=-2, seed=36)
 
     def test_determinism(self):
         fmt = Format(3, 3)
@@ -151,14 +159,12 @@ class TestSoundness:
             cert = certify(T, CertifyOptions(seed=(41, m, n, trial)))
             assert cert.verdict != RANK_GT_P, f"unsound verdict at trial {trial}"
 
-    def test_path_failure_forces_inconclusive(self):
+    def test_path_failure_forces_inconclusive(self, monkeypatch):
         # starving the tracker of steps must degrade the verdict, never flip it
         fmt = Format(3, 3)
         rng = np.random.default_rng(42)
         T = random_rank_sum(fmt, fmt.p, rng)
-        from semitall.solver import TrackOptions
-
-        opts = CertifyOptions(seed=42, track=TrackOptions(max_steps=3))
-        cert = certify(T, opts)
+        monkeypatch.setattr(solver, "MAX_STEPS", 3)
+        cert = certify(T, CertifyOptions(seed=42))
         assert cert.verdict == INCONCLUSIVE
         assert cert.paths_failed > 0

@@ -100,6 +100,16 @@ class TestSolve:
         assert code == 0
         assert doc["result"]["real_count"] == 2
 
+    def test_non_finite_input_is_named(self, tmp_path):
+        frame = make_start_frame(3, 3)
+        data = frame.Aprime.data.copy()
+        data[1, 2, 0] = np.inf
+        path = tmp_path / "target.json"
+        save_tensor(tensorcore.Tensor3(data), path)
+        code, text = dispatch(["solve", "--input", str(path)])
+        assert code == 1
+        assert text == "error: tensor file has 1 non-finite entries: (1, 2, 0) = inf\n"
+
     def test_input_file(self, tmp_path):
         frame = make_start_frame(3, 3)
         rng = np.random.default_rng(6)
@@ -140,6 +150,25 @@ class TestCertify:
         code, _ = dispatch(["certify"])
         assert code == 1
 
+    def test_non_finite_input_is_named(self, tmp_path):
+        fmt = Format(3, 3)
+        data = tau(make_start_frame(3, 3).W0, fmt).data.copy()
+        data[0, 1, 2] = np.nan
+        path = tmp_path / "tensor.json"
+        save_tensor(tensorcore.Tensor3(data), path)
+        code, text = dispatch(["certify", "--input", str(path)])
+        assert code == 1
+        assert text == "error: tensor file has 1 non-finite entries: (0, 1, 2) = nan\n"
+
+    @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf"])
+    def test_tol_must_be_positive(self, tmp_path, tol):
+        fmt = Format(3, 3)
+        path = tmp_path / "tensor.json"
+        save_tensor(tau(make_start_frame(3, 3).W0, fmt), path)
+        code, text = dispatch(["certify", "--input", str(path), "--tol", tol])
+        assert code == 1
+        assert text.startswith("error: --tol must be positive")
+
 
 class TestExperiment:
     def test_perturb_small(self):
@@ -158,6 +187,11 @@ class TestExperiment:
         ])
         assert code == 0
         assert sum(doc["result"]["counts"].values()) == 3
+
+    def test_negative_trials_rejected(self):
+        code, text = dispatch(["experiment", "global", "--m", "3", "--n", "3", "--trials", "-2"])
+        assert code == 1
+        assert text == "error: trials must be nonnegative\n"
 
     def test_seed_recorded(self):
         _, doc = run_json([

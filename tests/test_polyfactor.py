@@ -11,7 +11,6 @@ from semitall.errors import ResourceLimitError
 from semitall.polyfactor import (
     ComplexPoly,
     DivisorSelection,
-    RootIndex,
     alpha_brute,
     alpha_closed,
     closed_selections,
@@ -58,24 +57,6 @@ class TestNegRoots:
         target[0] = 1.0
         target[-1] = 1.0
         assert np.max(np.abs(coeffs - target)) < 1e-10
-
-
-class TestRootIndex:
-    def test_value_and_conjugate(self):
-        r = RootIndex(u=5, k=2)
-        assert abs(r.value + 1.0) < 1e-15  # the real root -1
-        assert r.conjugate_index == 2
-
-    def test_conjugate_pairing(self):
-        r = RootIndex(u=6, k=1)
-        partner = RootIndex(u=6, k=r.conjugate_index)
-        assert abs(np.conj(r.value) - partner.value) < 1e-15
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            RootIndex(u=4, k=4)
-        with pytest.raises(ValueError):
-            RootIndex(u=0, k=0)
 
 
 class TestRealDivisors:
@@ -200,10 +181,6 @@ class TestDivisorToPoint:
 
 
 class TestComplexPoly:
-    def test_evaluation(self):
-        h = ComplexPoly((2.0 + 0j, 0j, 1.0 + 0j))  # y^2 + 2
-        assert abs(h(1j) - 1.0) < 1e-15
-
     def test_real_coeffs_roundtrip(self):
         h = real_divisors(6, 2)[0]
         assert h.real_coeffs().dtype == float

@@ -8,7 +8,6 @@ from semitall.recurrence import (
     DETERMINANT,
     RECURRENCE,
     build_N,
-    lambda_ideal_residuals,
     lambda_seq,
     rank_conditions,
 )
@@ -142,32 +141,3 @@ class TestRankConditions:
         with pytest.raises(ValueError):
             rank_conditions([1.0, 1.0], 3, 3, tol=0.0)
 
-
-class TestLambdaIdeal:
-    @given(st.lists(finite_floats, min_size=2, max_size=4),
-           st.lists(finite_floats, min_size=1, max_size=4))
-    def test_multiples_of_h_annihilate(self, a, q):
-        # f = q * h lies in the ideal: all windowed residuals vanish
-        m = len(a) + 1
-        h = np.concatenate([-np.asarray(a), [1.0]])
-        f = np.convolve(q, h)
-        res = lambda_ideal_residuals(f, a, t_count=2 * m + len(q))
-        scale = max(1.0, float(np.max(np.abs(f))))
-        assert np.max(np.abs(res)) < 1e-7 * scale
-
-    def test_low_degree_nonmembers_survive(self):
-        # nothing of degree < m-1 annihilates except zero: the seed values
-        # pin every residual window
-        a = [0.5, -0.25]
-        res = lambda_ideal_residuals([0.0, 1.0], a, t_count=6)  # f = y
-        assert np.max(np.abs(res)) > 0.5
-
-    def test_remainder_breaks_membership(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal(3)
-        h = np.concatenate([-a, [1.0]])
-        q = rng.standard_normal(3)
-        f = np.convolve(q, h)
-        f[0] += 0.37  # nonzero remainder of degree < deg h
-        res = lambda_ideal_residuals(f, a, t_count=10)
-        assert np.max(np.abs(res)) > 1e-6

@@ -5,7 +5,7 @@ import pytest
 
 from semitall import polyfactor, solver, tensorcore
 from semitall.errors import CHART_ESCAPE, PATH_STALL, WARN_MULTIPLICITY, ResourceLimitError
-from semitall.solver import SolveReport, Solution, TrackOptions, real_filter, solve_all, start_solutions, track_path
+from semitall.solver import SolveReport, TrackOptions, projectively_real, solve_all, start_solutions, track_path
 
 
 def perturbed_target(m, n, eps, seed):
@@ -35,9 +35,8 @@ class TestStartSolutions:
 
     def test_real_flags_match_numeric_filter(self):
         sols = start_solutions(4, 5, seed=4)
-        numeric = {id(s) for s in real_filter(sols, tol=1e-8)}
         for s in sols:
-            assert (id(s) in numeric) == s.is_real
+            assert projectively_real(s.a, s.b, 1e-8) == s.is_real
 
     def test_path_budget(self):
         # C(28, 14) is far beyond the path budget
@@ -107,7 +106,7 @@ class TestLockstep:
             d = np.zeros((len(z), m))
             d[:, -1] = 1.0
             charts = solver._charts(np.broadcast_to(c, (len(z), n)), d)
-            return solver._Lockstep(frame.Aprime.data, target.data, opts.gamma, opts).run(z, charts, -1.0)
+            return solver._Lockstep(frame.Aprime.data, target.data, opts.gamma, opts.corrector_tol).run(z, charts, -1.0)
 
         z_ref, failed_ref = run(z0)
         z_bad, failed_bad = run(z0_bad)
@@ -190,9 +189,10 @@ class TestSolveAll:
             assert np.max(np.abs(s1.a - s2.a)) < 1e-10
             assert np.max(np.abs(s1.b - s2.b)) < 1e-10
 
-    def test_step_budget_fails_every_path(self):
+    def test_step_budget_fails_every_path(self, monkeypatch):
         _, target = perturbed_target(3, 4, 1e-2, seed=23)
-        report = solve_all(target, TrackOptions(max_steps=2), seed=24)
+        monkeypatch.setattr(solver, "MAX_STEPS", 2)
+        report = solve_all(target, seed=24)
         assert not report.solutions
         assert [f.index for f in report.failures] == list(range(report.n_paths))
         assert {f.reason for f in report.failures} == {PATH_STALL}
@@ -209,9 +209,10 @@ class TestSolveAll:
         assert [f.reason for f in report.failures] == [CHART_ESCAPE]
         assert len(report.solutions) == report.n_paths - 1
 
-    def test_collisions_name_the_first_kept_path(self):
+    def test_collisions_name_the_first_kept_path(self, monkeypatch):
         _, target = perturbed_target(3, 3, 1e-3, seed=25)
-        report = solve_all(target, seed=26, dedup_tol=1e3)
+        monkeypatch.setattr(solver, "DEDUP_TOL", 1e3)
+        report = solve_all(target, seed=26)
         assert [s.path_index for s in report.solutions] == [0]
         assert [f.index for f in report.failures] == list(range(1, report.n_paths))
         for f in report.failures:
@@ -241,7 +242,7 @@ def _align(v):
 class TestRealFilter:
     def test_start_solutions_3_3(self):
         sols = start_solutions(3, 3, seed=16)
-        assert len(real_filter(sols, tol=1e-8)) == 2
+        assert sum(projectively_real(s.a, s.b, 1e-8) for s in sols) == 2
 
     def test_conjugate_pair_symmetric(self):
         sols = start_solutions(3, 3, seed=17)
@@ -257,19 +258,12 @@ class TestRealFilter:
     def test_purely_real_accepted_at_any_tol(self):
         a = np.array([0.5 + 0j, -0.5 + 0j, -1.0 + 0j])
         b = np.array([1.0 + 0j, 2.0 + 0j, 3.0 + 0j])
-        s = Solution(a=a, b=b, residual=0.0, is_real=False, source="TRACKED")
-        assert real_filter([s], tol=1e-300)
-
-    def test_tol_guard(self):
-        with pytest.raises(ValueError):
-            real_filter([], tol=-1.0)
+        assert projectively_real(a, b, 1e-300)
 
 
 class TestTrackOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrackOptions(initial_step=0.0)
+            TrackOptions(corrector_tol=0.0)
         with pytest.raises(ValueError):
             TrackOptions(gamma=0.0 + 0.0j)
-        with pytest.raises(ValueError):
-            TrackOptions(max_newton=0)
