@@ -6,7 +6,9 @@ its transfer tensor Y = mu(sigma(T)) span all of R^p.  The certifier runs
 the continuation solver on Y, keeps the real solutions, and measures that
 span.  A verdict of RANK_GT_P is only ever issued when every path is
 accounted for, because the "rank > p" direction needs the full real
-solution set; any lost path degrades the verdict to INCONCLUSIVE.
+solution set; any lost path degrades the verdict to INCONCLUSIVE.  So does
+a complete solve whose endpoints break conjugate closure: the target is
+real, so its non-real kernel pairs come in conjugate pairs.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
 
     Raises ChartViolationError when T sits outside the sigma chart.  A
     kernel of dimension >= 2 at any real solution poisons the span count
-    and forces INCONCLUSIVE, as does any path failure.
+    and forces INCONCLUSIVE, as does any path failure or, in a complete
+    solve, a broken conjugate closure (see ``_closure_notes``).
     """
     opts = opts or CertifyOptions()
     n, p, m = T.shape
@@ -106,12 +109,14 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
     psi_matrix = np.column_stack(psi_vectors) if psi_vectors else np.zeros((fmt.p, 0))
     dim_u = tensorcore.span_dim(psi_vectors, opts.span_tol)
     real_points = sum(1 for s in report.solutions if s.is_real)
+    broken = [] if report.failures else _closure_notes(report.solutions, report.n_paths)
 
     if report.failures:
         verdict = INCONCLUSIVE
         notes.extend(f"path {f.index}: {f.reason}" for f in report.failures)
-    elif degenerate:
+    elif degenerate or broken:
         verdict = INCONCLUSIVE
+        notes.extend(broken)
     elif dim_u == fmt.p:
         verdict = RANK_P
     else:
@@ -136,6 +141,30 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
         n=n,
         p=fmt.p,
     )
+
+
+def _closure_notes(solutions: list[solver.Solution], n_paths: int) -> list[str]:
+    """Notes on every way the endpoints of a complete solve of a real
+    target break conjugate closure: a non-real endpoint whose conjugate
+    lies within ``solver.DEDUP_TOL`` (max-norm, chart coordinates) of no
+    other non-real endpoint, and a real count of the wrong parity.  The
+    charts a_m = -1 and c . b = 1 are real, so the conjugate of an endpoint
+    is its conjugate chart point."""
+    notes = []
+    idx = [s.path_index for s in solutions if not s.is_real]
+    Z = np.array([np.concatenate([s.a, s.b]) for s in solutions if not s.is_real])
+    # rows of the distance matrix in chunks of at most STACK_ENTRIES entries
+    size = max(1, solver.STACK_ENTRIES // max(1, Z.size))
+    for lo in range(0, len(idx), size):
+        dist = np.max(np.abs(Z[None, :, :] - Z[lo : lo + size, None, :].conj()), axis=2)
+        rows = np.arange(lo, min(lo + size, len(idx)))
+        dist[rows - lo, rows] = np.inf  # an endpoint is not its own partner
+        lonely = rows[~(np.min(dist, axis=1) < solver.DEDUP_TOL)]
+        notes.extend(f"path {idx[r]}: no conjugate endpoint within {solver.DEDUP_TOL:g}" for r in lonely)
+    real = len(solutions) - len(idx)
+    if (n_paths - real) % 2:
+        notes.append(f"{real} real of {n_paths} endpoints: the non-real ones cannot pair up")
+    return notes
 
 
 def _tally(fmt, certs, trials, eps, seed):

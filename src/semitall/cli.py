@@ -245,7 +245,7 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         if args.tol is not None and not (0 < args.tol < math.inf):
             raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
         result, code = _HANDLERS[args.command](args)
-    except (ValueError, ResourceLimitError, FileNotFoundError) as exc:
+    except (ValueError, ResourceLimitError, OSError) as exc:
         return 1, f"error: {exc}\n"
     except (ChartViolationError, DegenerateStartError) as exc:
         return 2, f"error: {type(exc).__name__}: {exc}\n"

@@ -22,6 +22,7 @@ control.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,9 +44,10 @@ from .errors import (
 # Tracked coordinates beyond this norm are declared at infinity.
 BLOWUP_NORM = 1e8
 
-# Step control: every path starts at INITIAL_STEP, which is also the step
-# ceiling, and stalls once its step falls below MIN_STEP or it has taken
-# MAX_STEPS steps; each corrector call makes at most MAX_NEWTON iterations.
+# Step control: every path starts at INITIAL_STEP; an easy step doubles the
+# next one, up to the rest of the path, and a rejected step halves it.  A
+# path stalls once its step falls below MIN_STEP or it has taken MAX_STEPS
+# steps; each corrector call makes at most MAX_NEWTON iterations.
 INITIAL_STEP = 0.05
 MIN_STEP = 1e-10
 MAX_NEWTON = 10
@@ -150,14 +152,12 @@ def _chart_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def start_solutions(
-    m: int,
-    n: int,
-    c: np.ndarray | None = None,
-    frame: tensorcore.StartFrame | None = None,
-    seed: object = 0,
-) -> list[Solution]:
-    """All C(u, m-1) kernel pairs of the start tensor A'.
+@functools.lru_cache(maxsize=16)
+def _start_system(m: int, n: int):
+    """The start frame of format (m, n) and its C(u, m-1) start points,
+    built once per process: (frame, a rows, kernel vectors b with unit
+    2-norm, real flags, divisor index subsets).  The arrays are read-only;
+    callers copy what they hand out.
 
     For each (m-1)-subset of the roots of y^u + 1, the coefficient point of
     the corresponding monic divisor is remapped through the slice reorder
@@ -170,15 +170,14 @@ def start_solutions(
     n_paths = math.comb(u, m - 1)
     if n_paths > PATH_BUDGET:
         raise ResourceLimitError(f"C({u},{m - 1}) = {n_paths} paths exceeds the budget {PATH_BUDGET}")
-    if frame is None:
-        frame = tensorcore.make_start_frame(m, n)
-    if c is None:
-        c = _chart_vector(n, np.random.default_rng(seed))
+    frame = tensorcore.make_start_frame(m, n)
     roots = polyfactor.neg_roots(u)
     order = tensorcore.slice_reorder(m)
 
-    out = []
-    for idx, subset in enumerate(itertools.combinations(range(u), m - 1)):
+    subsets = tuple(itertools.combinations(range(u), m - 1))
+    a_rows = np.empty((n_paths, m), dtype=complex)
+    kernels = np.empty((n_paths, n), dtype=complex)
+    for idx, subset in enumerate(subsets):
         coeffs = polyfactor._expand_from_roots(roots[list(subset)])
         x = np.append(-coeffs[: m - 1], -1.0 + 0.0j)
         xprime = np.array([sign * x[src] for (src, sign) in order])
@@ -187,21 +186,41 @@ def start_solutions(
         a = (-1.0 / xprime[-1]) * xprime
         a[-1] = -1.0 + 0.0j
 
-        M = tensorcore.pencil_eval(a, frame.Aprime)
-        _, svals, Vh = np.linalg.svd(M)
+        _, svals, Vh = np.linalg.svd(tensorcore.pencil_eval(a, frame.Aprime))
         if svals[-2] < DEGENERATE_KERNEL_TOL * svals[0]:
             raise DegenerateStartError(f"start subset {subset} has kernel dimension >= 2")
-        b = Vh[-1].conj()
-        cb = c @ b
-        if abs(cb) < 1e-10:
-            raise DegenerateStartError(f"chart vector nearly orthogonal to the kernel at {subset}")
-        b = b / cb
-        residual = float(np.linalg.norm(M @ b))
-        closed = all((u - 1 - k) in set(subset) for k in subset)
-        out.append(
-            Solution(a=a, b=b, residual=residual, is_real=closed, source=subset, path_index=idx)
-        )
-    return out
+        a_rows[idx] = a
+        kernels[idx] = Vh[-1].conj()
+    real = np.array([all((u - 1 - k) in subset for k in subset) for subset in subsets])
+    for arr in (a_rows, kernels, real):
+        arr.flags.writeable = False
+    return frame, a_rows, kernels, real, subsets
+
+
+def _on_chart(kernels: np.ndarray, c: np.ndarray, subsets) -> np.ndarray:
+    """Kernel vectors rescaled onto the b chart c . b = 1."""
+    cb = kernels @ c
+    flat = np.flatnonzero(np.abs(cb) < 1e-10)
+    if flat.size:
+        raise DegenerateStartError(f"chart vector nearly orthogonal to the kernel at {subsets[flat[0]]}")
+    return kernels / cb[:, None]
+
+
+def start_solutions(m: int, n: int, c: np.ndarray | None = None, seed: object = 0) -> list[Solution]:
+    """All C(u, m-1) kernel pairs of the start tensor A', on the charts
+    a_m = -1 and c . b = 1 (c drawn from ``seed`` when not given), with
+    their residuals at A'.  Exactly the conjugation-closed divisor subsets
+    are flagged real."""
+    frame, a_rows, kernels, real, subsets = _start_system(m, n)
+    if c is None:
+        c = _chart_vector(n, np.random.default_rng(seed))
+    b_rows = _on_chart(kernels, c, subsets)
+    residuals = _residuals(frame.Aprime, a_rows, b_rows)
+    return [
+        Solution(a=a_rows[idx].copy(), b=b_rows[idx], residual=float(residuals[idx]),
+                 is_real=bool(real[idx]), source=subset, path_index=idx)
+        for idx, subset in enumerate(subsets)
+    ]
 
 
 def _solve_rows(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,7 +381,7 @@ class _Lockstep:
             t[acc] += hs[ok]
             z[acc] = z_new[ok]
             grow = ok & (moved < 0.01 * guard)
-            h[rows[grow]] = np.minimum(hs[grow] * 2.0, INITIAL_STEP)
+            h[rows[grow]] = hs[grow] * 2.0
             rej = rows[~ok]
             h[rej] *= 0.5
             under = h[rej] < MIN_STEP
@@ -474,11 +493,9 @@ def solve_all(B: tensorcore.Tensor3, opts: TrackOptions | None = None, seed: obj
     c = _chart_vector(n, rng)
     gamma = opts.gamma if opts.gamma is not None else _sample_gamma(rng)
 
-    frame = tensorcore.make_start_frame(m, n)
-    starts = start_solutions(m, n, c=c, frame=frame)
-    n_paths = len(starts)
-    a0 = np.array([s.a for s in starts])
-    b0 = np.array([s.b for s in starts])
+    frame, a0, kernels, _, subsets = _start_system(m, n)
+    b0 = _on_chart(kernels, c, subsets)
+    n_paths = len(a0)
     cs = np.broadcast_to(c, (n_paths, n))
     e_m = np.zeros((n_paths, m))
     e_m[:, -1] = 1.0

@@ -318,10 +318,15 @@ def save_tensor(T: Tensor3, path) -> None:
 def load_tensor(path) -> Tensor3:
     with open(path) as fh:
         doc = json.load(fh)
-    shape = tuple(int(d) for d in doc["shape"])
-    if len(shape) != 3:
-        raise ValueError(f"tensor file has shape {shape}, expected 3 axes")
-    data = np.array([float(x) for x in doc["data"]])
+    if not isinstance(doc, dict) or not {"shape", "data"} <= doc.keys():
+        raise ValueError("tensor file must be a JSON object with keys 'shape' and 'data'")
+    try:
+        shape = tuple(int(d) for d in doc["shape"])
+        data = np.array([float(x) for x in doc["data"]])
+    except (TypeError, ValueError):
+        raise ValueError("tensor file 'shape' must be a list of integers and 'data' a flat list of numbers") from None
+    if len(shape) != 3 or min(shape) < 1:
+        raise ValueError(f"tensor file has shape {shape}, expected 3 positive axes")
     if data.size != shape[0] * shape[1] * shape[2]:
         raise ValueError("tensor file data length does not match its shape")
     data = data.reshape(shape)

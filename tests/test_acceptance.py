@@ -7,7 +7,7 @@ lines; the same checks back the ``semitall-rank selftest`` subcommand.
 import numpy as np
 import pytest
 
-from semitall import acceptance, tensorcore
+from semitall import acceptance, solver, tensorcore
 
 
 def _run(index):
@@ -76,8 +76,15 @@ class TestHarness:
             data[0, n - 1, m - 1] = +1.0
             return tensorcore.Tensor3(data)
 
+        # the solver builds each format's start system once per process:
+        # drop the cached, correct systems, and the corrupted ones after
+        solver._start_system.cache_clear()
         monkeypatch.setattr(tensorcore, "make_base_tensor", corrupted)
-        passed, detail = acceptance.criterion_6_start_systems()
+        try:
+            passed, detail = acceptance.criterion_6_start_systems()
+        finally:
+            monkeypatch.undo()
+            solver._start_system.cache_clear()
         assert not passed
 
     def test_loose_tolerance_degrades_and_names_the_criterion(self):

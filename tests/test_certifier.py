@@ -159,6 +159,48 @@ class TestSoundness:
             cert = certify(T, CertifyOptions(seed=(41, m, n, trial)))
             assert cert.verdict != RANK_GT_P, f"unsound verdict at trial {trial}"
 
+    @staticmethod
+    def _near_frame_with(monkeypatch, edit):
+        # a complete (3,5) solve near the start frame (3 real endpoints of
+        # 15) whose report ``edit`` damages before certify reads it
+        fmt = Format(3, 5)
+        rng = np.random.default_rng(43)
+        T = tau(make_start_frame(3, 5).W0 + 1e-3 * rng.standard_normal((fmt.u, fmt.p)), fmt)
+        solve_all = solver.solve_all
+
+        def damaged(*args, **kwargs):
+            report = solve_all(*args, **kwargs)
+            assert report.complete and report.real_count == 3
+            edit(report)
+            return report
+
+        monkeypatch.setattr(solver, "solve_all", damaged)
+        return certify(T, CertifyOptions(seed=43))
+
+    def test_missing_conjugate_forces_inconclusive(self, monkeypatch):
+        seen = {}
+
+        def drop_one_conjugate(report):
+            k = next(i for i, s in enumerate(report.solutions) if not s.is_real)
+            gone = report.solutions.pop(k)
+            z = np.concatenate([gone.a, gone.b]).conj()
+            partner = [s.path_index for s in report.solutions
+                       if np.max(np.abs(np.concatenate([s.a, s.b]) - z)) < solver.DEDUP_TOL]
+            assert len(partner) == 1
+            seen["partner"] = partner[0]
+
+        cert = self._near_frame_with(monkeypatch, drop_one_conjugate)
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.notes == [f"path {seen['partner']}: no conjugate endpoint within 1e-06"]
+
+    def test_real_count_parity_forces_inconclusive(self, monkeypatch):
+        def drop_one_real(report):
+            report.solutions.pop(next(i for i, s in enumerate(report.solutions) if s.is_real))
+
+        cert = self._near_frame_with(monkeypatch, drop_one_real)
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.notes == ["2 real of 15 endpoints: the non-real ones cannot pair up"]
+
     def test_path_failure_forces_inconclusive(self, monkeypatch):
         # starving the tracker of steps must degrade the verdict, never flip it
         fmt = Format(3, 3)

@@ -170,6 +170,29 @@ class TestCertify:
         assert text.startswith("error: --tol must be positive")
 
 
+class TestMalformedInput:
+    # (file contents, or None for a directory; words the error must contain)
+    CASES = {
+        "no_shape": ('{"data": [1.0]}', "keys 'shape' and 'data'"),
+        "scalar_data": ('{"shape": [1, 1, 1], "data": 5}', "flat list of numbers"),
+        "top_level_list": ("[1.0, 2.0]", "JSON object"),
+        "directory": (None, "directory"),
+    }
+
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_named_error_exit_1(self, tmp_path, command, case):
+        contents, words = self.CASES[case]
+        path = tmp_path / "tensor.json"
+        if contents is None:
+            path.mkdir()
+        else:
+            path.write_text(contents)
+        code, text = dispatch([command, "--input", str(path)])
+        assert code == 1
+        assert text.startswith("error: ") and words in text
+
+
 class TestExperiment:
     def test_perturb_small(self):
         code, doc = run_json([

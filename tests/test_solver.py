@@ -38,6 +38,15 @@ class TestStartSolutions:
         for s in sols:
             assert projectively_real(s.a, s.b, 1e-8) == s.is_real
 
+    def test_mutating_a_start_solution_leaves_the_next_call(self):
+        first = start_solutions(3, 4, seed=3)
+        a, b = first[0].a.copy(), first[0].b.copy()
+        first[0].a[:] = 7.0
+        first[0].b[:] = 7.0
+        again = start_solutions(3, 4, seed=3)
+        assert np.array_equal(again[0].a, a)
+        assert np.array_equal(again[0].b, b)
+
     def test_path_budget(self):
         # C(28, 14) is far beyond the path budget
         with pytest.raises(ResourceLimitError):
@@ -97,7 +106,7 @@ class TestLockstep:
         m, n = 3, 4
         frame, target = perturbed_target(m, n, 1e-2, seed=28)
         c = solver._chart_vector(n, np.random.default_rng(28))
-        starts = start_solutions(m, n, c=c, frame=frame)
+        starts = start_solutions(m, n, c=c)
         z0 = np.array([np.concatenate([s.a, s.b]) for s in starts])
         z0_bad = np.insert(z0, 3, 0.0, axis=0)
         opts = TrackOptions(gamma=complex(0.6, -0.8))
@@ -172,7 +181,7 @@ class TestSolveAll:
             report = solve_all(target, seed=seed)
             assert report.complete
             frame = tensorcore.make_start_frame(m, n)
-            starts = start_solutions(m, n, c=report.chart_b, frame=frame)
+            starts = start_solutions(m, n, c=report.chart_b)
             opts = TrackOptions(gamma=report.gamma)
             for s in report.solutions:
                 alone = track_path(frame.Aprime, target, starts[s.path_index], opts, c=report.chart_b)
@@ -188,6 +197,28 @@ class TestSolveAll:
         for s1, s2 in zip(one.solutions, split.solutions):
             assert np.max(np.abs(s1.a - s2.a)) < 1e-10
             assert np.max(np.abs(s1.b - s2.b)) < 1e-10
+
+    def test_easy_paths_take_long_steps(self, monkeypatch):
+        # near the start frame the paths are almost straight: once an easy
+        # step doubles the next one, a few steps reach t = 1, where a fixed
+        # ceiling of INITIAL_STEP would need 1 / INITIAL_STEP = 20
+        _, target = perturbed_target(3, 5, 1e-3, seed=33)
+        monkeypatch.setattr(solver, "MAX_STEPS", 15)
+        report = solve_all(target, seed=34)
+        assert report.complete
+        assert report.real_count == polyfactor.alpha_closed(3, 5)
+
+    def test_mutating_endpoints_leaves_the_next_call(self):
+        _, target = perturbed_target(3, 4, 1e-2, seed=35)
+        first = solve_all(target, seed=36)
+        ends = [(s.a.copy(), s.b.copy()) for s in first.solutions]
+        for s in first.solutions:
+            s.a[:] = 7.0
+            s.b[:] = 7.0
+        again = solve_all(target, seed=36)
+        for s, (a, b) in zip(again.solutions, ends):
+            assert np.array_equal(s.a, a)
+            assert np.array_equal(s.b, b)
 
     def test_step_budget_fails_every_path(self, monkeypatch):
         _, target = perturbed_target(3, 4, 1e-2, seed=23)
