@@ -253,11 +253,13 @@ class _Lockstep:
     Jacobian are linear in z: J_top(z, t) = L0 z + t L1 z, built for every
     path by one matrix product [z, t z] @ [L0; L1].  Since
     J_top(z, t) z = 2 M(a, B(t)) b, the residual is half of J_top z and
-    its t-derivative half of (L1 z) z.
+    its t-derivative half of (L1 z) z; the tangent takes L0 z and L1 z
+    from the one product z @ [L0 | L1].
 
-    Each path keeps its own t, step, step count and status; every stage of
-    the predictor-corrector makes one stacked evaluation and one stacked
-    solve over the paths still in that stage.
+    Each path keeps its own t, step and status; every stage of the
+    predictor-corrector makes one stacked evaluation and one stacked solve
+    over the paths still in that stage, and the stacks are gathered anew
+    only when a path leaves them.
     """
 
     def __init__(self, B_from, B_to, gamma: complex, corrector_tol: float):
@@ -270,6 +272,9 @@ class _Lockstep:
         L[:, :, m:, :m] = S  # d(M b)_i / d b_j = sum_k B_ijk a_k
         # rows (s, x) of the stacked map, so that [z, t z] @ L is J_top
         self.L = L.transpose(0, 3, 1, 2).reshape(2 * N, u * N)
+        # columns (s, i, y), so that z @ L01 is [L0 z | L1 z]
+        self.L01 = L.transpose(3, 0, 1, 2).reshape(N, 2 * u * N)
+        self.halve_top = np.append(np.full(u, 0.5), [1.0, 1.0])
         self.u, self.N = u, N
         self.tol = corrector_tol
 
@@ -280,44 +285,53 @@ class _Lockstep:
 
     def _residual(self, J, z):
         F = (J @ z[..., None])[..., 0]
-        F[:, : self.u] *= 0.5
+        F *= self.halve_top
         F[:, self.u :] -= self.chart_rhs
         return F
 
     def _tangent(self, z, t, charts):
-        J = self._jacobian(z, t, charts)
-        J1 = (z @ self.L[self.N :]).reshape(len(z), self.u, self.N)
-        rhs = np.zeros_like(z)
-        rhs[:, : self.u] = -0.5 * (J1 @ z[..., None])[..., 0]
+        """dz/dt of each path at its own t, and whether its system was
+        regular: J k = -dF/dt, where dF/dt is half of (L1 z) z."""
+        zL = (z @ self.L01).reshape(len(z), 2, self.u, self.N)
+        J = np.concatenate([zL[:, 0] + t[:, None, None] * zL[:, 1], charts], axis=1)
+        rhs = np.concatenate([-0.5 * (zL[:, 1] @ z[..., None])[..., 0], np.zeros((len(z), 2))], axis=1)
         return _solve_rows(J, rhs)
 
     def _correct(self, z, t, charts, iters):
         """Newton on each path at its own t; returns (z, converged, total
         correction size).  A path leaves the loop on convergence, on
         breakdown (residual beyond 1e10 or not finite) or on a singular
-        Jacobian; the last two are not converged."""
+        Jacobian, where its solve comes back NaN and so does its next
+        residual; the last two are not converged.  The residual is checked
+        iters + 1 times around iters solves.  Rows that do not converge
+        come back as given."""
         tol = self.tol
         z = z.copy()
         ok = np.zeros(len(z), dtype=bool)
         moved = np.zeros(len(z))
-        live = np.arange(len(z))
-        for _ in range(iters):
-            J = self._jacobian(z[live], t[live], charts[live])
-            F = self._residual(J, z[live])
-            rn = np.max(np.abs(F), axis=1)
-            broke = ~np.isfinite(rn) | (rn > 1e10)
-            conv = ~broke & (rn < tol * np.fmax(1.0, np.max(np.abs(z[live]), axis=1)))
-            ok[live[conv]] = True
-            step = ~(broke | conv)
-            dz, solved = _solve_rows(J[step], -F[step])
-            live = live[step][solved]
-            z[live] += dz[solved]
-            moved[live] += np.max(np.abs(dz[solved]), axis=1)
-            if not live.size:
-                return z, ok, moved
-        J = self._jacobian(z[live], t[live], charts[live])
-        F = self._residual(J, z[live])
-        ok[live] = np.max(np.abs(F), axis=1) < tol * np.fmax(1.0, np.max(np.abs(z[live]), axis=1))
+        # the rows still iterating, gathered anew only when one leaves
+        live, zl, tl, cl, ml = np.arange(len(z)), z, t, charts, moved
+        for it in range(iters + 1):
+            J = self._jacobian(zl, tl, cl)
+            F = self._residual(J, zl)
+            rn = np.abs(F).max(axis=1)
+            fine = rn <= 1e10  # False for NaN as well
+            conv = fine & (rn < tol * np.fmax(1.0, np.abs(zl).max(axis=1)))
+            if conv.any():
+                rows = live[conv]
+                ok[rows] = True
+                z[rows] = zl[conv]
+                moved[rows] = ml[conv]
+            if it == iters:
+                break
+            more = fine ^ conv
+            if not more.all():
+                if not more.any():
+                    break
+                live, zl, tl, cl, ml, J, F = live[more], zl[more], tl[more], cl[more], ml[more], J[more], F[more]
+            dz = _solve_rows(J, -F)[0]
+            zl = zl + dz
+            ml = ml + np.abs(dz).max(axis=1)
         return z, ok, moved
 
     def run(self, z0: np.ndarray, charts: np.ndarray, delta: complex) -> tuple[np.ndarray, dict[int, PathError]]:
@@ -335,66 +349,57 @@ class _Lockstep:
         return z, failed
 
     def _run(self, z, charts):
-        # tracks one batch in place
+        # tracks one batch in place; every path still moving has taken the
+        # same number of steps, so the step budget is one count
         P = len(z)
-        t = np.zeros(P)
-        h = np.full(P, INITIAL_STEP)
-        steps = np.zeros(P, dtype=int)
         failed: dict[int, PathError] = {}
         dead = np.zeros(P, dtype=bool)
-        active = np.arange(P)
+        # the paths still moving: batch row, z, t, step, chart rows
+        idx, za, ta, ha, ca = np.arange(P), z, np.zeros(P), np.full(P, INITIAL_STEP), charts
 
-        def fail(rows, reason, message):
-            dead[rows] = True
-            for p in rows:
-                failed[int(p)] = PathError(reason, message.format(t=t[p]))
+        def fail(sel, reason, message):
+            for p in np.flatnonzero(sel):
+                dead[idx[p]] = True
+                failed[int(idx[p])] = PathError(reason, message.format(t=ta[p]))
 
-        while active.size:
-            steps[active] += 1
-            over = steps[active] > MAX_STEPS
-            fail(active[over], PATH_STALL, f"step budget {MAX_STEPS} exhausted at t = {{t:.6f}}")
-            active = active[~over]
-            h[active] = np.minimum(h[active], 1.0 - t[active])
+        for _ in range(MAX_STEPS):
+            if not idx.size:
+                break
+            ha = np.minimum(ha, 1.0 - ta)
+            k1, ok1 = self._tangent(za, ta, ca)
+            half = 0.5 * ha
+            k2, ok2 = self._tangent(za + half[:, None] * k1, ta + half, ca)
+            regular = ok1 & ok2  # a singular tangent halves the step like a rejection
 
-            za, ta, ha = z[active], t[active], h[active]
-            k1, ok1 = self._tangent(za, ta, charts[active])
-            k2 = np.full_like(k1, np.nan)
-            k2[ok1], ok2 = self._tangent(
-                za[ok1] + 0.5 * ha[ok1, None] * k1[ok1], ta[ok1] + 0.5 * ha[ok1], charts[active[ok1]]
-            )
-            singular = ~ok1
-            singular[ok1] = ~ok2
-            if singular.any():
-                rows = active[singular]
-                h[rows] *= 0.5
-                fail(rows[h[rows] < MIN_STEP], PATH_STALL, "singular tangent at t = {t:.6f}")
-
-            rows = active[~singular]
-            hs = h[rows]
-            dz_pred = hs[:, None] * k2[~singular]
-            z_new, ok, moved = self._correct(z[rows] + dz_pred, t[rows] + hs, charts[rows], MAX_NEWTON)
+            dz_pred = ha[:, None] * k2
+            z_new, ok, moved = self._correct(za + dz_pred, ta + ha, ca, MAX_NEWTON)
             # basin guard: the corrector must only refine the prediction,
             # a large pullback signals a possible jump onto another path
-            guard = np.maximum(np.max(np.abs(dz_pred), axis=1), 1e-8)
-            ok &= ~(moved > 0.25 * guard)
-            acc = rows[ok]
-            t[acc] += hs[ok]
-            z[acc] = z_new[ok]
-            grow = ok & (moved < 0.01 * guard)
-            h[rows[grow]] = hs[grow] * 2.0
-            rej = rows[~ok]
-            h[rej] *= 0.5
-            under = h[rej] < MIN_STEP
-            fail(rej[under], PATH_STALL, "step underflow at t = {t:.6f}")
-            checked = np.concatenate([acc, rej[~under]])
-            blown = np.max(np.abs(z[checked]), axis=1) > BLOWUP_NORM
-            fail(checked[blown], AT_INFINITY, f"coordinate norm beyond {BLOWUP_NORM:.0e} at t = {{t:.6f}}")
+            guard = np.maximum(np.abs(dz_pred).max(axis=1), 1e-8)
+            ok &= regular & (moved <= 0.25 * guard)
+            ta = np.where(ok, ta + ha, ta)
+            za = np.where(ok[:, None], z_new, za)
+            ha = ha * np.where(ok, 1.0 + (moved < 0.01 * guard), 0.5)
 
-            active = active[~dead[active] & (t[active] < 1.0)]
+            norm = np.abs(za).max(axis=1)
+            leave = (ta >= 1.0) | (ha < MIN_STEP) | (norm > BLOWUP_NORM)
+            if leave.any():
+                under = ~ok & (ha < MIN_STEP)
+                fail(under & ~regular, PATH_STALL, "singular tangent at t = {t:.6f}")
+                fail(under & regular, PATH_STALL, "step underflow at t = {t:.6f}")
+                blown = regular & ~under & (norm > BLOWUP_NORM)
+                fail(blown, AT_INFINITY, f"coordinate norm beyond {BLOWUP_NORM:.0e} at t = {{t:.6f}}")
+                done = (ta >= 1.0) & ~blown
+                z[idx[done]] = za[done]
+                stay = ~(under | blown | done)
+                idx, za, ta, ha, ca = idx[stay], za[stay], ta[stay], ha[stay], ca[stay]
+        # the paths still moving have used up the step budget
+        fail(np.ones(idx.size, dtype=bool), PATH_STALL, f"step budget {MAX_STEPS} exhausted at t = {{t:.6f}}")
 
         ends = np.flatnonzero(~dead)
         z[ends], ok, _ = self._correct(z[ends], np.ones(len(ends)), charts[ends], max(MAX_NEWTON, 20))
-        fail(ends[~ok], PATH_DIVERGE, "endpoint correction did not converge at t = 1")
+        for p in ends[~ok]:
+            failed[int(p)] = PathError(PATH_DIVERGE, "endpoint correction did not converge at t = 1")
         return z, failed
 
 

@@ -315,15 +315,25 @@ def save_tensor(T: Tensor3, path) -> None:
         fh.write(jsonio.dumps(doc))
 
 
+def _number(x) -> float:
+    # float() and int() would read JSON true as 1
+    if isinstance(x, bool):
+        raise ValueError("a boolean is not a number")
+    return float(x)
+
+
 def load_tensor(path) -> Tensor3:
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not {"shape", "data"} <= doc.keys():
         raise ValueError("tensor file must be a JSON object with keys 'shape' and 'data'")
     try:
-        shape = tuple(int(d) for d in doc["shape"])
-        data = np.array([float(x) for x in doc["data"]])
-    except (TypeError, ValueError):
+        shape = tuple(_number(d) for d in doc["shape"])
+        data = np.array([_number(x) for x in doc["data"]])
+        if not all(d.is_integer() for d in shape):  # int() would truncate 3.9
+            raise ValueError("a shape entry is not an integer")
+        shape = tuple(int(d) for d in shape)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("tensor file 'shape' must be a list of integers and 'data' a flat list of numbers") from None
     if len(shape) != 3 or min(shape) < 1:
         raise ValueError(f"tensor file has shape {shape}, expected 3 positive axes")

@@ -177,6 +177,11 @@ class TestMalformedInput:
         "scalar_data": ('{"shape": [1, 1, 1], "data": 5}', "flat list of numbers"),
         "top_level_list": ("[1.0, 2.0]", "JSON object"),
         "directory": (None, "directory"),
+        "fractional_shape": ('{"shape": [3.9, 1, 1], "data": [1.0, 2.0, 3.0]}', "list of integers"),
+        "boolean_shape": ('{"shape": [true, 1, 1], "data": [1.0]}', "list of integers"),
+        "boolean_data": ('{"shape": [1, 1, 1], "data": [true]}', "flat list of numbers"),
+        "infinite_shape": ('{"shape": [1e400, 1, 1], "data": [1.0]}', "list of integers"),
+        "overflowing_data": ('{"shape": [1, 1, 1], "data": [1' + 400 * "0" + "]}", "flat list of numbers"),
     }
 
     @pytest.mark.parametrize("command", ["certify", "solve"])

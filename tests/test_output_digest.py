@@ -1,0 +1,38 @@
+import importlib.util
+import pathlib
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+_SPEC = importlib.util.spec_from_file_location("output_digest", _PATH)
+output_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(output_digest)
+compare = output_digest.compare
+
+
+class TestCompare:
+    def test_identical_text(self):
+        text = '{\n  "x": 1.5,\n  "verdict": "RANK_P"\n}\n'
+        assert compare(text, text) == "identical"
+
+    def test_numbers_compared_by_value(self):
+        # the report writer prints 1.0 as 1
+        assert compare('"x": 1.0\n', '"x": 1\n') == "numbers equal; non-numeric parts equal"
+
+    def test_relative_difference_and_its_line(self):
+        old = '"a": 0.5\n"b": 200.0\n"c": 3\n'
+        new = '"a": 0.5000001\n"b": 200.002\n"c": 3\n'
+        # line 1: 1e-7 against max(|x|, |y|, 1) = 1; line 2: 0.002 / 200.002
+        assert compare(old, new) == "numbers differ by at most 1.00e-05 (line 2); non-numeric parts equal"
+        small = compare('"a": 1e-20\n', '"a": 3e-20\n')
+        assert small == "numbers differ by at most 2.00e-20 (line 1); non-numeric parts equal"
+
+    def test_line_counts_differ(self):
+        assert compare("a\nb\n", "a\nb\nc\n") == "2 lines against 3"
+
+    def test_non_numeric_difference_is_named(self):
+        old = '"verdict": "RANK_P"\n"x": 1.0\n'
+        new = '"verdict": "RANK_GT_P"\n"x": 1.5\n'
+        # the numbers of the other lines are still compared
+        assert compare(old, new) == (
+            "numbers differ by at most 3.33e-01 (line 2); "
+            "non-numeric: line 1: '\"verdict\": \"RANK_P\"' against '\"verdict\": \"RANK_GT_P\"'"
+        )

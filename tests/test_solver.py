@@ -125,6 +125,78 @@ class TestLockstep:
         assert "singular tangent" in str(failed_bad[3])
         assert np.max(np.abs(np.delete(z_bad, 3, axis=0) - z_ref)) < 1e-10
 
+    @staticmethod
+    def _tracker(m, n, seed):
+        frame, target = perturbed_target(m, n, 1e-1, seed=seed)
+        c = solver._chart_vector(n, np.random.default_rng(seed))
+        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), 1e-12)
+        tracker.chart_rhs = np.array([-1.0, 1.0], dtype=complex)
+        d = np.zeros(m)
+        d[-1] = 1.0
+        return frame, target, tracker, c, d
+
+    def test_corrector_rows_leave_alone(self):
+        # one mixed stack: every row ends as it would alone, and a row that
+        # leaves (converged, broken down or singular) is not touched again
+        m, n = 3, 4
+        _, _, tracker, c, d = self._tracker(m, n, seed=37)
+        rng = np.random.default_rng(37)
+        starts = start_solutions(m, n, c=c)
+        start = np.concatenate([starts[0].a, starts[0].b])
+        near = np.concatenate([starts[1].a, starts[1].b])
+        near = near + 1e-6 * (rng.standard_normal(m + n) + 1j * rng.standard_normal(m + n))
+        near[m - 1] = -1.0  # stay on both charts, so only the top rows are off
+        near[m:] /= c @ near[m:]
+        far = rng.standard_normal(m + n) + 1j * rng.standard_normal(m + n)
+        huge = np.full(m + n, 1e6, dtype=complex)
+        rows = {"start": start, "nan": np.full(m + n, np.nan + 0j), "near": near,
+                "huge": huge, "zero": np.zeros(m + n, dtype=complex), "far": far}
+        z = np.array(list(rows.values()))
+        t = np.zeros(len(z))
+        charts = solver._charts(np.broadcast_to(c, (len(z), n)), np.broadcast_to(d, (len(z), m)))
+        out, ok, moved = tracker._correct(z, t, charts, 3)
+        got = {name: (out[i], ok[i], moved[i]) for i, name in enumerate(rows)}
+        assert np.array_equal(z, np.array(list(rows.values())), equal_nan=True)  # input untouched
+
+        assert got["start"][1] and got["start"][2] == 0.0
+        assert np.array_equal(got["start"][0], start)
+        assert got["near"][1] and got["near"][2] > 0.0
+        alone, ok_alone, moved_alone = tracker._correct(near[None], t[:1], charts[:1], 3)
+        assert ok_alone[0]
+        assert np.max(np.abs(got["near"][0] - alone[0])) < 1e-12
+        assert abs(got["near"][2] - moved_alone[0]) < 1e-12
+        for name in ("nan", "huge", "zero", "far"):
+            assert not got[name][1], name
+        for name in ("nan", "huge", "zero"):
+            assert np.array_equal(got[name][0], rows[name], equal_nan=True), name
+            assert got[name][2] == 0.0, name
+
+    def test_tangent_solves_the_t_derivative(self):
+        # J(z, t) k = -dF/dt, with dF/dt = M(a, B_to - gamma B_from) b and
+        # the Jacobian written out entry by entry
+        m, n = 3, 4
+        frame, target, tracker, c, d = self._tracker(m, n, seed=38)
+        rng = np.random.default_rng(38)
+        P = 4
+        z = rng.standard_normal((P, m + n)) + 1j * rng.standard_normal((P, m + n))
+        t = rng.uniform(0.0, 1.0, P)
+        charts = solver._charts(np.broadcast_to(c, (P, n)), np.broadcast_to(d, (P, m)))
+        k, ok = tracker._tangent(z, t, charts)
+        assert ok.all()
+
+        gamma = complex(0.6, -0.8)
+        B_from, B_to = frame.Aprime.data, target.data
+        a, b = z[:, :m], z[:, m:]
+        dF = np.einsum("ijk,pj,pk->pi", B_to - gamma * B_from, b, a)
+        Bt = gamma * B_from[None] + t[:, None, None, None] * (B_to - gamma * B_from)[None]
+        J = np.concatenate([
+            np.concatenate([np.einsum("pijk,pj->pik", Bt, b), np.einsum("pijk,pk->pij", Bt, a)], axis=2),
+            charts,
+        ], axis=1)
+        lhs = np.einsum("pij,pj->pi", J, k)
+        rhs = np.concatenate([-dF, np.zeros((P, 2))], axis=1)
+        assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
+
 
 class TestSolveAll:
     def test_recovers_start_system(self):
