@@ -170,6 +170,9 @@ class TestLockstep:
         for name in ("nan", "huge", "zero"):
             assert np.array_equal(got[name][0], rows[name], equal_nan=True), name
             assert got[name][2] == 0.0, name
+        # Newton would reach the path from the huge row in 60 iterations;
+        # a residual beyond 1e10 stops it at once
+        assert not tracker._correct(huge[None], t[:1], charts[:1], 60)[1][0]
 
     def test_tangent_solves_the_t_derivative(self):
         # J(z, t) k = -dF/dt, with dF/dt = M(a, B_to - gamma B_from) b and
