@@ -302,9 +302,9 @@ class _Lockstep:
         correction size).  A path leaves the loop on convergence, on
         breakdown (residual beyond 1e10 or not finite) or on a singular
         Jacobian, where its solve comes back NaN and so does its next
-        residual; the last two are not converged.  The residual is checked
-        iters + 1 times around iters solves.  Rows that do not converge
-        come back as given."""
+        residual; the last two are not converged.  A row's residual is
+        checked at most iters + 1 times, around at most iters solves.  Rows
+        that do not converge come back as given."""
         tol = self.tol
         z = z.copy()
         ok = np.zeros(len(z), dtype=bool)
