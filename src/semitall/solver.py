@@ -253,8 +253,7 @@ class _Lockstep:
     Jacobian are linear in z: J_top(z, t) = L0 z + t L1 z, built for every
     path by one matrix product [z, t z] @ [L0; L1].  Since
     J_top(z, t) z = 2 M(a, B(t)) b, the residual is half of J_top z and
-    its t-derivative half of (L1 z) z; the tangent takes L0 z and L1 z
-    from the one product z @ [L0 | L1].
+    its t-derivative half of (L1 z) z.
 
     Each path keeps its own t, step and status; every stage of the
     predictor-corrector makes one stacked evaluation and one stacked solve
@@ -272,8 +271,6 @@ class _Lockstep:
         L[:, :, m:, :m] = S  # d(M b)_i / d b_j = sum_k B_ijk a_k
         # rows (s, x) of the stacked map, so that [z, t z] @ L is J_top
         self.L = L.transpose(0, 3, 1, 2).reshape(2 * N, u * N)
-        # columns (s, i, y), so that z @ L01 is [L0 z | L1 z]
-        self.L01 = L.transpose(3, 0, 1, 2).reshape(N, 2 * u * N)
         self.halve_top = np.append(np.full(u, 0.5), [1.0, 1.0])
         self.u, self.N = u, N
         self.tol = corrector_tol
@@ -292,9 +289,10 @@ class _Lockstep:
     def _tangent(self, z, t, charts):
         """dz/dt of each path at its own t, and whether its system was
         regular: J k = -dF/dt, where dF/dt is half of (L1 z) z."""
-        zL = (z @ self.L01).reshape(len(z), 2, self.u, self.N)
-        J = np.concatenate([zL[:, 0] + t[:, None, None] * zL[:, 1], charts], axis=1)
-        rhs = np.concatenate([-0.5 * (zL[:, 1] @ z[..., None])[..., 0], np.zeros((len(z), 2))], axis=1)
+        J = self._jacobian(z, t, charts)
+        J1 = (z @ self.L[self.N :]).reshape(len(z), self.u, self.N)
+        rhs = np.zeros_like(z)
+        rhs[:, : self.u] = -0.5 * (J1 @ z[..., None])[..., 0]
         return _solve_rows(J, rhs)
 
     def _correct(self, z, t, charts, iters):
