@@ -90,31 +90,23 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
     track = solver.TrackOptions()
     report = solver.solve_all(Y, track, seed=opts.seed)
 
-    notes: list[str] = []
-    psi_vectors = []
-    degenerate = False
-    for sol in report.solutions:
-        if not sol.is_real:
-            continue
-        a_real = np.real(solver._aligned(sol.a))
-        b_real = np.real(solver._aligned(sol.b))
-        pencil = tensorcore.pencil_eval(a_real, Y)
-        svals = np.linalg.svd(pencil, compute_uv=False)
-        if svals[-2] < solver.DEGENERATE_KERNEL_TOL * svals[0]:
-            degenerate = True
-            notes.append(f"path {sol.path_index}: kernel dimension >= 2 at a real solution")
-            continue
-        psi_vectors.append(tensorcore.psi(a_real, b_real, fmt))
-
-    psi_matrix = np.column_stack(psi_vectors) if psi_vectors else np.zeros((fmt.p, 0))
-    dim_u = tensorcore.span_dim(psi_vectors, opts.span_tol)
-    real_points = sum(1 for s in report.solutions if s.is_real)
+    real = [s for s in report.solutions if s.is_real]
+    a_real = np.real(solver._aligned(np.array([s.a for s in real]).reshape(-1, m)))
+    b_real = np.real(solver._aligned(np.array([s.b for s in real]).reshape(-1, n)))
+    svals = np.linalg.svd(tensorcore.pencil_eval(a_real, Y), compute_uv=False)
+    degenerate = svals[:, -2] < solver.DEGENERATE_KERNEL_TOL * svals[:, 0]
+    notes = [f"path {s.path_index}: kernel dimension >= 2 at a real solution"
+             for s, flag in zip(real, degenerate) if flag]
+    psi_rows = tensorcore.psi(a_real[~degenerate], b_real[~degenerate], fmt)
+    psi_matrix = psi_rows.T
+    dim_u = tensorcore.span_dim(psi_rows, opts.span_tol)
+    real_points = len(real)
     broken = [] if report.failures else _closure_notes(report.solutions, report.n_paths)
 
     if report.failures:
         verdict = INCONCLUSIVE
         notes.extend(f"path {f.index}: {f.reason}" for f in report.failures)
-    elif degenerate or broken:
+    elif degenerate.any() or broken:
         verdict = INCONCLUSIVE
         notes.extend(broken)
     elif dim_u == fmt.p:

@@ -142,9 +142,7 @@ def _cmd_solve(args: argparse.Namespace):
             target = tensorcore.Tensor3(frame.Aprime.data + args.eps * rng.standard_normal(frame.Aprime.shape))
         else:
             target = frame.Aprime
-    opts = solver.TrackOptions()
-    if args.tol is not None:
-        opts.corrector_tol = args.tol
+    opts = solver.TrackOptions() if args.tol is None else solver.TrackOptions(corrector_tol=args.tol)
     report = solver.solve_all(target, opts, seed=args.seed)
     doc = {
         "m": report.m, "n": report.n,

@@ -14,6 +14,7 @@ h(y) = y^(m-1) - a_(m-1) y^(m-2) - ... - a_1 divides y^u + 1, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,45 +75,81 @@ def lambda_seq(a, T: int, mode: str = RECURRENCE) -> LambdaSeq:
     """Compute lambda_1..lambda_T for parameters a = (a_1..a_(m-1)).
 
     ``mode`` selects the linear recurrence or the direct banded-determinant
-    evaluation; the two agree to round-off and are cross-checked in tests.
+    evaluation.  Both run in exact rational arithmetic and round each value
+    to the nearest float once, so the two independent evaluations agree
+    exactly; in floating point a small lambda_t that cancels between large
+    terms would keep their round-off.
     """
     a = np.asarray(a, dtype=float)
     m = len(a) + 1
     if T < m - 1:
         raise ValueError(f"need T >= m-1 = {m - 1}, got {T}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("lambda parameters must be finite")
+    # every float is an integer over a power of two, so a_i = A_i / D exactly
+    # with D the largest denominator
+    ratios = [x.as_integer_ratio() for x in a.tolist()]
+    D = max((den for _, den in ratios), default=1)
+    A = [num * (D // den) for num, den in ratios]
     mode = mode.lower()
     if mode == RECURRENCE:
-        vals = np.zeros(T)
-        vals[m - 2] = 1.0
+        # L_t = lambda_t D^t is an integer: L_t = sum_k A_(m-k) D^(k-1) L_(t-k)
+        L = [0] * (m - 2) + [D ** (m - 1)]
         for t in range(m, T + 1):
-            acc = 0.0
-            for k in range(1, m):
-                acc += a[m - k - 1] * vals[t - k - 1]
-            vals[t - 1] = acc
+            L.append(sum(A[m - k - 1] * D ** (k - 1) * L[t - k - 1] for k in range(1, m)))
+        exact = [(L[t - 1], D**t) for t in range(1, T + 1)]
     elif mode == DETERMINANT:
-        vals = np.array([_lambda_det(a, t) for t in range(1, T + 1)])
+        exact = [_lambda_det(A, D, t) for t in range(1, T + 1)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return LambdaSeq(a=a, values=vals)
+    return LambdaSeq(a=a, values=np.array([_to_float(num, den) for num, den in exact]))
 
 
-def _lambda_det(a: np.ndarray, t: int) -> float:
-    # lambda_(m-1+s) is the determinant of the s x s band matrix with
-    # a_(m-1) on the diagonal, a_(m-1-q) on the q-th superdiagonal and -1
-    # on the subdiagonal; s <= 0 reproduces the seed values.
-    m = len(a) + 1
+def _to_float(num: int, den: int) -> float:
+    # int / int rounds the exact quotient to the nearest float
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _lambda_det(A: list[int], D: int, t: int) -> tuple[int, int]:
+    # lambda_(m-1+s) = det(M) = det(D M) / D^s, with M the s x s band
+    # matrix with a_(m-1) on the diagonal, a_(m-1-k) on the k-th
+    # superdiagonal and -1 on the subdiagonal; s <= 0 reproduces the seed
+    # values.  Returns the numerator and denominator.
+    m = len(A) + 1
     s = t - (m - 1)
     if s < 0:
-        return 0.0
+        return 0, 1
     if s == 0:
-        return 1.0
-    M = np.zeros((s, s))
-    for q in range(min(m - 1, s)):
-        idx = np.arange(s - q)
-        M[idx, idx + q] = a[m - 2 - q]
-    sub = np.arange(s - 1)
-    M[sub + 1, sub] = -1.0
-    return float(np.linalg.det(M))
+        return 1, 1
+
+    def row(i):  # row i of the integer matrix D M
+        r = [0] * s
+        if i:
+            r[i - 1] = -D
+        for k in range(min(m - 1, s - i)):
+            r[i + k] = A[m - 2 - k]
+        return r
+
+    # Bareiss fraction-free elimination.  Below the diagonal only the
+    # subdiagonal is nonzero, so step k changes row k+1 alone; until then
+    # Bareiss holds that row as its original times the previous pivot.
+    pivot_row, prev, sign = row(0), 1, 1
+    for k in range(s - 1):
+        below = row(k + 1)
+        if pivot_row[k]:
+            p = pivot_row[k]
+            pivot_row = [p * x - below[k] * y for x, y in zip(below, pivot_row)]
+        else:
+            # swap rows k and k+1; the new pivot -D * prev is nonzero and the
+            # old pivot row has nothing left to eliminate
+            p = -D * prev
+            pivot_row = [0] * (k + 1) + [p * y // prev for y in pivot_row[k + 1 :]]
+            sign = -sign
+        prev = p
+    return sign * pivot_row[s - 1], D**s
 
 
 def build_N(a_full, m: int, n: int) -> np.ndarray:

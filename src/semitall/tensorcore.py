@@ -129,24 +129,26 @@ def unflatten(M: np.ndarray, shape: tuple[int, int, int], mode: str) -> Tensor3:
 
 
 def pencil_eval(x, B: Tensor3) -> np.ndarray:
-    """Linear slice pencil x_1 B_1 + ... + x_m B_m; x may be complex."""
+    """Linear slice pencil x_1 B_1 + ... + x_m B_m; x may be complex, or a
+    stack of coefficient vectors (P, m), giving the stack of P pencils."""
     x = np.asarray(x)
-    if x.shape != (B.nslices,):
-        raise ValueError(f"coefficient vector length {x.shape} does not match {B.nslices} slices")
-    return np.tensordot(B.data, x, axes=([2], [0]))
+    if x.shape[-1:] != (B.nslices,) or x.ndim > 2:
+        raise ValueError(f"coefficient vector shape {x.shape} does not match {B.nslices} slices")
+    return (B.data @ x[..., None, :, None])[..., 0]
 
 
 def psi(a, b, fmt: Format) -> np.ndarray:
-    """First p entries of the Kronecker product a (x) b.
+    """First p entries of the Kronecker product a (x) b; for stacks of rows
+    a (P, m) and b (P, n), one row per pair.
 
     Equals the blocks a_1 b, ..., a_(m-2) b followed by the leading
     n-m+2 entries of a_(m-1) b; the a_m block is always truncated away.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != (fmt.m,) or b.shape != (fmt.n,):
+    if a.shape[-1:] != (fmt.m,) or b.shape[-1:] != (fmt.n,) or a.shape[:-1] != b.shape[:-1] or a.ndim > 2:
         raise ValueError(f"expected vectors of length {fmt.m} and {fmt.n}")
-    return np.kron(a, b)[: fmt.p]
+    return (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], fmt.m * fmt.n)[..., : fmt.p]
 
 
 def span_dim(vectors, tol: float) -> int:

@@ -120,6 +120,12 @@ class TestSolve:
         assert code == 0
         assert doc["result"]["n_paths"] == 6
 
+    @pytest.mark.parametrize("tol", ["1e-15", "3e-16"])
+    def test_tol_below_the_floor_is_named(self, tol):
+        code, text = dispatch(["solve", "--m", "3", "--n", "3", "--eps", "1e-3", "--tol", tol])
+        assert code == 1
+        assert text == f"error: corrector_tol must be at least 5e-15, the smallest the corrector meets in double precision, got {tol}\n"
+
     def test_reproducible_bytes(self):
         _, t1 = dispatch(["solve", "--m", "3", "--n", "3", "--eps", "1e-2", "--seed", "9"])
         _, t2 = dispatch(["solve", "--m", "3", "--n", "3", "--eps", "1e-2", "--seed", "9"])

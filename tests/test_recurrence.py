@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from semitall import recurrence, tensorcore
@@ -44,11 +44,24 @@ class TestLambdaSeq:
             seq.value(6)
 
     @given(st.lists(finite_floats, min_size=2, max_size=5))
+    @example([-2.9999999999999996, 3.0])  # lambda_37 cancels between terms of 3.9e8
+    @example([2.0, 0.0, 0.0])  # zero pivots: the elimination swaps rows
     def test_determinant_matches_recurrence(self, a):
         r = lambda_seq(a, 40, mode=RECURRENCE).values
         d = lambda_seq(a, 40, mode=DETERMINANT).values
         scale = np.maximum(1.0, np.abs(r))
         assert np.max(np.abs(r - d) / scale) < 1e-8
+
+    def test_cancelling_term_is_rounded_once(self):
+        # in floats, round-off of the terms feeding lambda_37 (up to 3.9e8)
+        # moved it by ~1e-7 in either mode; exactly it is -2.0645911e-6
+        a = [-2.9999999999999996, 3.0]
+        for mode in (RECURRENCE, DETERMINANT):
+            assert abs(lambda_seq(a, 40, mode=mode).value(37) + 2.0645911e-6) < 1e-13
+
+    def test_non_finite_parameters_rejected(self):
+        with pytest.raises(ValueError):
+            lambda_seq([np.nan, 1.0], 5)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

@@ -95,10 +95,34 @@ class TestLockstep:
         A = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
         A[2] = 0.0
         rhs = rng.standard_normal((4, 5)) + 0j
-        x, ok = solver._solve_rows(A, rhs)
-        assert ok.tolist() == [True, True, False, True]
+        with np.errstate(invalid="ignore"):
+            x = solver._solve_rows(A, rhs)
+        assert np.isnan(x).all(axis=1).tolist() == [False, False, True, False]
         for p in (0, 1, 3):
             assert np.array_equal(x[p], np.linalg.solve(A[p], rhs[p]))
+
+    @pytest.mark.parametrize("N", [6, 8, 10])
+    def test_stacked_solve_matches_numpy_row_by_row(self, N):
+        # the LAPACK gufunc is np.linalg.solve without its Python wrapper:
+        # every regular row equals np.linalg.solve bit for bit, and a
+        # singular or NaN row comes back NaN instead of raising
+        rng = np.random.default_rng(N)
+        P = 40
+        A = rng.standard_normal((P, N, N)) + 1j * rng.standard_normal((P, N, N))
+        rhs = rng.standard_normal((P, N)) + 1j * rng.standard_normal((P, N))
+        A[3] = 0.0
+        A[7, 2] = 0.0  # a zero row
+        A[11, :, 4] = 0.0  # a zero column
+        A[13, 1, 1] = np.nan
+        rhs[17, 0] = np.nan
+        bad = {3, 7, 11, 13, 17}
+        with np.errstate(invalid="ignore"):
+            x = solver._solve_rows(A, rhs)
+        for p in range(P):
+            if p in bad:
+                assert np.isnan(x[p]).all(), p
+            else:
+                assert np.array_equal(x[p], np.linalg.solve(A[p], rhs[p])), p
 
     def test_singular_path_fails_alone(self):
         # a start at z = 0 has a singular Jacobian at every t; only that
@@ -315,6 +339,20 @@ class TestSolveAll:
         assert [f.reason for f in report.failures] == [CHART_ESCAPE]
         assert len(report.solutions) == report.n_paths - 1
 
+    def test_error_state_is_left_as_found(self):
+        # the tracker silences floating-point flags only inside its own
+        # stages: the caller's error state holds before and after, and no
+        # arithmetic outside those stages trips it
+        rng = np.random.default_rng(29)
+        data = rng.standard_normal((4, 3, 3))
+        v = rng.standard_normal(3)
+        data[:, :, 0] -= np.outer(data[:, :, 0] @ v, v) / (v @ v)
+        with np.errstate(invalid="raise", over="raise", divide="raise"):
+            before = np.geterr()
+            report = solve_all(tensorcore.Tensor3(data), seed=30)
+            assert np.geterr() == before
+        assert [f.reason for f in report.failures] == [CHART_ESCAPE]
+
     def test_collisions_name_the_first_kept_path(self, monkeypatch):
         _, target = perturbed_target(3, 3, 1e-3, seed=25)
         monkeypatch.setattr(solver, "DEDUP_TOL", 1e3)
@@ -339,6 +377,59 @@ class TestSolveAll:
             _, target = perturbed_target(3, 3, 1e-3, seed=seed)
             report = solve_all(target, seed=seed)
             assert abs(report.gamma.imag) > 0.1
+
+
+def _pairwise_first_kept(z):
+    # the per-path scan that _first_kept replaces: one max-norm distance to
+    # every endpoint kept so far
+    keep, named = [], {}
+    for idx in range(len(z)):
+        near = np.flatnonzero(np.max(np.abs(z[keep] - z[idx]), axis=1) < solver.DEDUP_TOL)
+        if near.size:
+            named[idx] = keep[near[0]]
+        else:
+            keep.append(idx)
+    return keep, named
+
+
+class TestFirstKept:
+    def test_chain_keeps_its_far_end(self):
+        # a ~ b ~ c with a and c farther apart than DEDUP_TOL: b collides
+        # with a and is dropped, so c collides with no kept endpoint
+        tol = solver.DEDUP_TOL
+        z = np.random.default_rng(40).standard_normal((5, 4)) + 0j
+        z[2] = z[0] + 0.6 * tol
+        z[4] = z[2] + 0.6 * tol
+        kept, named = solver._first_kept(z)
+        assert np.flatnonzero(kept).tolist() == [0, 1, 3, 4]
+        assert named == {2: 0}
+        assert _pairwise_first_kept(z) == ([0, 1, 3, 4], {2: 0})
+
+    def test_matches_the_pairwise_scan(self):
+        tol = solver.DEDUP_TOL
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            P, N = int(rng.integers(1, 80)), int(rng.integers(1, 9))
+            z = rng.standard_normal((P, N)) + 1j * rng.standard_normal((P, N))
+            for _ in range(int(rng.integers(0, 12))):
+                i, j, k = rng.integers(0, P, 3)
+                kind = rng.integers(0, 5)
+                if kind == 0:  # a link just inside or just outside
+                    z[j] = z[i] + rng.choice([0.4, 0.99, 1.01]) * tol * np.exp(2j * np.pi * rng.random())
+                elif kind == 4:  # a chain i ~ j ~ k with i and k apart
+                    step = 0.6 * tol * np.exp(2j * np.pi * rng.random())
+                    z[j] = z[i] + step
+                    z[k] = z[j] + step
+                elif kind == 1:  # an exact repeat
+                    z[j] = z[i]
+                elif kind == 2:  # same sort key, far in another coordinate
+                    z[j, 0] = z[i, 0]
+                else:  # close in the sort key only
+                    z[j, 0] = z[i, 0] + 0.5 * tol
+            kept, named = solver._first_kept(z)
+            keep, named_ref = _pairwise_first_kept(z)
+            assert np.flatnonzero(kept).tolist() == keep
+            assert named == named_ref
 
 
 def _align(v):
@@ -371,5 +462,20 @@ class TestTrackOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrackOptions(corrector_tol=0.0)
+
+    @pytest.mark.parametrize("tol", [1e-15, 3e-16, 4.9e-15, math.nan])
+    def test_tolerance_below_the_floor_is_refused(self, tol):
+        with pytest.raises(ValueError, match="corrector_tol must be at least 5e-15"):
+            TrackOptions(corrector_tol=tol)
+
+    def test_no_path_stalls_at_the_floor(self):
+        # the floor is the smallest tolerance the corrector meets: at it,
+        # Gaussian targets of the measured formats track every path
+        for m, n in [(3, 3), (3, 4), (4, 4)]:
+            for seed in range(5):
+                u = m + n - 2
+                B = tensorcore.Tensor3(np.random.default_rng((seed, m, n)).standard_normal((u, n, m)))
+                report = solve_all(B, TrackOptions(corrector_tol=solver.MIN_CORRECTOR_TOL), seed=seed)
+                assert PATH_STALL not in {f.reason for f in report.failures}, (m, n, seed)
         with pytest.raises(ValueError):
             TrackOptions(gamma=0.0 + 0.0j)

@@ -223,6 +223,19 @@ class TestPencil:
         M = pencil_eval(np.array([1j, 0, -1.0]), B)
         assert M.dtype == complex
 
+    def test_stack_matches_tensordot_row_by_row(self):
+        # one matrix-vector product per slice row block: bit for bit the
+        # tensordot of each coefficient vector alone
+        rng = np.random.default_rng(8)
+        B = Tensor3(rng.standard_normal((7, 5, 4)))
+        X = rng.standard_normal((6, 4))
+        for x in (X, X + 1j * rng.standard_normal((6, 4))):
+            stack = pencil_eval(x, B)
+            assert stack.shape == (6, 7, 5)
+            for p in range(6):
+                assert np.array_equal(stack[p], np.tensordot(B.data, x[p], axes=([2], [0])))
+                assert np.array_equal(pencil_eval(x[p], B), stack[p])
+
 
 class TestPsi:
     def test_leading_block(self):
@@ -247,6 +260,17 @@ class TestPsi:
         v = psi(np.array([0.0, 1.0, 0.0]), b, fmt)
         # p - n = 2 leading entries of the a_2 block survive
         assert np.array_equal(v, np.array([0.0, 0.0, 0.0, 1.0, 2.0]))
+
+    def test_stack_matches_kron_row_by_row(self):
+        fmt = Format(4, 5)
+        rng = np.random.default_rng(9)
+        A, Bv = rng.standard_normal((6, 4)), rng.standard_normal((6, 5))
+        rows = psi(A, Bv, fmt)
+        assert rows.shape == (6, fmt.p)
+        for p in range(6):
+            assert np.array_equal(rows[p], np.kron(A[p], Bv[p])[: fmt.p])
+        with pytest.raises(ValueError):
+            psi(A, Bv[:5], fmt)
 
     @given(st.floats(-3, 3), st.floats(-3, 3))
     def test_bilinearity(self, s, t):
