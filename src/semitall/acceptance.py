@@ -334,9 +334,3 @@ def run_acceptance(indices=None, span_tol: float | None = None) -> list[CheckRes
         results.append(CheckResult(index, name, passed, detail, elapsed, budget))
     return results
 
-
-def format_results(results: list[CheckResult]) -> str:
-    lines = [r.line() for r in results]
-    n_pass = sum(r.passed for r in results)
-    lines.append(f"{n_pass}/{len(results)} criteria passed")
-    return "\n".join(lines)

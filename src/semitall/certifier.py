@@ -90,18 +90,21 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
     track = solver.TrackOptions()
     report = solver.solve_all(Y, track, seed=opts.seed)
 
-    real = [s for s in report.solutions if s.is_real]
-    a_real = np.real(solver._aligned(np.array([s.a for s in real]).reshape(-1, m)))
-    b_real = np.real(solver._aligned(np.array([s.b for s in real]).reshape(-1, n)))
+    # the endpoints as one stack of rows (a, b), in solution order
+    sols = report.solutions
+    Z = np.concatenate([np.array([s.a for s in sols]).reshape(-1, m), np.array([s.b for s in sols]).reshape(-1, n)], 1)
+    real = np.array([s.is_real for s in sols], dtype=bool)
+    index = np.array([s.path_index for s in sols], dtype=int)
+    a_real = np.real(solver._aligned(Z[real, :m]))
+    b_real = np.real(solver._aligned(Z[real, m:]))
     svals = np.linalg.svd(tensorcore.pencil_eval(a_real, Y), compute_uv=False)
     degenerate = svals[:, -2] < solver.DEGENERATE_KERNEL_TOL * svals[:, 0]
-    notes = [f"path {s.path_index}: kernel dimension >= 2 at a real solution"
-             for s, flag in zip(real, degenerate) if flag]
+    notes = [f"path {i}: kernel dimension >= 2 at a real solution" for i in index[real][degenerate].tolist()]
     psi_rows = tensorcore.psi(a_real[~degenerate], b_real[~degenerate], fmt)
     psi_matrix = psi_rows.T
     dim_u = tensorcore.span_dim(psi_rows, opts.span_tol)
-    real_points = len(real)
-    broken = [] if report.failures else _closure_notes(report.solutions, report.n_paths)
+    real_points = int(real.sum())
+    broken = [] if report.failures else _closure_notes(Z, real, index, report.n_paths)
 
     if report.failures:
         verdict = INCONCLUSIVE
@@ -135,27 +138,20 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
     )
 
 
-def _closure_notes(solutions: list[solver.Solution], n_paths: int) -> list[str]:
-    """Notes on every way the endpoints of a complete solve of a real
-    target break conjugate closure: a non-real endpoint whose conjugate
-    lies within ``solver.DEDUP_TOL`` (max-norm, chart coordinates) of no
-    other non-real endpoint, and a real count of the wrong parity.  The
-    charts a_m = -1 and c . b = 1 are real, so the conjugate of an endpoint
-    is its conjugate chart point."""
-    notes = []
-    idx = [s.path_index for s in solutions if not s.is_real]
-    Z = np.array([np.concatenate([s.a, s.b]) for s in solutions if not s.is_real])
-    # rows of the distance matrix in chunks of at most STACK_ENTRIES entries
-    size = max(1, solver.STACK_ENTRIES // max(1, Z.size))
-    for lo in range(0, len(idx), size):
-        dist = np.max(np.abs(Z[None, :, :] - Z[lo : lo + size, None, :].conj()), axis=2)
-        rows = np.arange(lo, min(lo + size, len(idx)))
-        dist[rows - lo, rows] = np.inf  # an endpoint is not its own partner
-        lonely = rows[~(np.min(dist, axis=1) < solver.DEDUP_TOL)]
-        notes.extend(f"path {idx[r]}: no conjugate endpoint within {solver.DEDUP_TOL:g}" for r in lonely)
-    real = len(solutions) - len(idx)
-    if (n_paths - real) % 2:
-        notes.append(f"{real} real of {n_paths} endpoints: the non-real ones cannot pair up")
+def _closure_notes(Z: np.ndarray, real: np.ndarray, index: np.ndarray, n_paths: int) -> list[str]:
+    """Notes on every way the endpoints Z of a complete solve of a real
+    target (rows (a, b), real flags, path indices) break conjugate closure:
+    a non-real endpoint whose conjugate lies within ``solver.DEDUP_TOL``
+    (max-norm, chart coordinates; the charts are real) of no other non-real
+    endpoint, and a real count of the wrong parity."""
+    n_real = int(real.sum())
+    Z, index = Z[~real], index[~real]
+    i, j = solver.close_pairs(Z, Z.conj())
+    paired = np.zeros(len(Z), dtype=bool)
+    paired[i[i != j]] = True  # an endpoint is not its own partner
+    notes = [f"path {k}: no conjugate endpoint within {solver.DEDUP_TOL:g}" for k in index[~paired].tolist()]
+    if (n_paths - n_real) % 2:
+        notes.append(f"{n_real} real of {n_paths} endpoints: the non-real ones cannot pair up")
     return notes
 
 
@@ -187,8 +183,8 @@ def perturb_experiment(
     divisor points, so dim U stays at most the real divisor count and, when
     that count is below p, every sample is a rank > p tensor.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"eps must be nonnegative and finite, got {eps:g}")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     opts = opts or CertifyOptions()

@@ -91,7 +91,7 @@ def _cmd_alpha(args: argparse.Namespace):
 
 def _cmd_divisors(args: argparse.Namespace):
     _require(args, "m", "n")
-    u, d = args.m + args.n - 2, args.m - 1
+    u, d = tensorcore.Format(args.m, args.n).u, args.m - 1
     divisors = polyfactor.real_divisors(u, d)
     docs = []
     for h in divisors:

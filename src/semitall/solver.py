@@ -492,34 +492,38 @@ def projectively_real(a: np.ndarray, b: np.ndarray, tol: float) -> bool | np.nda
     return bool(real) if real.ndim == 0 else real
 
 
+def close_pairs(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with max-norm |z_i - w_j| < ``DEDUP_TOL``, as
+    two index arrays.  Such a pair also differs by less than the tolerance
+    in Re [:, 0], so each w_j's candidates are the rows of z, sorted on that
+    key, within twice the tolerance of its key (rounding at the bounds cannot
+    drop a pair); the max-norm test confirms them.
+    """
+    order = np.argsort(z[:, 0].real, kind="stable")
+    key, at = z[order, 0].real, w[:, 0].real
+    lo, hi = np.searchsorted(key, [at - 2 * DEDUP_TOL, at + 2 * DEDUP_TOL])
+    count = hi - lo
+    j = np.repeat(np.arange(len(w)), count)
+    i = order[np.arange(len(j)) + np.repeat(hi - np.cumsum(count), count)]
+    hit = np.abs(z[i] - w[j]).max(axis=1) < DEDUP_TOL
+    return i[hit], j[hit]
+
+
 def _first_kept(z: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
     """Endpoint collisions among the rows of z, taken in order: a row within
     ``DEDUP_TOL`` (max-norm) of an earlier kept row is not kept, and is
     mapped to the first such row.  Returns the kept mask and that map.
-
-    Only pairs within ``DEDUP_TOL`` in Re z[:, 0] can collide, since that
-    coordinate's difference is at most the max-norm one; sorting on it
-    finds them without comparing every pair.
     """
-    key = z[:, 0].real
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    earlier: dict[int, list[int]] = {}
-    for k in range(1, len(z)):
-        close = np.flatnonzero(key[k:] - key[:-k] < DEDUP_TOL)
-        if not close.size:
-            break  # the keys are sorted, so wider windows hold no pair either
-        i, j = order[close], order[close + k]
-        hit = np.max(np.abs(z[i] - z[j]), axis=1) < DEDUP_TOL
-        for lo, hi in zip(np.minimum(i, j)[hit].tolist(), np.maximum(i, j)[hit].tolist()):
-            earlier.setdefault(hi, []).append(lo)
+    i, j = close_pairs(z, z)
+    later, earlier = i[i > j], j[i > j]
+    order = np.lexsort((earlier, later))
     kept = np.ones(len(z), dtype=bool)
     named: dict[int, int] = {}
-    for hi in sorted(earlier):
-        hits = [lo for lo in sorted(earlier[hi]) if kept[lo]]
-        if hits:
+    # pairs in (later, earlier) row order: every earlier row is settled first
+    for hi, lo in zip(later[order].tolist(), earlier[order].tolist()):
+        if kept[hi] and kept[lo]:
             kept[hi] = False
-            named[hi] = hits[0]
+            named[hi] = lo
     return kept, named
 
 
@@ -537,6 +541,9 @@ def solve_all(B: tensorcore.Tensor3, opts: TrackOptions | None = None, seed: obj
     fmt = tensorcore.Format(m, n)
     if u != fmt.u:
         raise ValueError(f"target shape {B.shape} has u = {u}, expected {fmt.u}")
+    bad = np.count_nonzero(~np.isfinite(B.data))
+    if bad:
+        raise ValueError(f"target tensor has {bad} non-finite entries")
     opts = opts or TrackOptions()
     rng = np.random.default_rng(seed)
     c = _chart_vector(n, rng)

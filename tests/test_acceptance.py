@@ -97,11 +97,3 @@ class TestHarness:
         r = results[0]
         assert r.index == 9
         assert not r.passed
-
-    def test_format_results_summary_line(self):
-        rs = [
-            acceptance.CheckResult(1, "a", True, "", 0.0, 1.0),
-            acceptance.CheckResult(2, "b", False, "", 0.0, 1.0),
-        ]
-        text = acceptance.format_results(rs)
-        assert text.endswith("1/2 criteria passed")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -210,3 +212,74 @@ class TestSoundness:
         cert = certify(T, CertifyOptions(seed=42))
         assert cert.verdict == INCONCLUSIVE
         assert cert.paths_failed > 0
+
+
+def _chunked_closure_notes(Z, real, index, n_paths):
+    # the distance-matrix scan that the sorted search replaces: rows of the
+    # full conjugate distance matrix in chunks of at most STACK_ENTRIES
+    # entries, an endpoint's own column set to inf
+    notes = []
+    idx, Z = index[~real].tolist(), Z[~real]
+    size = max(1, solver.STACK_ENTRIES // max(1, Z.size))
+    for lo in range(0, len(idx), size):
+        dist = np.max(np.abs(Z[None, :, :] - Z[lo : lo + size, None, :].conj()), axis=2)
+        rows = np.arange(lo, min(lo + size, len(idx)))
+        dist[rows - lo, rows] = np.inf
+        lonely = rows[~(np.min(dist, axis=1) < solver.DEDUP_TOL)]
+        notes.extend(f"path {idx[r]}: no conjugate endpoint within {solver.DEDUP_TOL:g}" for r in lonely)
+    n_real = int(real.sum())
+    if (n_paths - n_real) % 2:
+        notes.append(f"{n_real} real of {n_paths} endpoints: the non-real ones cannot pair up")
+    return notes
+
+
+class TestClosure:
+    @staticmethod
+    def _paired_stack(rng, pairs, N):
+        # pairs of conjugate rows, shuffled
+        z = rng.standard_normal((pairs, N)) + 1j * rng.standard_normal((pairs, N))
+        return rng.permutation(np.concatenate([z, z.conj()]))
+
+    def test_matches_the_chunked_scan(self):
+        tol = solver.DEDUP_TOL
+        rng = np.random.default_rng(51)
+        for _ in range(60):
+            N = int(rng.integers(1, 9))
+            Z = self._paired_stack(rng, int(rng.integers(0, 30)), N)
+            extra = rng.standard_normal((int(rng.integers(0, 6)), N)) + 0j
+            Z = np.concatenate([Z, extra]) if len(Z) else extra
+            P = len(Z)
+            for _ in range(int(rng.integers(0, 10)) if P else 0):
+                i, j = rng.integers(0, P, 2)
+                kind = rng.integers(0, 5)
+                if kind == 0:  # an exact repeat
+                    Z[j] = Z[i]
+                elif kind == 1:  # same sort key, far in another coordinate
+                    Z[j] = Z[i].conj() + (N > 1) * np.r_[0, np.ones(N - 1)]
+                elif kind == 2:  # a conjugate link around the tolerance and the search window
+                    shift = rng.choice([0.99, 1.01, 1.9, 2.1]) * tol
+                    Z[j] = Z[i].conj() + shift * (1 if rng.random() < 0.5 else np.exp(2j * np.pi * rng.random()))
+                elif kind == 3:  # near real: within the tolerance of its own conjugate
+                    Z[j] = Z[j].real + 1j * rng.choice([0.2, 0.45]) * tol * rng.standard_normal(N)
+                else:  # close in the sort key only
+                    Z[j, 0] = Z[i, 0].conj() + 0.5 * tol
+            real = rng.random(P) < 0.1
+            index = rng.permutation(P + 3)[:P]
+            n_paths = P + int(rng.integers(0, 2))
+            assert certifier._closure_notes(Z, real, index, n_paths) == _chunked_closure_notes(Z, real, index, n_paths)
+
+    def test_empty_stack(self):
+        Z = np.zeros((0, 5), dtype=complex)
+        empty = np.zeros(0, dtype=bool), np.zeros(0, dtype=int)
+        assert certifier._closure_notes(Z, *empty, 2) == _chunked_closure_notes(Z, *empty, 2) == []
+        assert certifier._closure_notes(Z, *empty, 3) == ["0 real of 3 endpoints: the non-real ones cannot pair up"]
+
+    def test_scale_of_the_first_unknown_format(self):
+        # (5,27) has C(30, 4) = 27,405 paths; 27,154 non-real endpoints of
+        # 32 coordinates in conjugate pairs, searched in well under 10 s
+        # (the chunked scan needs minutes)
+        Z = self._paired_stack(np.random.default_rng(52), 27154 // 2, 32)
+        start = time.perf_counter()
+        notes = certifier._closure_notes(Z, np.zeros(len(Z), dtype=bool), np.arange(len(Z)), len(Z))
+        assert time.perf_counter() - start < 10
+        assert notes == []

@@ -52,6 +52,12 @@ class TestDivisors:
         points = [d["variety_point"] for d in doc["result"]["divisors"]]
         assert all(pt[-1] == -1.0 for pt in points)
 
+    @pytest.mark.parametrize("m,n", [(3, 2), (5, 4), (2, 3)])
+    def test_format_validated(self, m, n):
+        code, text = dispatch(["divisors", "--m", str(m), "--n", str(n)])
+        assert code == 1
+        assert text == f"error: format requires 3 <= m <= n, got ({m}, {n})\n"
+
 
 class TestClassify:
     def test_bit_disjoint_fail_reason(self):
@@ -109,6 +115,12 @@ class TestSolve:
         code, text = dispatch(["solve", "--input", str(path)])
         assert code == 1
         assert text == "error: tensor file has 1 non-finite entries: (1, 2, 0) = inf\n"
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_is_named(self, eps):
+        code, text = dispatch(["solve", "--m", "3", "--n", "3", "--eps", eps])
+        assert code == 1
+        assert text == "error: target tensor has 36 non-finite entries\n"
 
     def test_input_file(self, tmp_path):
         frame = make_start_frame(3, 3)
@@ -226,6 +238,12 @@ class TestExperiment:
         code, text = dispatch(["experiment", "global", "--m", "3", "--n", "3", "--trials", "-2"])
         assert code == 1
         assert text == "error: trials must be nonnegative\n"
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_eps_must_be_nonnegative_and_finite(self, eps):
+        code, text = dispatch(["experiment", "perturb", "--m", "3", "--n", "3", "--eps", eps, "--trials", "2"])
+        assert code == 1
+        assert text == f"error: eps must be nonnegative and finite, got {eps}\n"
 
     def test_seed_recorded(self):
         _, doc = run_json([

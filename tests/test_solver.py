@@ -432,6 +432,27 @@ class TestFirstKept:
             assert named == named_ref
 
 
+class TestClosePairs:
+    def test_matches_every_pair(self):
+        # every (i, j) of the full max-norm distance matrix under the
+        # tolerance, including pairs whose sort keys differ by just under
+        # it and pairs with equal keys that are far apart
+        tol = solver.DEDUP_TOL
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            P, Q, N = int(rng.integers(0, 40)), int(rng.integers(0, 40)), int(rng.integers(1, 6))
+            z = rng.standard_normal((P, N)) + 1j * rng.standard_normal((P, N))
+            w = rng.standard_normal((Q, N)) + 1j * rng.standard_normal((Q, N))
+            for j in range(Q if P else 0):
+                i = int(rng.integers(0, P))
+                w[j] = z[i] + rng.choice([0.0, 0.5, 0.999, 1.001, 3.0]) * tol * np.exp(2j * np.pi * rng.random())
+                if rng.random() < 0.2:
+                    w[j, -1] += 1.0
+            dist = np.max(np.abs(z[:, None, :] - w[None, :, :]), axis=2)
+            i, j = solver.close_pairs(z, w)
+            assert sorted(zip(i.tolist(), j.tolist())) == sorted(zip(*map(list, np.nonzero(dist < tol))))
+
+
 def _align(v):
     return v / v[int(np.argmax(np.abs(v)))]
 
