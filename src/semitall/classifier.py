@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .polyfactor import alpha_closed
+from .tensorcore import Format
 
 SINGLE = "SINGLE"
 PLURAL = "PLURAL"
@@ -65,8 +66,7 @@ def classify(m: int, n: int, p: int) -> Verdict:
     plurality criteria are evaluated and all applicable reason codes are
     reported; mid-range p is out of scope and returns UNKNOWN.
     """
-    if m < 3 or m > n:
-        raise ValueError(f"format requires 3 <= m <= n, got ({m}, {n})")
+    Format(m, n)  # raises ValueError outside 3 <= m <= n
     p_crit = (m - 1) * (n - 1) + 1
     if not p_crit <= p <= m * n:
         raise ValueError(f"p = {p} outside [{p_crit}, {m * n}]")
@@ -93,7 +93,9 @@ def classify(m: int, n: int, p: int) -> Verdict:
 
 
 def theorem_table(m_max: int, n_max: int) -> list[Verdict]:
-    """Verdicts at the critical p for every 3 <= m <= n within the bounds."""
+    """Verdicts at the critical p for every 3 <= m <= n within the bounds,
+    which must themselves satisfy 3 <= m_max <= n_max <= 64."""
+    Format(m_max, n_max)  # raises ValueError outside 3 <= m_max <= n_max
     if m_max > 64 or n_max > 64:
         raise ValueError("table bounds are capped at 64")
     rows = []

@@ -1,11 +1,12 @@
 """Command-line surface: semitall-rank <subcommand> [flags].
 
 Subcommands: alpha, divisors, classify, table, solve, certify,
-experiment (perturb|global), selftest.  JSON is the canonical output
-(floats at 17 significant digits); CSV is available for table only.
-Reports echo every seed and tolerance needed to reproduce them; rerunning
-with the printed flags yields byte-identical output apart from the
-elapsed_s timing field.
+experiment (perturb|global), selftest.  Each takes only the flags it
+reads (the ``_COMMANDS`` table), plus --seed, --output and --format; any
+other flag is a usage error.  JSON is the canonical output (floats at 17
+significant digits); CSV is available for table only.  Reports echo every
+seed and tolerance needed to reproduce them; rerunning with the printed
+flags yields byte-identical output apart from the elapsed_s timing field.
 
 Exit codes: 0 success, 1 domain/usage error, 2 numerical failure.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 
@@ -23,11 +25,24 @@ from . import acceptance, certifier, classifier, jsonio, polyfactor, solver, ten
 from .errors import ChartViolationError, DegenerateStartError, ResourceLimitError
 
 
-# Flags echoed under "params" in every report, in this order.
-_PARAMS = ("m", "n", "p", "eps", "trials", "seed", "tol", "input", "mode")
+# argparse settings of each flag that _COMMANDS (below) can name
+_ARGUMENTS = {
+    "m": {"type": int}, "n": {"type": int}, "p": {"type": int}, "eps": {"type": float},
+    "trials": {"type": int}, "seed": {"type": int, "default": 0}, "tol": {"type": float},
+    "input": {"type": str}, "mode": {"choices": ["perturb", "global"]},
+}
+
+
+def _flags(command: str) -> list[str]:
+    return [f.rstrip("!") for f in _COMMANDS[command][1].split()]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # any -<digit> or -.<digit> token is a value (-1e-3 too), not a flag
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -37,31 +52,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="semitall-rank", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_, mode_choices=None):
-        p = sub.add_parser(name, help=help_)
-        if mode_choices:
-            p.add_argument("mode", choices=mode_choices)
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--p", type=int)
-        p.add_argument("--eps", type=float)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--input", type=str)
+    for command, (handler, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
+        for name in _flags(command):
+            p.add_argument(name if name == "mode" else f"--{name}", **_ARGUMENTS[name])
         p.add_argument("--output", type=str)
         p.add_argument("--format", choices=["json", "csv", "plain"], default="json")
-        return p
-
-    add("alpha", "count the real monic degree-(m-1) divisors of y^(m+n-2)+1")
-    add("divisors", "list those divisors and their variety points")
-    add("classify", "typical-rank verdict for one format (p defaults to the critical value)")
-    add("table", "verdict table over all 3 <= m <= n up to the given bounds")
-    add("solve", "track all start paths to a target tensor (file, or a seeded perturbation)")
-    add("certify", "rank-p certificate for an n x p x m tensor file")
-    add("experiment", "seeded Monte Carlo certification experiments", mode_choices=["perturb", "global"])
-    add("selftest", "run the acceptance criteria and report pass/fail per criterion")
     return parser
 
 
@@ -83,14 +79,14 @@ def _solution_doc(s: solver.Solution) -> dict:
 
 
 def _cmd_alpha(args: argparse.Namespace):
-    _require(args, "m", "n")
+    """count the real monic degree-(m-1) divisors of y^(m+n-2)+1"""
     a = polyfactor.alpha_closed(args.m, args.n)
     p = (args.m - 1) * (args.n - 1) + 1
     return {"m": args.m, "n": args.n, "u": args.m + args.n - 2, "alpha": a, "p": p, "alpha_lt_p": a < p}, 0
 
 
 def _cmd_divisors(args: argparse.Namespace):
-    _require(args, "m", "n")
+    """list those divisors and their variety points"""
     u, d = tensorcore.Format(args.m, args.n).u, args.m - 1
     divisors = polyfactor.real_divisors(u, d)
     docs = []
@@ -103,7 +99,7 @@ def _cmd_divisors(args: argparse.Namespace):
 
 
 def _cmd_classify(args: argparse.Namespace):
-    _require(args, "m", "n")
+    """typical-rank verdict for one format (p defaults to the critical value)"""
     p = args.p if args.p is not None else (args.m - 1) * (args.n - 1) + 1
     v = classifier.classify(args.m, args.n, p)
     return _verdict_doc(v), 0
@@ -122,18 +118,15 @@ def _verdict_doc(v: classifier.Verdict) -> dict:
 
 
 def _cmd_table(args: argparse.Namespace):
-    _require(args, "m", "n")
+    """verdict table over all 3 <= m <= n up to the given bounds"""
     rows = classifier.theorem_table(args.m, args.n)
     return {"m_max": args.m, "n_max": args.n, "rows": [_verdict_doc(v) for v in rows]}, 0
 
 
 def _cmd_solve(args: argparse.Namespace):
+    """track all start paths to a target tensor (file, or a seeded perturbation)"""
     if args.input:
         target = tensorcore.load_tensor(args.input)
-        u, n, m = target.shape
-        fmt = tensorcore.Format(m, n)
-        if u != fmt.u:
-            raise ValueError(f"target tensor shape {target.shape} has u = {u}, expected {fmt.u}")
     else:
         _require(args, "m", "n")
         frame = tensorcore.make_start_frame(args.m, args.n)
@@ -157,7 +150,7 @@ def _cmd_solve(args: argparse.Namespace):
 
 
 def _cmd_certify(args: argparse.Namespace):
-    _require(args, "input")
+    """rank-p certificate for an n x p x m tensor file"""
     T = tensorcore.load_tensor(args.input)
     opts = certifier.CertifyOptions(seed=args.seed)
     if args.tol is not None:
@@ -178,7 +171,7 @@ def _cmd_certify(args: argparse.Namespace):
 
 
 def _cmd_experiment(args: argparse.Namespace):
-    _require(args, "m", "n", "trials")
+    """seeded Monte Carlo certification experiments"""
     fmt = tensorcore.Format(args.m, args.n)
     opts = certifier.CertifyOptions()
     if args.tol is not None:
@@ -201,6 +194,7 @@ def _cmd_experiment(args: argparse.Namespace):
 
 
 def _cmd_selftest(args: argparse.Namespace):
+    """run the acceptance criteria and report pass/fail per criterion"""
     results = acceptance.run_acceptance(span_tol=args.tol)
     for r in results:
         print(r.line(), flush=True)
@@ -215,15 +209,19 @@ def _cmd_selftest(args: argparse.Namespace):
     return doc, (0 if doc["passed"] else 2)
 
 
-_HANDLERS = {
-    "alpha": _cmd_alpha,
-    "divisors": _cmd_divisors,
-    "classify": _cmd_classify,
-    "table": _cmd_table,
-    "solve": _cmd_solve,
-    "certify": _cmd_certify,
-    "experiment": _cmd_experiment,
-    "selftest": _cmd_selftest,
+# Subcommand -> (handler, the flags it reads).  Flags are listed in
+# "params" echo order, and a trailing "!" marks one the subcommand always
+# requires; "mode" is experiment's positional.  Every subcommand also takes
+# --output and --format, which are not echoed.
+_COMMANDS = {
+    "alpha": (_cmd_alpha, "m! n! seed"),
+    "divisors": (_cmd_divisors, "m! n! seed"),
+    "classify": (_cmd_classify, "m! n! p seed"),
+    "table": (_cmd_table, "m! n! seed"),
+    "solve": (_cmd_solve, "m n eps seed tol input"),
+    "certify": (_cmd_certify, "seed tol input!"),
+    "experiment": (_cmd_experiment, "m! n! eps trials! seed tol mode"),
+    "selftest": (_cmd_selftest, "seed tol"),
 }
 
 
@@ -240,14 +238,17 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        if args.tol is not None and not (0 < args.tol < math.inf):
-            raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
-        result, code = _HANDLERS[args.command](args)
+        handler, flags = _COMMANDS[args.command]
+        _require(args, *(f[:-1] for f in flags.split() if f.endswith("!")))
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (0 < tol < math.inf):
+            raise ValueError(f"--tol must be positive and finite, got {tol:g}")
+        result, code = handler(args)
     except (ValueError, ResourceLimitError, OSError) as exc:
         return 1, f"error: {exc}\n"
     except (ChartViolationError, DegenerateStartError) as exc:
         return 2, f"error: {type(exc).__name__}: {exc}\n"
-    params = {k: getattr(args, k, None) for k in _PARAMS}
+    params = {k: getattr(args, k) for k in _flags(args.command)}
     report = {
         "command": args.command,
         "params": {k: v for k, v in params.items() if v is not None},

@@ -90,6 +90,17 @@ class TestTable:
         rows = doc["result"]["rows"]
         assert [r["n"] for r in rows] == [3, 4, 5]
 
+    @pytest.mark.parametrize("m,n", [(2, 2), (0, 0), (4, 3), (2, 5)])
+    def test_format_validated(self, m, n):
+        code, text = dispatch(["table", "--m", str(m), "--n", str(n)])
+        assert code == 1
+        assert text == f"error: format requires 3 <= m <= n, got ({m}, {n})\n"
+
+    def test_bounds_capped(self):
+        code, text = dispatch(["table", "--m", "3", "--n", "65"])
+        assert code == 1
+        assert text == "error: table bounds are capped at 64\n"
+
 
 class TestSolve:
     def test_default_target_recovers_start_system(self):
@@ -105,6 +116,13 @@ class TestSolve:
         code, doc = run_json(["solve", "--m", "3", "--n", "4", "--eps", "1e-3", "--seed", "5"])
         assert code == 0
         assert doc["result"]["real_count"] == 2
+
+    def test_negative_exponent_is_a_value(self):
+        code, spaced = run_json(["solve", "--m", "3", "--n", "3", "--eps", "-1e-3", "--seed", "1"])
+        assert code == 0
+        _, joined = run_json(["solve", "--m", "3", "--n", "3", "--eps=-1e-3", "--seed", "1"])
+        assert spaced["params"]["eps"] == -1e-3
+        assert spaced["result"] == joined["result"]
 
     def test_non_finite_input_is_named(self, tmp_path):
         frame = make_start_frame(3, 3)
@@ -272,6 +290,45 @@ class TestSelftest:
         code, doc = run_json(["selftest"])
         assert code == 2
         assert doc["result"]["passed"] is False
+
+
+class TestFlagTable:
+    # subcommand: (a valid command, the "params" it echoes in order, a flag it does not read)
+    CASES = {
+        "alpha": (["alpha", "--m", "3", "--n", "3"], ["m", "n", "seed"], ["--eps", "1"]),
+        "divisors": (["divisors", "--m", "3", "--n", "3"], ["m", "n", "seed"], ["--tol", "1e-6"]),
+        "classify": (["classify", "--m", "3", "--n", "3", "--p", "5"], ["m", "n", "p", "seed"], ["--trials", "2"]),
+        "table": (["table", "--m", "3", "--n", "4"], ["m", "n", "seed"], ["--p", "5"]),
+        "solve": (["solve", "--m", "3", "--n", "3", "--eps", "1e-3", "--tol", "1e-10"],
+                  ["m", "n", "eps", "seed", "tol"], ["--trials", "2"]),
+        "certify": (["certify", "--input", "TENSOR", "--seed", "2"], ["seed", "input"], ["--m", "3"]),
+        "experiment": (["experiment", "perturb", "--m", "3", "--n", "3", "--eps", "1e-3", "--trials", "1"],
+                       ["m", "n", "eps", "trials", "seed", "mode"], ["--input", "f"]),
+        "selftest": (["selftest", "--tol", "1e-6"], ["seed", "tol"], ["--n", "3"]),
+    }
+
+    @pytest.fixture
+    def argv_of(self, tmp_path, monkeypatch):
+        canned = [acceptance.CheckResult(1, "alpha-oracle-equivalence", True, "ok", 0.1, 10.0)]
+        monkeypatch.setattr(acceptance, "run_acceptance", lambda span_tol=None: canned)
+        path = tmp_path / "tensor.json"
+        save_tensor(tau(make_start_frame(3, 3).W0, Format(3, 3)), path)
+        return lambda argv: [str(path) if a == "TENSOR" else a for a in argv]
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_params_echo_only_declared_flags(self, argv_of, command):
+        argv, params, _ = self.CASES[command]
+        code, doc = run_json(argv_of(argv))
+        assert code == 0
+        assert list(doc["params"]) == params
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_undeclared_flag_exits_1(self, argv_of, capsys, command):
+        argv, _, extra = self.CASES[command]
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv_of(argv) + extra)
+        assert exc.value.code == 1
+        assert f"error: unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
 
 class TestOutputModes:
