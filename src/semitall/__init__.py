@@ -37,7 +37,7 @@ from .polyfactor import (
     real_divisors,
 )
 from .recurrence import ConditionReport, LambdaSeq, build_N, lambda_seq, rank_conditions
-from .solver import SolveReport, Solution, TrackOptions, solve_all, start_solutions, track_path
+from .solver import SolveReport, TrackOptions, solve_all, start_solutions, track_path
 from .tensorcore import (
     FL1,
     FL2,
@@ -69,7 +69,7 @@ __all__ = [
     "ComplexPoly", "DivisorSelection",
     "neg_roots", "real_divisors", "alpha_closed", "alpha_brute", "divisor_to_point",
     "LambdaSeq", "ConditionReport", "lambda_seq", "build_N", "rank_conditions",
-    "Solution", "TrackOptions", "SolveReport",
+    "TrackOptions", "SolveReport",
     "start_solutions", "track_path", "solve_all",
     "RankCertificate", "ExperimentStats", "CertifyOptions",
     "certify", "perturb_experiment", "global_experiment",

@@ -90,11 +90,7 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
     track = solver.TrackOptions()
     report = solver.solve_all(Y, track, seed=opts.seed)
 
-    # the endpoints as one stack of rows (a, b), in solution order
-    sols = report.solutions
-    Z = np.concatenate([np.array([s.a for s in sols]).reshape(-1, m), np.array([s.b for s in sols]).reshape(-1, n)], 1)
-    real = np.array([s.is_real for s in sols], dtype=bool)
-    index = np.array([s.path_index for s in sols], dtype=int)
+    Z, real, index = report.solutions, report.real, report.path_index
     a_real = np.real(solver._aligned(Z[real, :m]))
     b_real = np.real(solver._aligned(Z[real, m:]))
     svals = np.linalg.svd(tensorcore.pencil_eval(a_real, Y), compute_uv=False)
@@ -103,7 +99,6 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
     psi_rows = tensorcore.psi(a_real[~degenerate], b_real[~degenerate], fmt)
     psi_matrix = psi_rows.T
     dim_u = tensorcore.span_dim(psi_rows, opts.span_tol)
-    real_points = int(real.sum())
     broken = [] if report.failures else _closure_notes(Z, real, index, report.n_paths)
 
     if report.failures:
@@ -120,7 +115,7 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
     return RankCertificate(
         verdict=verdict,
         dim_u=dim_u,
-        real_points=real_points,
+        real_points=report.real_count,
         n_paths=report.n_paths,
         paths_failed=len(report.failures),
         tolerances={
@@ -155,20 +150,6 @@ def _closure_notes(Z: np.ndarray, real: np.ndarray, index: np.ndarray, n_paths: 
     return notes
 
 
-def _tally(fmt, certs, trials, eps, seed):
-    counts = {RANK_P: 0, RANK_GT_P: 0, INCONCLUSIVE: 0}
-    dims = []
-    for cert in certs:
-        counts[cert.verdict] += 1
-        # chart-violation placeholders (no paths tracked) stay out of the mean
-        if cert.n_paths > 0:
-            dims.append(cert.dim_u)
-    mean_dim = float(np.mean(dims)) if dims else 0.0
-    return ExperimentStats(
-        trials=trials, counts=counts, eps=eps, seed=seed, m=fmt.m, n=fmt.n, mean_dim_u=mean_dim
-    )
-
-
 def perturb_experiment(
     fmt: tensorcore.Format,
     eps: float,
@@ -185,20 +166,12 @@ def perturb_experiment(
     """
     if not 0 <= eps < np.inf:
         raise ValueError(f"eps must be nonnegative and finite, got {eps:g}")
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    opts = opts or CertifyOptions()
-    frame = tensorcore.make_start_frame(fmt.m, fmt.n)
-    certs = []
-    for trial in range(trials):
-        rng = np.random.default_rng((solver._seed_entropy(seed), 101, trial))
-        W = frame.W0 + eps * rng.standard_normal((fmt.u, fmt.p))
-        T = tensorcore.tau(W, fmt)
-        cert = certify(T, replace(opts, seed=(solver._seed_entropy(seed), 102, trial)))
-        certs.append(cert)
-        if collect is not None:
-            collect(trial, cert)
-    return _tally(fmt, certs, trials, eps, seed)
+    W0 = tensorcore.make_start_frame(fmt.m, fmt.n).W0
+
+    def draw(rng):
+        return tensorcore.tau(W0 + eps * rng.standard_normal((fmt.u, fmt.p)), fmt)
+
+    return _trials(fmt, draw, 101, eps, trials, seed, opts, collect)
 
 
 def global_experiment(
@@ -214,22 +187,37 @@ def global_experiment(
     with positive frequency; chart violations (measure zero) are tallied
     as INCONCLUSIVE.
     """
+
+    def draw(rng):
+        return tensorcore.Tensor3(rng.standard_normal((fmt.n, fmt.p, fmt.m)))
+
+    return _trials(fmt, draw, 201, None, trials, seed, opts, collect)
+
+
+def _trials(fmt, draw, tag, eps, trials, seed, opts, collect) -> ExperimentStats:
+    """Certify ``draw(rng)`` for each trial, the tensor drawn from the rng
+    seeded (seed, tag, trial) and certified at seed (seed, tag + 1, trial),
+    and tally the verdicts.  A tensor outside the sigma chart counts as
+    INCONCLUSIVE and stays out of the mean dim U."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     opts = opts or CertifyOptions()
-    certs = []
+    entropy = solver._seed_entropy(seed)
+    counts = {RANK_P: 0, RANK_GT_P: 0, INCONCLUSIVE: 0}
+    dims = []
     for trial in range(trials):
-        rng = np.random.default_rng((solver._seed_entropy(seed), 201, trial))
-        T = tensorcore.Tensor3(rng.standard_normal((fmt.n, fmt.p, fmt.m)))
+        T = draw(np.random.default_rng((entropy, tag, trial)))
         try:
-            cert = certify(T, replace(opts, seed=(solver._seed_entropy(seed), 202, trial)))
+            cert = certify(T, replace(opts, seed=(entropy, tag + 1, trial)))
+            dims.append(cert.dim_u)
         except ChartViolationError:
             cert = RankCertificate(
                 verdict=INCONCLUSIVE, dim_u=0, real_points=0, n_paths=0, paths_failed=0,
                 tolerances={}, psi_matrix=np.zeros((fmt.p, 0)),
                 notes=["sigma chart violation"], m=fmt.m, n=fmt.n, p=fmt.p,
             )
-        certs.append(cert)
+        counts[cert.verdict] += 1
         if collect is not None:
             collect(trial, cert)
-    return _tally(fmt, certs, trials, None, seed)
+    mean_dim = float(np.mean(dims)) if dims else 0.0
+    return ExperimentStats(trials=trials, counts=counts, eps=eps, seed=seed, m=fmt.m, n=fmt.n, mean_dim_u=mean_dim)

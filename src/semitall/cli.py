@@ -67,17 +67,6 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ValueError(f"{args.command} requires {', '.join('--' + x for x in missing)}")
 
 
-def _solution_doc(s: solver.Solution) -> dict:
-    return {
-        "a": [complex(v) for v in s.a],
-        "b": [complex(v) for v in s.b],
-        "residual": s.residual,
-        "is_real": bool(s.is_real),
-        "source": list(s.source) if isinstance(s.source, tuple) else s.source,
-        "path_index": s.path_index,
-    }
-
-
 def _cmd_alpha(args: argparse.Namespace):
     """count the real monic degree-(m-1) divisors of y^(m+n-2)+1"""
     a = polyfactor.alpha_closed(args.m, args.n)
@@ -126,6 +115,9 @@ def _cmd_table(args: argparse.Namespace):
 def _cmd_solve(args: argparse.Namespace):
     """track all start paths to a target tensor (file, or a seeded perturbation)"""
     if args.input:
+        mixed = [f"--{x}" for x in ("m", "n", "eps") if getattr(args, x) is not None]
+        if mixed:
+            raise ValueError(f"solve --input reads the target from the file and takes no {', '.join(mixed)}")
         target = tensorcore.load_tensor(args.input)
     else:
         _require(args, "m", "n")
@@ -137,13 +129,18 @@ def _cmd_solve(args: argparse.Namespace):
             target = frame.Aprime
     opts = solver.TrackOptions() if args.tol is None else solver.TrackOptions(corrector_tol=args.tol)
     report = solver.solve_all(target, opts, seed=args.seed)
+    m = report.m
     doc = {
         "m": report.m, "n": report.n,
         "n_paths": report.n_paths,
         "real_count": report.real_count,
         "gamma": report.gamma,
         "chart_b": report.chart_b,
-        "solutions": [_solution_doc(s) for s in report.solutions],
+        "solutions": [
+            {"a": [complex(v) for v in z[:m]], "b": [complex(v) for v in z[m:]], "residual": float(residual),
+             "is_real": bool(real), "source": "TRACKED", "path_index": int(index)}
+            for z, residual, real, index in zip(report.solutions, report.residuals, report.real, report.path_index)
+        ],
         "failures": [{"index": f.index, "reason": f.reason, "detail": f.detail} for f in report.failures],
     }
     return doc, (0 if report.complete else 2)

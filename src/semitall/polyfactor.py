@@ -50,11 +50,6 @@ class ComplexPoly:
     def is_real(self, tol: float = 1e-12) -> bool:
         return max(abs(c.imag) for c in self.coeffs) < tol
 
-    def real_coeffs(self, tol: float = 1e-12) -> np.ndarray:
-        if not self.is_real(tol):
-            raise ValueError("polynomial has non-real coefficients")
-        return np.array([c.real for c in self.coeffs])
-
 
 @dataclass(frozen=True)
 class DivisorSelection:

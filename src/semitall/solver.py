@@ -104,23 +104,6 @@ class TrackOptions:
             raise ValueError("gamma must be nonzero")
 
 
-@dataclass(eq=False)
-class Solution:
-    """One kernel pair (a, b) with a_m = -1 and c . b = 1.
-
-    ``residual`` is the 2-norm of M(a, B) b at the owning tensor B;
-    ``source`` is the divisor index subset for start solutions and
-    "TRACKED" for continuation endpoints.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    residual: float
-    is_real: bool
-    source: tuple[int, ...] | str
-    path_index: int | None = None
-
-
 @dataclass
 class PathFailureInfo:
     index: int
@@ -132,6 +115,12 @@ class PathFailureInfo:
 class SolveReport:
     """All endpoints of one continuation run plus bookkeeping.
 
+    The endpoints are parallel arrays with one row per kept path, in path
+    order: ``solutions`` holds the rows (a, b) of shape (K, m+n) on the
+    charts a_m = -1 and c . b = 1, ``residuals`` the 2-norms of M(a, B) b
+    at the target B, ``real`` the reality flags and ``path_index`` the
+    start index each row was tracked from.
+
     Path conservation: len(solutions) + len(failures) equals n_paths.
     ``complete`` is True only when no path failed, which is what the
     rank certificate requires before trusting the real count.
@@ -140,9 +129,11 @@ class SolveReport:
     m: int
     n: int
     n_paths: int
-    solutions: list[Solution]
+    solutions: np.ndarray
+    residuals: np.ndarray
+    real: np.ndarray
+    path_index: np.ndarray
     failures: list[PathFailureInfo]
-    real_count: int
     gamma: complex
     chart_b: np.ndarray
     seed: object
@@ -150,6 +141,10 @@ class SolveReport:
     @property
     def complete(self) -> bool:
         return not self.failures
+
+    @property
+    def real_count(self) -> int:
+        return int(self.real.sum())
 
 
 def _sample_gamma(rng: np.random.Generator) -> complex:
@@ -220,21 +215,17 @@ def _on_chart(kernels: np.ndarray, c: np.ndarray, subsets) -> np.ndarray:
     return kernels / cb[:, None]
 
 
-def start_solutions(m: int, n: int, c: np.ndarray | None = None, seed: object = 0) -> list[Solution]:
-    """All C(u, m-1) kernel pairs of the start tensor A', on the charts
-    a_m = -1 and c . b = 1 (c drawn from ``seed`` when not given), with
-    their residuals at A'.  Exactly the conjugation-closed divisor subsets
-    are flagged real."""
+def start_solutions(m: int, n: int, c: np.ndarray | None = None, seed: object = 0) -> tuple:
+    """All C(u, m-1) kernel pairs of the start tensor A' as (z, residuals,
+    real, subsets): rows z = (a, b) on the charts a_m = -1 and c . b = 1
+    (c drawn from ``seed`` when not given), their residuals at A', their
+    reality flags and the divisor index subset of each row.  Exactly the
+    conjugation-closed subsets are flagged real."""
     frame, a_rows, kernels, real, subsets = _start_system(m, n)
     if c is None:
         c = _chart_vector(n, np.random.default_rng(seed))
     b_rows = _on_chart(kernels, c, subsets)
-    residuals = _residuals(frame.Aprime, a_rows, b_rows)
-    return [
-        Solution(a=a_rows[idx].copy(), b=b_rows[idx], residual=float(residuals[idx]),
-                 is_real=bool(real[idx]), source=subset, path_index=idx)
-        for idx, subset in enumerate(subsets)
-    ]
+    return np.concatenate([a_rows, b_rows], axis=1), _residuals(frame.Aprime, a_rows, b_rows), real.copy(), subsets
 
 
 def _solve_rows(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -431,18 +422,19 @@ def _residuals(B: tensorcore.Tensor3, a: np.ndarray, b: np.ndarray) -> np.ndarra
 def track_path(
     B_from: tensorcore.Tensor3,
     B_to: tensorcore.Tensor3,
-    s0: Solution,
+    z0: np.ndarray,
     opts: TrackOptions,
     c: np.ndarray | None = None,
     d: np.ndarray | None = None,
     delta: complex = -1.0 + 0.0j,
-) -> Solution:
-    """Continue one start solution from B_from to B_to.
+) -> np.ndarray:
+    """Continue one start row z0 = (a, b) from B_from to B_to and return
+    the endpoint row.
 
     Raises PathError with reason PATH_STALL (step underflow or step
     budget), PATH_DIVERGE (corrector breakdown at the endpoint) or
     AT_INFINITY (coordinate blowup).  The b chart defaults to the affine
-    functional that s0 already satisfies; the a chart defaults to a_m = -1.
+    functional that z0 already satisfies; the a chart defaults to a_m = -1.
     ``opts.gamma`` must be set.
     """
     u, n, m = B_from.shape
@@ -452,23 +444,15 @@ def track_path(
         raise ValueError("track_path needs opts.gamma; solve_all samples one per solve")
     if c is None:
         # recover an affine functional pinning b from the start point itself
-        c = s0.b.conj() / np.linalg.norm(s0.b) ** 2
+        c = z0[m:].conj() / np.linalg.norm(z0[m:]) ** 2
     if d is None:
         d = np.zeros(m, dtype=complex)
         d[-1] = 1.0
     tracker = _Lockstep(B_from.data, B_to.data, opts.gamma, opts.corrector_tol)
-    z, failed = tracker.run(np.concatenate([s0.a, s0.b])[None], _charts(c[None], d[None]), delta)
+    z, failed = tracker.run(z0[None], _charts(c[None], d[None]), delta)
     if failed:
         raise failed[0]
-    a, b = z[0, :m], z[0, m:]
-    return Solution(
-        a=a,
-        b=b,
-        residual=float(_residuals(B_to, a[None], b[None])[0]),
-        is_real=False,
-        source="TRACKED",
-        path_index=s0.path_index,
-    )
+    return z[0]
 
 
 def _aligned(v: np.ndarray) -> np.ndarray:
@@ -587,28 +571,23 @@ def solve_all(B: tensorcore.Tensor3, opts: TrackOptions | None = None, seed: obj
         errors[int(ends[row])] = (WARN_MULTIPLICITY, f"endpoint within {DEDUP_TOL:g} of path {int(ends[first])}")
     failures = [PathFailureInfo(idx, *errors[idx]) for idx in sorted(errors)]
     keep = ends[kept]
-    a_k, b_k = z[keep, :m], z[keep, m:]
-    residuals = _residuals(B, a_k, b_k)
-    real = projectively_real(a_k, b_k, REALITY_TOL)
-    solutions = [
-        Solution(a=a_k[row], b=b_k[row], residual=float(residuals[row]), is_real=bool(real[row]),
-                 source="TRACKED", path_index=int(idx))
-        for row, idx in enumerate(keep)
-    ]
 
     # path conservation: every start index ends as exactly one endpoint or failure
-    seen = sorted([s.path_index for s in solutions] + [f.index for f in failures])
+    seen = sorted(keep.tolist() + [f.index for f in failures])
     if seen != list(range(n_paths)):
         raise RuntimeError(f"path conservation violated: {n_paths} paths, indices {seen}")
-    real_count = int(real.sum())
 
+    z = z[keep]
+    a_k, b_k = z[:, :m], z[:, m:]
     return SolveReport(
         m=m,
         n=n,
         n_paths=n_paths,
-        solutions=solutions,
+        solutions=z,
+        residuals=_residuals(B, a_k, b_k),
+        real=projectively_real(a_k, b_k, REALITY_TOL),
+        path_index=keep,
         failures=failures,
-        real_count=real_count,
         gamma=gamma,
         chart_b=c,
         seed=seed,

@@ -90,7 +90,8 @@ class Tensor3:
 
 @dataclass(frozen=True, eq=False)
 class StartFrame:
-    """Base tensor A, its permuted/reordered copy A', P, and W0.
+    """Base tensor A, its permuted/reordered copy A', the row
+    permutation perm (A' = A''[perm]), and W0.
 
     Invariants (exact integer equalities, verified on construction): the
     last u columns of fl1(Aprime) equal -E_u, W0 is the leading p-column
@@ -99,7 +100,6 @@ class StartFrame:
 
     A: Tensor3
     Aprime: Tensor3
-    P: np.ndarray
     W0: np.ndarray
     perm: tuple[int, ...]
 
@@ -263,10 +263,10 @@ def slice_reorder(m: int) -> list[tuple[int, float]]:
 
 
 def make_start_frame(m: int, n: int) -> StartFrame:
-    """Build the start frame: A, the reordered A'', the permutation P with
-    trailing-block identity, A' = P A'', and W0.
+    """Build the start frame: A, the reordered A'', the row permutation
+    perm with trailing-block identity, A' = A''[perm], and W0.
 
-    P is the closed-form block swap (rows n+1..u to the front); the
+    perm is the closed-form block swap (rows n+1..u to the front); the
     trailing fl1 block of A' is then verified to be exactly -E_u.
     """
     fmt = Format(m, n)
@@ -276,14 +276,12 @@ def make_start_frame(m: int, n: int) -> StartFrame:
     App = Tensor3(np.stack([sign * A.slice(src) for (src, sign) in order], axis=2))
     perm = list(range(n, u)) + list(range(n))
 
-    P = np.zeros((u, u), dtype=int)
-    P[np.arange(u), perm] = 1
     Aprime = Tensor3(App.data[perm, :, :])
     F1 = flatten(Aprime, FL1)
     if not np.array_equal(F1[:, p:], -np.eye(u)):
         raise RuntimeError("trailing block of the permuted start tensor is not -E_u")
     W0 = F1[:, :p].copy()
-    return StartFrame(A=A, Aprime=Aprime, P=P, W0=W0, perm=tuple(perm))
+    return StartFrame(A=A, Aprime=Aprime, W0=W0, perm=tuple(perm))
 
 
 def random_rank_sum(fmt: Format, r: int, rng: np.random.Generator) -> Tensor3:

@@ -150,6 +150,19 @@ class TestSolve:
         assert code == 0
         assert doc["result"]["n_paths"] == 6
 
+    @pytest.mark.parametrize("mix,named", [
+        (["--m", "9"], "--m"), (["--eps", "0"], "--eps"), (["--m", "9", "--n", "9", "--eps", "5"], "--m, --n, --eps"),
+    ])
+    def test_input_refuses_format_flags(self, tmp_path, mix, named):
+        # the file fixes the format and the target, so --m, --n and --eps
+        # would be ignored and echoed over a result they do not describe
+        path = tmp_path / "target.json"
+        save_tensor(make_start_frame(3, 3).Aprime, path)
+        assert dispatch(["solve", "--input", str(path), "--seed", "1"])[0] == 0
+        code, text = dispatch(["solve", "--input", str(path), "--seed", "1"] + mix)
+        assert code == 1
+        assert text == f"error: solve --input reads the target from the file and takes no {named}\n"
+
     @pytest.mark.parametrize("tol", ["1e-15", "3e-16"])
     def test_tol_below_the_floor_is_named(self, tol):
         code, text = dispatch(["solve", "--m", "3", "--n", "3", "--eps", "1e-3", "--tol", tol])

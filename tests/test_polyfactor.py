@@ -179,8 +179,3 @@ class TestDivisorToPoint:
         with pytest.raises(ValueError):
             divisor_to_point(h, 4)
 
-
-class TestComplexPoly:
-    def test_real_coeffs_roundtrip(self):
-        h = real_divisors(6, 2)[0]
-        assert h.real_coeffs().dtype == float

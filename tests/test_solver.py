@@ -14,38 +14,44 @@ def perturbed_target(m, n, eps, seed):
     return frame, tensorcore.Tensor3(frame.Aprime.data + eps * rng.standard_normal(frame.Aprime.shape))
 
 
+def endpoint_residual(B, z, m):
+    # 2-norm of M(a, B) b at one row z = (a, b)
+    return solver._residuals(B, z[None, :m], z[None, m:])[0]
+
+
 class TestStartSolutions:
     @pytest.mark.parametrize("m,n,paths,nreal", [(3, 3, 6, 2), (3, 4, 10, 2), (4, 4, 20, 0)])
     def test_counts_and_reality(self, m, n, paths, nreal):
-        sols = start_solutions(m, n, seed=(1, m, n))
-        assert len(sols) == paths
-        assert sum(s.is_real for s in sols) == nreal
+        z, _, real, _ = start_solutions(m, n, seed=(1, m, n))
+        assert len(z) == paths
+        assert real.sum() == nreal
         assert nreal == polyfactor.alpha_closed(m, n)
 
     def test_residuals_tiny(self):
         for m, n in [(3, 3), (3, 5), (4, 5)]:
-            sols = start_solutions(m, n, seed=2)
-            assert max(s.residual for s in sols) < 1e-10
+            _, residuals, _, _ = start_solutions(m, n, seed=2)
+            assert residuals.max() < 1e-10
 
     def test_chart_conventions(self):
-        sols = start_solutions(3, 4, seed=3)
-        for s in sols:
-            assert s.a[-1] == -1.0 + 0.0j
-            assert isinstance(s.source, tuple) and len(s.source) == 2
+        z, _, _, subsets = start_solutions(3, 4, seed=3)
+        assert len(subsets) == len(z)
+        for row, subset in zip(z, subsets):
+            assert row[2] == -1.0 + 0.0j
+            assert isinstance(subset, tuple) and len(subset) == 2
 
     def test_real_flags_match_numeric_filter(self):
-        sols = start_solutions(4, 5, seed=4)
-        for s in sols:
-            assert projectively_real(s.a, s.b, 1e-8) == s.is_real
+        z, _, real, _ = start_solutions(4, 5, seed=4)
+        for row, flag in zip(z, real):
+            assert projectively_real(row[:4], row[4:], 1e-8) == flag
 
     def test_mutating_a_start_solution_leaves_the_next_call(self):
         first = start_solutions(3, 4, seed=3)
-        a, b = first[0].a.copy(), first[0].b.copy()
-        first[0].a[:] = 7.0
-        first[0].b[:] = 7.0
+        kept = [arr.copy() for arr in first[:3]]
+        for arr in first[:3]:
+            arr[0] = 7.0
         again = start_solutions(3, 4, seed=3)
-        assert np.array_equal(again[0].a, a)
-        assert np.array_equal(again[0].b, b)
+        for arr, before in zip(again[:3], kept):
+            assert np.array_equal(arr, before)
 
     def test_path_budget(self):
         # C(28, 14) is far beyond the path budget
@@ -56,12 +62,12 @@ class TestStartSolutions:
 class TestTrackPath:
     def test_identity_path_returns_start(self):
         frame = tensorcore.make_start_frame(3, 3)
-        s0 = start_solutions(3, 3, seed=5)[0]
+        z0 = start_solutions(3, 3, seed=5)[0][0]
         opts = TrackOptions(gamma=1.0 + 0.0j)
-        out = track_path(frame.Aprime, frame.Aprime, s0, opts)
-        assert np.max(np.abs(out.a - s0.a)) < 1e-8
-        assert np.max(np.abs(out.b - s0.b)) < 1e-8
-        assert out.residual < 1e-10
+        out = track_path(frame.Aprime, frame.Aprime, z0, opts)
+        assert np.max(np.abs(out[:3] - z0[:3])) < 1e-8
+        assert np.max(np.abs(out[3:] - z0[3:])) < 1e-8
+        assert endpoint_residual(frame.Aprime, out, 3) < 1e-10
 
     def test_small_perturbation_endpoints(self):
         frame, target = perturbed_target(3, 3, 1e-3, seed=6)
@@ -69,24 +75,24 @@ class TestTrackPath:
         c = rng.standard_normal(3)
         c /= np.linalg.norm(c)
         opts = TrackOptions(gamma=complex(0.28, 0.96))
-        for s0 in start_solutions(3, 3, c=c):
-            out = track_path(frame.Aprime, target, s0, opts, c=c)
-            assert out.residual < 1e-9
+        for z0 in start_solutions(3, 3, c=c)[0]:
+            out = track_path(frame.Aprime, target, z0, opts, c=c)
+            assert endpoint_residual(target, out, 3) < 1e-9
             # endpoint stays near its start for a small perturbation
-            assert np.max(np.abs(out.a - s0.a)) < 0.1
+            assert np.max(np.abs(out[:3] - z0[:3])) < 0.1
 
     def test_shape_mismatch(self):
         frame = tensorcore.make_start_frame(3, 3)
         other = tensorcore.make_start_frame(3, 4)
-        s0 = start_solutions(3, 3, seed=1)[0]
+        z0 = start_solutions(3, 3, seed=1)[0][0]
         with pytest.raises(ValueError):
-            track_path(frame.Aprime, other.Aprime, s0, TrackOptions())
+            track_path(frame.Aprime, other.Aprime, z0, TrackOptions())
 
     def test_gamma_required(self):
         frame = tensorcore.make_start_frame(3, 3)
-        s0 = start_solutions(3, 3, seed=1)[0]
+        z0 = start_solutions(3, 3, seed=1)[0][0]
         with pytest.raises(ValueError):
-            track_path(frame.Aprime, frame.Aprime, s0, TrackOptions())
+            track_path(frame.Aprime, frame.Aprime, z0, TrackOptions())
 
 
 class TestLockstep:
@@ -130,8 +136,7 @@ class TestLockstep:
         m, n = 3, 4
         frame, target = perturbed_target(m, n, 1e-2, seed=28)
         c = solver._chart_vector(n, np.random.default_rng(28))
-        starts = start_solutions(m, n, c=c)
-        z0 = np.array([np.concatenate([s.a, s.b]) for s in starts])
+        z0 = start_solutions(m, n, c=c)[0]
         z0_bad = np.insert(z0, 3, 0.0, axis=0)
         opts = TrackOptions(gamma=complex(0.6, -0.8))
 
@@ -165,10 +170,9 @@ class TestLockstep:
         m, n = 3, 4
         _, _, tracker, c, d = self._tracker(m, n, seed=37)
         rng = np.random.default_rng(37)
-        starts = start_solutions(m, n, c=c)
-        start = np.concatenate([starts[0].a, starts[0].b])
-        near = np.concatenate([starts[1].a, starts[1].b])
-        near = near + 1e-6 * (rng.standard_normal(m + n) + 1j * rng.standard_normal(m + n))
+        starts = start_solutions(m, n, c=c)[0]
+        start = starts[0]
+        near = starts[1] + 1e-6 * (rng.standard_normal(m + n) + 1j * rng.standard_normal(m + n))
         near[m - 1] = -1.0  # stay on both charts, so only the top rows are off
         near[m:] /= c @ near[m:]
         far = rng.standard_normal(m + n) + 1j * rng.standard_normal(m + n)
@@ -232,8 +236,8 @@ class TestSolveAll:
         assert report.n_paths == 6
         assert report.complete
         assert report.real_count == 2
-        starts = {s.source for s in start_solutions(3, 3)}
-        assert len(report.solutions) == len(starts)
+        subsets = set(start_solutions(3, 3)[3])
+        assert len(report.solutions) == len(subsets)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4)])
     def test_perturbed_real_count_stable(self, m, n):
@@ -256,20 +260,30 @@ class TestSolveAll:
                 # endpoint multiset closed under conjugation
                 for s in report.solutions:
                     conj_found = any(
-                        np.max(np.abs(np.conj(s.a) - s2.a)) < 1e-6
-                        and np.max(np.abs(_align(np.conj(s.b)) - _align(s2.b))) < 1e-6
+                        np.max(np.abs(np.conj(s[:m]) - s2[:m])) < 1e-6
+                        and np.max(np.abs(_align(np.conj(s[m:])) - _align(s2[m:]))) < 1e-6
                         for s2 in report.solutions
                     )
                     assert conj_found
+
+    def test_endpoint_arrays_are_parallel(self):
+        m, n = 3, 4
+        _, target = perturbed_target(m, n, 1e-2, seed=12)
+        report = solve_all(target, seed=13)
+        K = len(report.solutions)
+        assert K > 0 and report.solutions.shape == (K, m + n)
+        assert len(report.residuals) == len(report.real) == len(report.path_index) == K
+        assert report.real.dtype == bool
+        assert report.real_count == report.real.sum()
+        z = report.solutions
+        assert np.array_equal(report.residuals, solver._residuals(target, z[:, :m], z[:, m:]))
 
     def test_determinism(self):
         _, target = perturbed_target(3, 3, 1e-2, seed=10)
         r1 = solve_all(target, seed=11)
         r2 = solve_all(target, seed=11)
         assert r1.gamma == r2.gamma
-        for s1, s2 in zip(r1.solutions, r2.solutions):
-            assert np.array_equal(s1.a, s2.a)
-            assert np.array_equal(s1.b, s2.b)
+        assert np.array_equal(r1.solutions, r2.solutions)
 
     def test_lockstep_matches_single_path_tracking(self):
         # the batch must not couple paths: each endpoint equals the one its
@@ -280,22 +294,20 @@ class TestSolveAll:
             report = solve_all(target, seed=seed)
             assert report.complete
             frame = tensorcore.make_start_frame(m, n)
-            starts = start_solutions(m, n, c=report.chart_b)
+            starts = start_solutions(m, n, c=report.chart_b)[0]
             opts = TrackOptions(gamma=report.gamma)
-            for s in report.solutions:
-                alone = track_path(frame.Aprime, target, starts[s.path_index], opts, c=report.chart_b)
-                assert np.max(np.abs(alone.a - s.a)) < 1e-10
-                assert np.max(np.abs(alone.b - s.b)) < 1e-10
+            for z, idx in zip(report.solutions, report.path_index):
+                alone = track_path(frame.Aprime, target, starts[idx], opts, c=report.chart_b)
+                assert np.max(np.abs(alone[:m] - z[:m])) < 1e-10
+                assert np.max(np.abs(alone[m:] - z[m:])) < 1e-10
 
     def test_batches_of_whole_paths_match_one_batch(self, monkeypatch):
         _, target = perturbed_target(4, 4, 1e-2, seed=31)
         one = solve_all(target, seed=32)
         monkeypatch.setattr(solver, "STACK_ENTRIES", 3 * 8**2)  # 3 paths a batch
         split = solve_all(target, seed=32)
-        assert [s.path_index for s in split.solutions] == [s.path_index for s in one.solutions]
-        for s1, s2 in zip(one.solutions, split.solutions):
-            assert np.max(np.abs(s1.a - s2.a)) < 1e-10
-            assert np.max(np.abs(s1.b - s2.b)) < 1e-10
+        assert split.path_index.tolist() == one.path_index.tolist()
+        assert np.max(np.abs(one.solutions - split.solutions)) < 1e-10
 
     def test_easy_paths_take_long_steps(self, monkeypatch):
         # near the start frame the paths are almost straight: once an easy
@@ -310,20 +322,16 @@ class TestSolveAll:
     def test_mutating_endpoints_leaves_the_next_call(self):
         _, target = perturbed_target(3, 4, 1e-2, seed=35)
         first = solve_all(target, seed=36)
-        ends = [(s.a.copy(), s.b.copy()) for s in first.solutions]
-        for s in first.solutions:
-            s.a[:] = 7.0
-            s.b[:] = 7.0
+        ends = first.solutions.copy()
+        first.solutions[:] = 7.0
         again = solve_all(target, seed=36)
-        for s, (a, b) in zip(again.solutions, ends):
-            assert np.array_equal(s.a, a)
-            assert np.array_equal(s.b, b)
+        assert np.array_equal(again.solutions, ends)
 
     def test_step_budget_fails_every_path(self, monkeypatch):
         _, target = perturbed_target(3, 4, 1e-2, seed=23)
         monkeypatch.setattr(solver, "MAX_STEPS", 2)
         report = solve_all(target, seed=24)
-        assert not report.solutions
+        assert len(report.solutions) == len(report.path_index) == 0
         assert [f.index for f in report.failures] == list(range(report.n_paths))
         assert {f.reason for f in report.failures} == {PATH_STALL}
 
@@ -357,7 +365,7 @@ class TestSolveAll:
         _, target = perturbed_target(3, 3, 1e-3, seed=25)
         monkeypatch.setattr(solver, "DEDUP_TOL", 1e3)
         report = solve_all(target, seed=26)
-        assert [s.path_index for s in report.solutions] == [0]
+        assert report.path_index.tolist() == [0]
         assert [f.index for f in report.failures] == list(range(1, report.n_paths))
         for f in report.failures:
             assert f.reason == WARN_MULTIPLICITY
@@ -369,8 +377,7 @@ class TestSolveAll:
         sols = report.solutions
         for i, s in enumerate(sols):
             for s2 in sols[i + 1 :]:
-                dist = max(np.max(np.abs(s.a - s2.a)), np.max(np.abs(s.b - s2.b)))
-                assert dist > 1e-6
+                assert np.max(np.abs(s - s2)) > 1e-6
 
     def test_gamma_excludes_real_axis(self):
         for seed in range(20):
@@ -459,17 +466,17 @@ def _align(v):
 
 class TestRealFilter:
     def test_start_solutions_3_3(self):
-        sols = start_solutions(3, 3, seed=16)
-        assert sum(projectively_real(s.a, s.b, 1e-8) for s in sols) == 2
+        z = start_solutions(3, 3, seed=16)[0]
+        assert sum(projectively_real(s[:3], s[3:], 1e-8) for s in z) == 2
 
     def test_conjugate_pair_symmetric(self):
-        sols = start_solutions(3, 3, seed=17)
-        complexes = [s for s in sols if not s.is_real]
+        z, _, real, _ = start_solutions(3, 3, seed=17)
+        complexes = z[~real]
         # pair each complex solution with its conjugate partner
         for s in complexes:
             partner = [
                 s2 for s2 in complexes
-                if np.max(np.abs(np.conj(_align(s.a)) - _align(s2.a))) < 1e-9
+                if np.max(np.abs(np.conj(_align(s[:3])) - _align(s2[:3]))) < 1e-9
             ]
             assert len(partner) == 1
 
