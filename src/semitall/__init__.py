@@ -28,11 +28,11 @@ from .errors import (
     ResourceLimitError,
 )
 from .polyfactor import (
-    ComplexPoly,
-    DivisorSelection,
     alpha_brute,
     alpha_closed,
-    divisor_to_point,
+    conjugation_closed,
+    divisor_coefficients,
+    divisor_points,
     neg_roots,
     real_divisors,
 )
@@ -66,8 +66,8 @@ __all__ = [
     "flatten", "unflatten", "pencil_eval", "psi", "span_dim",
     "sigma", "tau", "mu", "nu",
     "make_base_tensor", "make_start_frame", "save_tensor", "load_tensor",
-    "ComplexPoly", "DivisorSelection",
-    "neg_roots", "real_divisors", "alpha_closed", "alpha_brute", "divisor_to_point",
+    "neg_roots", "divisor_coefficients", "conjugation_closed", "real_divisors", "divisor_points",
+    "alpha_closed", "alpha_brute",
     "LambdaSeq", "ConditionReport", "lambda_seq", "build_N", "rank_conditions",
     "TrackOptions", "SolveReport",
     "start_solutions", "track_path", "solve_all",

@@ -150,8 +150,7 @@ def criterion_4_rank_equivalence():
     n_div = 0
     for m, n in CRITERION_4_FORMATS:
         u = m + n - 2
-        for h in polyfactor.real_divisors(u, m - 1):
-            point = polyfactor.divisor_to_point(h, m)
+        for point in polyfactor.divisor_points(polyfactor.real_divisors(u, m - 1)):
             rep = recurrence.rank_conditions(point[: m - 1], m, n, tol=rank_tol)
             ratio = rep.singular_values[-1] / rep.singular_values[0]
             if not rep.all_true or ratio >= rank_tol:

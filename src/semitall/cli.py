@@ -77,14 +77,10 @@ def _cmd_alpha(args: argparse.Namespace):
 def _cmd_divisors(args: argparse.Namespace):
     """list those divisors and their variety points"""
     u, d = tensorcore.Format(args.m, args.n).u, args.m - 1
-    divisors = polyfactor.real_divisors(u, d)
-    docs = []
-    for h in divisors:
-        docs.append({
-            "coefficients_low_to_high": [float(c.real) for c in h.coeffs],
-            "variety_point": polyfactor.divisor_to_point(h, args.m),
-        })
-    return {"m": args.m, "n": args.n, "u": u, "degree": d, "count": len(divisors), "divisors": docs}, 0
+    coeffs = polyfactor.real_divisors(u, d)
+    docs = [{"coefficients_low_to_high": row, "variety_point": point}
+            for row, point in zip(coeffs, polyfactor.divisor_points(coeffs))]
+    return {"m": args.m, "n": args.n, "u": u, "degree": d, "count": len(coeffs), "divisors": docs}, 0
 
 
 def _cmd_classify(args: argparse.Namespace):
@@ -176,6 +172,8 @@ def _cmd_experiment(args: argparse.Namespace):
     if args.mode == "perturb":
         _require(args, "eps")
         stats = certifier.perturb_experiment(fmt, args.eps, args.trials, seed=args.seed, opts=opts)
+    elif args.eps is not None:
+        raise ValueError("experiment global draws Gaussian tensors and takes no --eps")
     else:
         stats = certifier.global_experiment(fmt, args.trials, seed=args.seed, opts=opts)
     doc = {

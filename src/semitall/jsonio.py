@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 
+INDENT = 2  # spaces per nesting level of ``dumps``
+
 
 def format_float(x: float) -> str:
     if x != x:
@@ -23,9 +25,9 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _emit(obj, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _emit(obj, out: list, level: int) -> None:
+    pad = " " * (INDENT * (level + 1))
+    close_pad = " " * (INDENT * level)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -40,7 +42,7 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out, indent, level)
+        _emit(obj.tolist(), out, level)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -48,7 +50,7 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
         out.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
             out.append(pad + json.dumps(str(k)) + ": ")
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -60,24 +62,24 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
             parts = []
             for v in obj:
                 sub: list = []
-                _emit(v, sub, indent, level)
+                _emit(v, sub, level)
                 parts.append("".join(sub))
             out.append("[" + ", ".join(parts) + "]")
             return
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """Render ``obj`` as deterministic JSON text."""
     out: list = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     return "".join(out) + "\n"
 
 
@@ -101,7 +103,7 @@ def dump_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_plain(obj, prefix: str = "") -> str:
+def dump_plain(obj) -> str:
     """Render a report as indented ``key = value`` lines."""
     lines: list[str] = []
 
@@ -144,5 +146,5 @@ def dump_plain(obj, prefix: str = "") -> str:
             return "[" + ", ".join(_scalar_str(x) for x in v) + "]"
         return str(v)
 
-    walk(obj, prefix)
+    walk(obj, "")
     return "\n".join(lines) + "\n"

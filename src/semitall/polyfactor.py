@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ResourceLimitError
+from .tensorcore import Format
 
 # alpha_brute refuses to enumerate more subsets than this.
 BRUTE_SUBSET_LIMIT = 10**7
@@ -28,55 +28,6 @@ BRUTE_SUBSET_LIMIT = 10**7
 # Full 2^u bitmask scans are used only below this width; wider universes
 # with few subsets fall back to streaming combinations.
 _SCAN_MAX_BITS = 27
-
-
-@dataclass(frozen=True)
-class ComplexPoly:
-    """Dense univariate polynomial, coefficients lowest degree first."""
-
-    coeffs: tuple[complex, ...]
-    monic: bool = True
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("empty coefficient list")
-        if self.monic and self.coeffs[-1] != 1:
-            raise ValueError("monic polynomial must have leading coefficient 1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return max(abs(c.imag) for c in self.coeffs) < tol
-
-
-@dataclass(frozen=True)
-class DivisorSelection:
-    """A subset of root indices of y^u + 1 naming one monic divisor."""
-
-    u: int
-    subset: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.u < 1:
-            raise ValueError("u must be a positive integer")
-        if list(self.subset) != sorted(set(self.subset)):
-            raise ValueError("subset must be sorted and duplicate-free")
-        if self.subset and not (0 <= self.subset[0] and self.subset[-1] < self.u):
-            raise ValueError("subset indices outside [0, u)")
-
-    @property
-    def degree(self) -> int:
-        return len(self.subset)
-
-    def is_conjugation_closed(self) -> bool:
-        s = set(self.subset)
-        return all((self.u - 1 - k) in s for k in s)
-
-    def to_poly(self) -> ComplexPoly:
-        roots = neg_roots(self.u)[list(self.subset)]
-        return ComplexPoly(tuple(_expand_from_roots(roots)))
 
 
 def neg_roots(u: int) -> np.ndarray:
@@ -110,8 +61,9 @@ def _expand_from_roots(roots) -> np.ndarray:
     return c
 
 
-def closed_selections(u: int, d: int) -> list[DivisorSelection]:
-    """All conjugation-closed d-subsets of the root indices of y^u + 1.
+def closed_selections(u: int, d: int) -> list[tuple[int, ...]]:
+    """All conjugation-closed d-subsets of the root indices of y^u + 1, as
+    sorted index tuples in lexicographic order.
 
     Closed subsets are unions of conjugate pairs {k, u-1-k}, plus the
     self-conjugate index (u-1)/2 (the root -1) when u is odd.
@@ -131,28 +83,47 @@ def closed_selections(u: int, d: int) -> list[DivisorSelection]:
             idx = [k for pair in chosen for k in pair]
             if use_fixed:
                 idx.append(fixed)
-            out.append(DivisorSelection(u, tuple(sorted(idx))))
-    out.sort(key=lambda s: s.subset)
-    return out
+            out.append(tuple(sorted(idx)))
+    return sorted(out)
 
 
-def real_divisors(u: int, d: int) -> list[ComplexPoly]:
-    """All monic degree-d divisors of y^u + 1 with real coefficients.
+def divisor_coefficients(u: int, subsets) -> np.ndarray:
+    """Monic coefficient rows (lowest degree first) of the divisors of
+    y^u + 1 named by the index subsets, the rows of a (K, d) array: row i
+    of the (K, d+1) result is the product of (y - r_k) over k in
+    subsets[i], expanded one subset at a time by ``_expand_from_roots``."""
+    subsets = np.asarray(subsets, dtype=int)
+    roots = neg_roots(u)
+    coeffs = np.empty((len(subsets), subsets.shape[1] + 1), dtype=complex)
+    for row, subset in zip(coeffs, subsets):
+        row[:] = _expand_from_roots(roots[subset])
+    return coeffs
+
+
+def conjugation_closed(u: int, subsets) -> np.ndarray:
+    """One flag per index subset (rows of a (K, d) array): whether the
+    subset is closed under k <-> u-1-k, i.e. names a real divisor."""
+    subsets = np.asarray(subsets, dtype=int)
+    return np.all(np.sort(u - 1 - subsets, axis=1) == np.sort(subsets, axis=1), axis=1)
+
+
+def real_divisors(u: int, d: int) -> np.ndarray:
+    """Coefficient rows (K, d+1), lowest degree first, of all monic
+    degree-d divisors of y^u + 1 with real coefficients, in
+    ``closed_selections`` order.
 
     Reality is decided combinatorially (closure under k <-> u-1-k); the
-    expanded coefficients are symmetrized to drop residual imaginary
-    round-off only after that check.
+    expanded coefficients drop their residual imaginary round-off only
+    after checking it is below 1e-12.
     """
-    out = []
-    for sel in closed_selections(u, d):
-        poly = sel.to_poly()
-        if not poly.is_real():
-            raise AssertionError(
-                f"conjugation-closed selection {sel.subset} expanded to non-real coefficients"
-            )
-        coeffs = tuple(complex(c.real, 0.0) for c in poly.coeffs[:-1]) + (1.0 + 0.0j,)
-        out.append(ComplexPoly(coeffs))
-    return out
+    subsets = np.array(closed_selections(u, d), dtype=int).reshape(-1, d)
+    coeffs = divisor_coefficients(u, subsets)
+    bad = np.flatnonzero(np.abs(coeffs.imag).max(axis=1, initial=0.0) >= 1e-12)
+    if bad.size:
+        raise AssertionError(
+            f"conjugation-closed selection {tuple(subsets[bad[0]])} expanded to non-real coefficients"
+        )
+    return coeffs.real.copy()
 
 
 def alpha_closed(m: int, n: int) -> int:
@@ -162,7 +133,7 @@ def alpha_closed(m: int, n: int) -> int:
     and n (the pairing on root indices has a fixed point exactly when
     u = m+n-2 is odd, and closed subsets of odd size need one).
     """
-    _check_format(m, n)
+    Format(m, n)
     u = m + n - 2
     if m % 2 == 1 and n % 2 == 1:
         return math.comb(u // 2, (m - 1) // 2)
@@ -181,7 +152,7 @@ def alpha_brute(m: int, n: int) -> int:
     Raises ResourceLimitError when there are more than ``BRUTE_SUBSET_LIMIT``
     subsets.
     """
-    _check_format(m, n)
+    Format(m, n)
     u, d = m + n - 2, m - 1
     total = math.comb(u, d)
     if total > BRUTE_SUBSET_LIMIT:
@@ -193,29 +164,15 @@ def alpha_brute(m: int, n: int) -> int:
     return _count_closed_streaming(u, d)
 
 
-def divisor_to_point(h: ComplexPoly, m: int) -> np.ndarray:
-    """Map a real monic degree-(m-1) divisor h to its variety point.
+def divisor_points(coeffs) -> np.ndarray:
+    """Variety points (a_1, ..., a_(m-1), -1) of monic degree-(m-1)
+    divisor coefficient rows (K, m), lowest degree first.
 
-    With h(y) = y^(m-1) - a_(m-1) y^(m-2) - ... - a_2 y - a_1 the point is
-    (a_1, ..., a_(m-1), -1), i.e. a_j is the negated coefficient of
-    y^(j-1) in h.
+    With h(y) = y^(m-1) - a_(m-1) y^(m-2) - ... - a_2 y - a_1, a_j is the
+    negated coefficient of y^(j-1) in h.
     """
-    if not h.monic or h.coeffs[-1] != 1:
-        raise ValueError("divisor must be monic")
-    if h.degree != m - 1:
-        raise ValueError(f"divisor degree {h.degree} does not match m-1 = {m - 1}")
-    if not h.is_real():
-        raise ValueError("divisor must have real coefficients")
-    a = [-c.real for c in h.coeffs[: m - 1]]
-    a.append(-1.0)
-    return np.array(a)
-
-
-def _check_format(m: int, n: int) -> None:
-    if not (isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer))):
-        raise ValueError("m and n must be integers")
-    if m < 3 or m > n:
-        raise ValueError(f"format requires 3 <= m <= n, got (m, n) = ({m}, {n})")
+    coeffs = np.asarray(coeffs)
+    return np.concatenate([-coeffs[:, :-1], np.full((len(coeffs), 1), -1.0)], axis=1)
 
 
 # -- vectorized subset enumeration -----------------------------------------

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .tensorcore import Format
+
 RECURRENCE = "recurrence"
 DETERMINANT = "determinant"
 
@@ -164,9 +166,7 @@ def build_N(a_full, m: int, n: int) -> np.ndarray:
         raise ValueError(f"expected m = {m} coordinates, got {len(a_full)}")
     if a_full[-1] != -1.0:
         raise ValueError("chart violation: last coordinate must be exactly -1")
-    if m < 3 or m > n:
-        raise ValueError(f"format requires 3 <= m <= n, got ({m}, {n})")
-    u = m + n - 2
+    u = Format(m, n).u
     a = a_full[: m - 1]
     N = np.zeros((u, n))
     for j in range(n):

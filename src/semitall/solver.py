@@ -74,6 +74,11 @@ PATH_BUDGET = 10**4
 # memory of a solve at the path budget stays bounded.
 STACK_ENTRIES = 2**20
 
+# Most pencil entries one stacked start-system SVD holds (1 MB of
+# complex128); LAPACK's workspace and the left singular vectors come on top,
+# so the start system at the path budget stays within a few MB.
+START_SVD_ENTRIES = 2**16
+
 # Relative gap under which the second-smallest singular value of the
 # pencil marks a kernel of dimension >= 2.
 DEGENERATE_KERNEL_TOL = 1e-8
@@ -136,7 +141,6 @@ class SolveReport:
     failures: list[PathFailureInfo]
     gamma: complex
     chart_b: np.ndarray
-    seed: object
 
     @property
     def complete(self) -> bool:
@@ -180,27 +184,25 @@ def _start_system(m: int, n: int):
     if n_paths > PATH_BUDGET:
         raise ResourceLimitError(f"C({u},{m - 1}) = {n_paths} paths exceeds the budget {PATH_BUDGET}")
     frame = tensorcore.make_start_frame(m, n)
-    roots = polyfactor.neg_roots(u)
-    order = tensorcore.slice_reorder(m)
-
     subsets = tuple(itertools.combinations(range(u), m - 1))
-    a_rows = np.empty((n_paths, m), dtype=complex)
-    kernels = np.empty((n_paths, n), dtype=complex)
-    for idx, subset in enumerate(subsets):
-        coeffs = polyfactor._expand_from_roots(roots[list(subset)])
-        x = np.append(-coeffs[: m - 1], -1.0 + 0.0j)
-        xprime = np.array([sign * x[src] for (src, sign) in order])
-        if abs(xprime[-1]) < 1e-12:
-            raise PathError(CHART_ESCAPE, f"start subset {subset} leaves the a_m = -1 chart")
-        a = (-1.0 / xprime[-1]) * xprime
-        a[-1] = -1.0 + 0.0j
+    x = polyfactor.divisor_points(polyfactor.divisor_coefficients(u, subsets))
+    src, sign = zip(*tensorcore.slice_reorder(m))
+    xprime = x[:, src] * np.array(sign)
+    escaped = np.flatnonzero(np.abs(xprime[:, -1]) < 1e-12)
+    if escaped.size:
+        raise PathError(CHART_ESCAPE, f"start subset {subsets[escaped[0]]} leaves the a_m = -1 chart")
+    a_rows = (-1.0 / xprime[:, -1:]) * xprime
+    a_rows[:, -1] = -1.0
 
-        _, svals, Vh = np.linalg.svd(tensorcore.pencil_eval(a, frame.Aprime))
-        if svals[-2] < DEGENERATE_KERNEL_TOL * svals[0]:
-            raise DegenerateStartError(f"start subset {subset} has kernel dimension >= 2")
-        a_rows[idx] = a
-        kernels[idx] = Vh[-1].conj()
-    real = np.array([all((u - 1 - k) in subset for k in subset) for subset in subsets])
+    kernels = np.empty((n_paths, n), dtype=complex)
+    batch = max(1, START_SVD_ENTRIES // (u * n))
+    for lo in range(0, n_paths, batch):
+        _, svals, Vh = np.linalg.svd(tensorcore.pencil_eval(a_rows[lo : lo + batch], frame.Aprime))
+        degenerate = np.flatnonzero(svals[:, -2] < DEGENERATE_KERNEL_TOL * svals[:, 0])
+        if degenerate.size:
+            raise DegenerateStartError(f"start subset {subsets[lo + degenerate[0]]} has kernel dimension >= 2")
+        kernels[lo : lo + batch] = Vh[:, -1].conj()
+    real = polyfactor.conjugation_closed(u, subsets)
     for arr in (a_rows, kernels, real):
         arr.flags.writeable = False
     return frame, a_rows, kernels, real, subsets
@@ -590,7 +592,6 @@ def solve_all(B: tensorcore.Tensor3, opts: TrackOptions | None = None, seed: obj
         failures=failures,
         gamma=gamma,
         chart_b=c,
-        seed=seed,
     )
 
 

@@ -48,6 +48,8 @@ class Format:
     n: int
 
     def __post_init__(self):
+        if not (isinstance(self.m, (int, np.integer)) and isinstance(self.n, (int, np.integer))):
+            raise ValueError("m and n must be integers")
         if not (3 <= self.m <= self.n):
             raise ValueError(f"format requires 3 <= m <= n, got ({self.m}, {self.n})")
 

@@ -54,9 +54,11 @@ class TestDivisors:
 
     @pytest.mark.parametrize("m,n", [(3, 2), (5, 4), (2, 3)])
     def test_format_validated(self, m, n):
-        code, text = dispatch(["divisors", "--m", str(m), "--n", str(n)])
-        assert code == 1
-        assert text == f"error: format requires 3 <= m <= n, got ({m}, {n})\n"
+        # alpha reads the same format check as divisors
+        for command in ("divisors", "alpha"):
+            code, text = dispatch([command, "--m", str(m), "--n", str(n)])
+            assert code == 1
+            assert text == f"error: format requires 3 <= m <= n, got ({m}, {n})\n"
 
 
 class TestClassify:
@@ -264,6 +266,16 @@ class TestExperiment:
         ])
         assert code == 0
         assert sum(doc["result"]["counts"].values()) == 3
+
+    def test_global_refuses_eps(self):
+        # global draws Gaussian tensors, so --eps would be ignored and
+        # echoed over a result whose eps is null
+        code, text = dispatch(["experiment", "global", "--m", "3", "--n", "3", "--trials", "0", "--eps", "5"])
+        assert code == 1
+        assert text == "error: experiment global draws Gaussian tensors and takes no --eps\n"
+        code, doc = run_json(["experiment", "perturb", "--m", "3", "--n", "3", "--trials", "0", "--eps", "1e-3"])
+        assert code == 0
+        assert doc["result"]["eps"] == 1e-3
 
     def test_negative_trials_rejected(self):
         code, text = dispatch(["experiment", "global", "--m", "3", "--n", "3", "--trials", "-2"])

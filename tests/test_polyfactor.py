@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from semitall import polyfactor
 from semitall.errors import ResourceLimitError
 from semitall.polyfactor import (
-    ComplexPoly,
-    DivisorSelection,
     alpha_brute,
     alpha_closed,
     closed_selections,
-    divisor_to_point,
+    conjugation_closed,
+    divisor_coefficients,
+    divisor_points,
     neg_roots,
     real_divisors,
 )
@@ -62,14 +62,15 @@ class TestNegRoots:
 class TestRealDivisors:
     def test_quartic_quadratic_divisors(self):
         divs = real_divisors(4, 2)
-        got = sorted(tuple(round(c.real, 12) for c in h.coeffs) for h in divs)
+        assert divs.shape == (2, 3) and divs.dtype == float
+        got = sorted(tuple(round(c, 12) for c in h) for h in divs)
         assert got == [(1.0, -round(SQRT2, 12), 1.0), (1.0, round(SQRT2, 12), 1.0)]
 
     def test_u6_d2_has_three(self):
         assert len(real_divisors(6, 2)) == 3
 
     def test_u2_d1_empty(self):
-        assert real_divisors(2, 1) == []
+        assert real_divisors(2, 1).shape == (0, 2)
 
     @pytest.mark.parametrize("u,d", [(4, 2), (5, 1), (5, 3), (6, 2), (8, 4), (9, 3), (12, 5)])
     def test_every_divisor_divides(self, u, d):
@@ -79,7 +80,7 @@ class TestRealDivisors:
         divs = real_divisors(u, d)
         assert len(divs) == len(closed_selections(u, d))
         for h in divs:
-            rem = poly_remainder(target, [c for c in h.coeffs])
+            rem = poly_remainder(target, h)
             assert np.max(np.abs(rem)) < 1e-10
 
     def test_count_matches_alpha_when_d_is_m_minus_1(self):
@@ -91,10 +92,10 @@ class TestConjugationCharacterization:
     @pytest.mark.parametrize("u", range(1, 13))
     def test_closed_iff_real_coefficients(self, u):
         for d in range(1, u + 1):
-            for subset in itertools.combinations(range(u), d):
-                sel = DivisorSelection(u, subset)
-                expanded = sel.to_poly()
-                assert sel.is_conjugation_closed() == expanded.is_real(), (u, subset)
+            subsets = np.array(list(itertools.combinations(range(u), d)))
+            is_real = np.abs(divisor_coefficients(u, subsets).imag).max(axis=1) < 1e-12
+            mismatch = np.flatnonzero(conjugation_closed(u, subsets) != is_real)
+            assert mismatch.size == 0, (u, subsets[mismatch[:1]])
 
 
 class TestAlpha:
@@ -154,28 +155,14 @@ class TestAlpha:
 
 class TestDivisorToPoint:
     def test_spec_quadratic(self):
-        h = ComplexPoly((1.0 + 0j, -SQRT2 + 0j, 1.0 + 0j))
-        assert np.allclose(divisor_to_point(h, 3), [-1.0, SQRT2, -1.0])
+        h = [[1.0, -SQRT2, 1.0]]
+        assert np.allclose(divisor_points(h), [[-1.0, SQRT2, -1.0]])
 
     def test_linear(self):
-        h = ComplexPoly((1.0 + 0j, 1.0 + 0j))
-        assert np.allclose(divisor_to_point(h, 2), [-1.0, -1.0])
+        h = [[1.0, 1.0]]
+        assert np.allclose(divisor_points(h), [[-1.0, -1.0]])
 
     def test_conjugate_quadratic(self):
-        h = ComplexPoly((1.0 + 0j, SQRT2 + 0j, 1.0 + 0j))
-        assert np.allclose(divisor_to_point(h, 3), [-1.0, -SQRT2, -1.0])
-
-    def test_rejects_complex(self):
-        h = ComplexPoly((1j, 0.5 + 0j, 1.0 + 0j))
-        with pytest.raises(ValueError):
-            divisor_to_point(h, 3)
-
-    def test_rejects_non_monic(self):
-        with pytest.raises(ValueError):
-            ComplexPoly((1.0 + 0j, 2.0 + 0j), monic=True)
-
-    def test_rejects_wrong_degree(self):
-        h = ComplexPoly((1.0 + 0j, 1.0 + 0j))
-        with pytest.raises(ValueError):
-            divisor_to_point(h, 4)
+        h = [[1.0, SQRT2, 1.0]]
+        assert np.allclose(divisor_points(h), [[-1.0, -SQRT2, -1.0]])
 

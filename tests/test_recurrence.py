@@ -129,11 +129,11 @@ class TestRankConditions:
 
     @pytest.mark.parametrize("m,n", DIVISOR_FORMATS)
     def test_equivalence_on_divisor_points(self, m, n):
-        from semitall.polyfactor import divisor_to_point, real_divisors
+        from semitall.polyfactor import divisor_points, real_divisors
 
         u = m + n - 2
-        for h in real_divisors(u, m - 1):
-            a = divisor_to_point(h, m)[: m - 1]
+        for point in divisor_points(real_divisors(u, m - 1)):
+            a = point[: m - 1]
             rep = rank_conditions(a, m, n)
             assert rep.all_true, (m, n, a, rep.flags())
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from semitall import polyfactor, solver, tensorcore
-from semitall.errors import CHART_ESCAPE, PATH_STALL, WARN_MULTIPLICITY, ResourceLimitError
+from semitall import acceptance, polyfactor, solver, tensorcore
+from semitall.errors import CHART_ESCAPE, PATH_STALL, WARN_MULTIPLICITY, DegenerateStartError, ResourceLimitError
 from semitall.solver import SolveReport, TrackOptions, projectively_real, solve_all, start_solutions, track_path
 
 
@@ -31,6 +31,43 @@ class TestStartSolutions:
         for m, n in [(3, 3), (3, 5), (4, 5)]:
             _, residuals, _, _ = start_solutions(m, n, seed=2)
             assert residuals.max() < 1e-10
+
+    @pytest.mark.parametrize("m,n", acceptance.CRITERION_6_FORMATS)
+    def test_real_rows_are_the_divisor_table(self, m, n):
+        # the real start rows are the real divisor points, slice-reordered
+        # and scaled onto a_m = -1, in closed_selections order
+        u = m + n - 2
+        z, _, real, subsets = start_solutions(m, n, seed=(8, m, n))
+        x = polyfactor.divisor_points(polyfactor.real_divisors(u, m - 1))
+        xprime = np.stack([sign * x[:, src] for src, sign in tensorcore.slice_reorder(m)], axis=1)
+        expected = xprime / -xprime[:, -1:]
+        assert [s for s, r in zip(subsets, real) if r] == polyfactor.closed_selections(u, m - 1)
+        assert z[real, :m].shape == expected.shape == (polyfactor.alpha_closed(m, n), m)
+        assert np.max(np.abs(z[real, :m] - expected), initial=0.0) < 1e-12
+
+    @pytest.mark.parametrize("m,n", [(3, 5), (4, 5), (5, 5)])
+    def test_stacked_build_matches_per_subset_loop(self, m, n, monkeypatch):
+        # reference: one subset at a time, as the start system was built
+        # before it was stacked; the arithmetic is the same, so are the bits
+        u = m + n - 2
+        monkeypatch.setattr(solver, "START_SVD_ENTRIES", 7 * u * n)  # SVDs in batches of 7 rows
+        frame, a_rows, kernels, real, subsets = solver._start_system.__wrapped__(m, n)
+        roots = polyfactor.neg_roots(u)
+        for idx, subset in enumerate(subsets):
+            coeffs = polyfactor._expand_from_roots(roots[list(subset)])
+            x = np.append(-coeffs[: m - 1], -1.0 + 0.0j)
+            xprime = np.array([sign * x[src] for (src, sign) in tensorcore.slice_reorder(m)])
+            a = (-1.0 / xprime[-1]) * xprime
+            a[-1] = -1.0 + 0.0j
+            _, _, Vh = np.linalg.svd(tensorcore.pencil_eval(a, frame.Aprime))
+            assert np.array_equal(a_rows[idx], a), subset
+            assert np.array_equal(kernels[idx], Vh[-1].conj()), subset
+            assert real[idx] == all((u - 1 - k) in subset for k in subset), subset
+
+    def test_degenerate_start_names_the_first_subset(self, monkeypatch):
+        monkeypatch.setattr(solver, "DEGENERATE_KERNEL_TOL", 1.0)  # every kernel counts as degenerate
+        with pytest.raises(DegenerateStartError, match=r"^start subset \(0, 1\) has kernel dimension >= 2$"):
+            solver._start_system.__wrapped__(3, 3)
 
     def test_chart_conventions(self):
         z, _, _, subsets = start_solutions(3, 4, seed=3)

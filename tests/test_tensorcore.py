@@ -39,6 +39,11 @@ class TestFormat:
         with pytest.raises(ValueError):
             Format(m, n)
 
+    @pytest.mark.parametrize("m,n", [(3.0, 5), (3, 5.5), ("3", 5)])
+    def test_non_integer_rejected(self, m, n):
+        with pytest.raises(ValueError, match="m and n must be integers"):
+            Format(m, n)
+
 
 class TestFlatten:
     def test_fl1_example(self):
