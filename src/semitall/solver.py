@@ -233,14 +233,9 @@ def start_solutions(m: int, n: int, c: np.ndarray | None = None, seed: object = 
 def _solve_rows(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the stacked systems A[p] x[p] = rhs[p] with LAPACK's gesv, as
     np.linalg.solve does.  A singular row comes back NaN and raises the
-    invalid flag (callers run under ``_quiet``); every other row is solved
-    exactly as alone."""
+    invalid flag (the tracker runs each batch with the flags off); every
+    other row is solved exactly as alone."""
     return _lapack_solve(A, rhs, signature="DD->D")
-
-
-# Singular rows come back NaN and breaking-down rows may overflow; the
-# tracker reads both off the values, so its stages run with the flags off.
-_quiet = np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
 
 
 class _Lockstep:
@@ -258,7 +253,12 @@ class _Lockstep:
     Each path keeps its own t, step and status; every stage of the
     predictor-corrector makes one stacked evaluation and one stacked solve
     over the paths still in that stage, and the stacks are gathered anew
-    only when a path leaves them.
+    only when a path leaves them.  Each stack owns one Jacobian buffer of
+    shape (P, u+2, N): its chart rows are written when the stack is built
+    or gathered, and every evaluation writes only its top rows.  Rows are
+    gathered, never masked, because a stacked product is not computed row
+    by row: one row of a product of P rows can differ in its last bits from
+    the same row of a product of fewer rows.
     """
 
     def __init__(self, B_from, B_to, gamma: complex, corrector_tol: float):
@@ -271,82 +271,92 @@ class _Lockstep:
         L[:, :, m:, :m] = S  # d(M b)_i / d b_j = sum_k B_ijk a_k
         # rows (s, x) of the stacked map, so that [z, t z] @ L is J_top
         self.L = L.transpose(0, 3, 1, 2).reshape(2 * N, u * N)
+        self.L1 = self.L[N:]
         self.halve_top = np.append(np.full(u, 0.5), [1.0, 1.0])
         self.u, self.N = u, N
         self.tol = corrector_tol
 
-    def _jacobian(self, z, t, charts):
-        """Jacobians of paths at their own t."""
-        top = (np.concatenate([z, t[:, None] * z], axis=1) @ self.L).reshape(len(z), self.u, self.N)
-        return np.concatenate([top, charts], axis=1)
+    def _stack(self, charts):
+        """A Jacobian buffer for the paths of ``charts``, chart rows written."""
+        J = np.empty((len(charts), self.u + 2, self.N), dtype=complex)
+        J[:, self.u :] = charts
+        return J
 
-    def _residual(self, J, z):
-        F = (J @ z[..., None])[..., 0]
-        F *= self.halve_top
-        F[:, self.u :] -= self.chart_rhs
-        return F
+    def _build(self, J, z, t):
+        """Write the top rows of the Jacobians of paths z at their own t
+        into J, in place."""
+        P, u, N = len(z), self.u, self.N
+        np.matmul(np.concatenate([z, t[:, None] * z], axis=1), self.L, out=J[:, :u].reshape(P, u * N))
 
-    @_quiet
-    def _tangent(self, z, t, charts):
+    def _tangent(self, J, z, t):
         """dz/dt of each path at its own t, and whether its system was
         regular (the solved row is not NaN): J k = -dF/dt, where dF/dt is
-        half of (L1 z) z."""
-        J = self._jacobian(z, t, charts)
-        J1 = (z @ self.L[self.N :]).reshape(len(z), self.u, self.N)
-        rhs = np.zeros_like(z)
-        rhs[:, : self.u] = -0.5 * (J1 @ z[..., None])[..., 0]
-        k = _solve_rows(J, rhs)
-        return k, ~np.isnan(k).any(axis=1)
+        half of (L1 z) z.  Overwrites the top rows of J."""
+        self._build(J, z, t)
+        P, u, N = len(z), self.u, self.N
+        zc = z[..., None]
+        rhs = np.zeros((P, N, 1), dtype=complex)
+        rhs[:, :u] = -0.5 * ((z @ self.L1).reshape(P, u, N) @ zc)
+        k = _solve_rows(J, rhs[..., 0])
+        return k, ~np.logical_or.reduce(np.isnan(k), axis=1)
 
-    @_quiet
-    def _correct(self, z, t, charts, iters):
-        """Newton on each path at its own t; returns (z, converged, total
-        correction size).  A path leaves the loop on convergence, on
-        breakdown (residual beyond 1e10 or not finite) or on a singular
-        Jacobian, where its solve comes back NaN and so does its next
-        residual; the last two are not converged.  A row's residual is
-        checked at most iters + 1 times, around at most iters solves.  Rows
-        that do not converge come back as given."""
-        tol = self.tol
-        z = z.copy()
+    def _correct(self, J, z, t, iters):
+        """Newton on each path at its own t, from the Jacobian buffer J of
+        z's stack (its top rows are overwritten); returns (z, converged,
+        total correction size) and leaves the input z untouched.  A path
+        leaves the loop on convergence, on breakdown (residual beyond 1e10
+        or not finite) or on a singular Jacobian, where its solve comes back
+        NaN and so does its next residual; the last two are not converged.
+        A row's residual is checked at most iters + 1 times, around at most
+        iters solves.  Rows that do not converge come back as given."""
+        tol, halve_top, rhs = self.tol, self.halve_top, self.rhs_full
+        out = z.copy()
         ok = np.zeros(len(z), dtype=bool)
         moved = np.zeros(len(z))
         # the rows still iterating, gathered anew only when one leaves
-        live, zl, tl, cl, ml = np.arange(len(z)), z, t, charts, moved
+        live, zl, tl, ml = np.arange(len(z)), z, t, moved
         for it in range(iters + 1):
-            J = self._jacobian(zl, tl, cl)
-            F = self._residual(J, zl)
-            rn = np.abs(F).max(axis=1)
+            self._build(J, zl, tl)
+            F = np.matmul(J, zl[..., None])[..., 0]
+            F *= halve_top
+            F -= rhs
+            rn = np.maximum.reduce(np.abs(F), axis=1)
             fine = rn <= 1e10  # False for NaN as well
-            conv = fine & (rn < tol * np.fmax(1.0, np.abs(zl).max(axis=1)))
-            if conv.any():
+            conv = fine & (rn < tol * np.fmax(1.0, np.maximum.reduce(np.abs(zl), axis=1)))
+            if np.count_nonzero(conv):
                 rows = live[conv]
                 ok[rows] = True
-                z[rows] = zl[conv]
+                out[rows] = zl[conv]
                 moved[rows] = ml[conv]
             if it == iters:
                 break
             more = fine ^ conv
-            if not more.all():
-                if not more.any():
+            n_more = np.count_nonzero(more)
+            if n_more < len(more):
+                if not n_more:
                     break
-                live, zl, tl, cl, ml, J, F = live[more], zl[more], tl[more], cl[more], ml[more], J[more], F[more]
+                live, zl, tl, ml, J, F = live[more], zl[more], tl[more], ml[more], J[more], F[more]
             dz = _solve_rows(J, F)
             zl = zl - dz
-            ml = ml + np.abs(dz).max(axis=1)
-        return z, ok, moved
+            ml = ml + np.maximum.reduce(np.abs(dz), axis=1)
+        return out, ok, moved
 
     def run(self, z0: np.ndarray, charts: np.ndarray, delta: complex) -> tuple[np.ndarray, dict[int, PathError]]:
         """Track every row of z0, on the chart rows of the same row of
         ``charts``, from t = 0 to 1.  Returns the endpoints and the failed
         rows with their errors; failed rows of the endpoint array are
         meaningless."""
-        self.chart_rhs = np.array([delta, 1.0], dtype=complex)
+        # right-hand side of the residual: zero on the top rows, the chart values below
+        self.rhs_full = np.zeros(self.u + 2, dtype=complex)
+        self.rhs_full[self.u :] = delta, 1.0
         z = z0.astype(complex)
         failed: dict[int, PathError] = {}
         size = max(1, STACK_ENTRIES // self.N**2)
         for lo in range(0, len(z), size):
-            z[lo : lo + size], batch = self._run(z[lo : lo + size], charts[lo : lo + size])
+            # singular rows come back NaN and breaking-down rows may
+            # overflow; the tracker reads both off the values
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+                z[lo : lo + size], batch = self._run(z[lo : lo + size], charts[lo : lo + size])
             failed.update((lo + p, exc) for p, exc in batch.items())
         return z, failed
 
@@ -356,8 +366,8 @@ class _Lockstep:
         P = len(z)
         failed: dict[int, PathError] = {}
         dead = np.zeros(P, dtype=bool)
-        # the paths still moving: batch row, z, t, step, chart rows
-        idx, za, ta, ha, ca = np.arange(P), z, np.zeros(P), np.full(P, INITIAL_STEP), charts
+        # the paths still moving: batch row, z, t, step, Jacobian buffer
+        idx, za, ta, ha, J = np.arange(P), z, np.zeros(P), np.full(P, INITIAL_STEP), self._stack(charts)
 
         def fail(sel, reason, message):
             for p in np.flatnonzero(sel):
@@ -368,24 +378,25 @@ class _Lockstep:
             if not idx.size:
                 break
             ha = np.minimum(ha, 1.0 - ta)
-            k1, ok1 = self._tangent(za, ta, ca)
+            k1, ok1 = self._tangent(J, za, ta)
             half = 0.5 * ha
-            k2, ok2 = self._tangent(za + half[:, None] * k1, ta + half, ca)
+            k2, ok2 = self._tangent(J, za + half[:, None] * k1, ta + half)
             regular = ok1 & ok2  # a singular tangent halves the step like a rejection
 
             dz_pred = ha[:, None] * k2
-            z_new, ok, moved = self._correct(za + dz_pred, ta + ha, ca, MAX_NEWTON)
+            t_new = ta + ha
+            z_new, ok, moved = self._correct(J, za + dz_pred, t_new, MAX_NEWTON)
             # basin guard: the corrector must only refine the prediction,
             # a large pullback signals a possible jump onto another path
-            guard = np.maximum(np.abs(dz_pred).max(axis=1), 1e-8)
+            guard = np.maximum(np.maximum.reduce(np.abs(dz_pred), axis=1), 1e-8)
             ok &= regular & (moved <= 0.25 * guard)
-            ta = np.where(ok, ta + ha, ta)
+            ta = np.where(ok, t_new, ta)
             za = np.where(ok[:, None], z_new, za)
             ha = ha * np.where(ok, 1.0 + (moved < 0.01 * guard), 0.5)
 
-            norm = np.abs(za).max(axis=1)
+            norm = np.maximum.reduce(np.abs(za), axis=1)
             leave = (ta >= 1.0) | (ha < MIN_STEP) | (norm > BLOWUP_NORM)
-            if leave.any():
+            if np.count_nonzero(leave):
                 under = ~ok & (ha < MIN_STEP)
                 fail(under & ~regular, PATH_STALL, "singular tangent at t = {t:.6f}")
                 fail(under & regular, PATH_STALL, "step underflow at t = {t:.6f}")
@@ -394,12 +405,12 @@ class _Lockstep:
                 done = (ta >= 1.0) & ~blown
                 z[idx[done]] = za[done]
                 stay = ~(under | blown | done)
-                idx, za, ta, ha, ca = idx[stay], za[stay], ta[stay], ha[stay], ca[stay]
+                idx, za, ta, ha, J = idx[stay], za[stay], ta[stay], ha[stay], J[stay]
         # the paths still moving have used up the step budget
         fail(np.ones(idx.size, dtype=bool), PATH_STALL, f"step budget {MAX_STEPS} exhausted at t = {{t:.6f}}")
 
         ends = np.flatnonzero(~dead)
-        z[ends], ok, _ = self._correct(z[ends], np.ones(len(ends)), charts[ends], max(MAX_NEWTON, 20))
+        z[ends], ok, _ = self._correct(self._stack(charts[ends]), z[ends], np.ones(len(ends)), max(MAX_NEWTON, 20))
         for p in ends[~ok]:
             failed[int(p)] = PathError(PATH_DIVERGE, "endpoint correction did not converge at t = 1")
         return z, failed

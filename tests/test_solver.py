@@ -196,7 +196,7 @@ class TestLockstep:
         frame, target = perturbed_target(m, n, 1e-1, seed=seed)
         c = solver._chart_vector(n, np.random.default_rng(seed))
         tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), 1e-12)
-        tracker.chart_rhs = np.array([-1.0, 1.0], dtype=complex)
+        tracker.rhs_full = np.append(np.zeros(tracker.u), [-1.0, 1.0]).astype(complex)
         d = np.zeros(m)
         d[-1] = 1.0
         return frame, target, tracker, c, d
@@ -219,14 +219,17 @@ class TestLockstep:
         z = np.array(list(rows.values()))
         t = np.zeros(len(z))
         charts = solver._charts(np.broadcast_to(c, (len(z), n)), np.broadcast_to(d, (len(z), m)))
-        out, ok, moved = tracker._correct(z, t, charts, 3)
+        # run() silences the floating-point flags of the NaN, huge and zero rows
+        with np.errstate(all="ignore"):
+            out, ok, moved = tracker._correct(tracker._stack(charts), z, t, 3)
+            alone, ok_alone, moved_alone = tracker._correct(tracker._stack(charts[:1]), near[None], t[:1], 3)
+            huge_ok = tracker._correct(tracker._stack(charts[:1]), huge[None], t[:1], 60)[1][0]
         got = {name: (out[i], ok[i], moved[i]) for i, name in enumerate(rows)}
         assert np.array_equal(z, np.array(list(rows.values())), equal_nan=True)  # input untouched
 
         assert got["start"][1] and got["start"][2] == 0.0
         assert np.array_equal(got["start"][0], start)
         assert got["near"][1] and got["near"][2] > 0.0
-        alone, ok_alone, moved_alone = tracker._correct(near[None], t[:1], charts[:1], 3)
         assert ok_alone[0]
         assert np.max(np.abs(got["near"][0] - alone[0])) < 1e-12
         assert abs(got["near"][2] - moved_alone[0]) < 1e-12
@@ -237,7 +240,7 @@ class TestLockstep:
             assert got[name][2] == 0.0, name
         # Newton would reach the path from the huge row in 60 iterations;
         # a residual beyond 1e10 stops it at once
-        assert not tracker._correct(huge[None], t[:1], charts[:1], 60)[1][0]
+        assert not huge_ok
 
     def test_tangent_solves_the_t_derivative(self):
         # J(z, t) k = -dF/dt, with dF/dt = M(a, B_to - gamma B_from) b and
@@ -249,7 +252,7 @@ class TestLockstep:
         z = rng.standard_normal((P, m + n)) + 1j * rng.standard_normal((P, m + n))
         t = rng.uniform(0.0, 1.0, P)
         charts = solver._charts(np.broadcast_to(c, (P, n)), np.broadcast_to(d, (P, m)))
-        k, ok = tracker._tangent(z, t, charts)
+        k, ok = tracker._tangent(tracker._stack(charts), z, t)
         assert ok.all()
 
         gamma = complex(0.6, -0.8)
@@ -264,6 +267,31 @@ class TestLockstep:
         lhs = np.einsum("pij,pj->pi", J, k)
         rhs = np.concatenate([-dF, np.zeros((P, 2))], axis=1)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
+
+    @pytest.mark.parametrize("P", [0, 1, 6, 70])
+    def test_jacobian_buffer_matches_a_fresh_build(self, P):
+        # the top rows written in place into a stack's buffer equal, bit for
+        # bit, a fresh product of the same height joined to the chart rows,
+        # also after the stack is gathered
+        m, n = 5, 5
+        _, _, tracker, c, d = self._tracker(m, n, seed=39)
+        rng = np.random.default_rng(39)
+        z = rng.standard_normal((P, m + n)) + 1j * rng.standard_normal((P, m + n))
+        t = rng.uniform(0.0, 1.0, P)
+        charts = solver._charts(np.broadcast_to(c, (P, n)), np.broadcast_to(d, (P, m)))
+
+        def fresh(z, t, charts):
+            zz = np.concatenate([z, t[:, None] * z], axis=1)
+            return np.concatenate([(zz @ tracker.L).reshape(len(z), tracker.u, tracker.N), charts], axis=1)
+
+        J = tracker._stack(charts)
+        tracker._build(J, z, t)
+        assert J.shape == (P, tracker.u + 2, tracker.N)
+        assert J.tobytes() == fresh(z, t, charts).tobytes()
+        keep = rng.random(P) < 0.5
+        J = J[keep]
+        tracker._build(J, z[keep] + 1.0, t[keep])
+        assert J.tobytes() == fresh(z[keep] + 1.0, t[keep], charts[keep]).tobytes()
 
 
 class TestSolveAll:
@@ -385,9 +413,9 @@ class TestSolveAll:
         assert len(report.solutions) == report.n_paths - 1
 
     def test_error_state_is_left_as_found(self):
-        # the tracker silences floating-point flags only inside its own
-        # stages: the caller's error state holds before and after, and no
-        # arithmetic outside those stages trips it
+        # the tracker silences floating-point flags only while it tracks a
+        # batch: the caller's error state holds before and after, and no
+        # arithmetic outside the batches trips it
         rng = np.random.default_rng(29)
         data = rng.standard_normal((4, 3, 3))
         v = rng.standard_normal(3)
