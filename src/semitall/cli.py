@@ -2,7 +2,7 @@
 
 Subcommands: alpha, divisors, classify, table, solve, certify,
 experiment (perturb|global), selftest.  Each takes only the flags it
-reads (the ``_COMMANDS`` table), plus --seed, --output and --format; any
+reads (the ``_COMMANDS`` table), plus --output and --format; any
 other flag is a usage error.  JSON is the canonical output (floats at 17
 significant digits); CSV is available for table only.  Reports echo every
 seed and tolerance needed to reproduce them; rerunning with the printed
@@ -209,14 +209,14 @@ def _cmd_selftest(args: argparse.Namespace):
 # requires; "mode" is experiment's positional.  Every subcommand also takes
 # --output and --format, which are not echoed.
 _COMMANDS = {
-    "alpha": (_cmd_alpha, "m! n! seed"),
-    "divisors": (_cmd_divisors, "m! n! seed"),
-    "classify": (_cmd_classify, "m! n! p seed"),
-    "table": (_cmd_table, "m! n! seed"),
+    "alpha": (_cmd_alpha, "m! n!"),
+    "divisors": (_cmd_divisors, "m! n!"),
+    "classify": (_cmd_classify, "m! n! p"),
+    "table": (_cmd_table, "m! n!"),
     "solve": (_cmd_solve, "m n eps seed tol input"),
     "certify": (_cmd_certify, "seed tol input!"),
     "experiment": (_cmd_experiment, "m! n! eps trials! seed tol mode"),
-    "selftest": (_cmd_selftest, "seed tol"),
+    "selftest": (_cmd_selftest, "tol"),
 }
 
 

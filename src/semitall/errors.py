@@ -6,7 +6,8 @@ class ChartViolationError(RuntimeError):
 
 
 class DegenerateStartError(RuntimeError):
-    """A start solution has a kernel of dimension two or more."""
+    """The b chart's vector is nearly orthogonal to a start kernel, so that
+    start point has no image on the chart."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -74,13 +74,9 @@ PATH_BUDGET = 10**4
 # memory of a solve at the path budget stays bounded.
 STACK_ENTRIES = 2**20
 
-# Most pencil entries one stacked start-system SVD holds (1 MB of
-# complex128); LAPACK's workspace and the left singular vectors come on top,
-# so the start system at the path budget stays within a few MB.
-START_SVD_ENTRIES = 2**16
-
 # Relative gap under which the second-smallest singular value of the
-# pencil marks a kernel of dimension >= 2.
+# pencil marks a kernel of dimension >= 2 (read by the certifier at real
+# endpoints).
 DEGENERATE_KERNEL_TOL = 1e-8
 
 
@@ -173,10 +169,13 @@ def _start_system(m: int, n: int):
     callers copy what they hand out.
 
     For each (m-1)-subset of the roots of y^u + 1, the coefficient point of
-    the corresponding monic divisor is remapped through the slice reorder
-    that defines A', rescaled onto the a_m = -1 chart, and paired with the
-    one-dimensional kernel of the pencil there.  Exactly the
-    conjugation-closed subsets are flagged real.
+    the corresponding monic divisor g is remapped through the slice reorder
+    that defines A' and rescaled onto the a_m = -1 chart.  The pencil there
+    multiplies by g modulo y^u + 1, so its kernel is spanned by the
+    coefficient row of the cofactor (y^u + 1) / g, the product over the
+    complementary u - m + 1 roots; it is one-dimensional because y^u + 1
+    has distinct roots.  Exactly the conjugation-closed subsets are flagged
+    real.
     """
     fmt = tensorcore.Format(m, n)
     u = fmt.u
@@ -194,14 +193,11 @@ def _start_system(m: int, n: int):
     a_rows = (-1.0 / xprime[:, -1:]) * xprime
     a_rows[:, -1] = -1.0
 
-    kernels = np.empty((n_paths, n), dtype=complex)
-    batch = max(1, START_SVD_ENTRIES // (u * n))
-    for lo in range(0, n_paths, batch):
-        _, svals, Vh = np.linalg.svd(tensorcore.pencil_eval(a_rows[lo : lo + batch], frame.Aprime))
-        degenerate = np.flatnonzero(svals[:, -2] < DEGENERATE_KERNEL_TOL * svals[:, 0])
-        if degenerate.size:
-            raise DegenerateStartError(f"start subset {subsets[lo + degenerate[0]]} has kernel dimension >= 2")
-        kernels[lo : lo + batch] = Vh[:, -1].conj()
+    # the cofactor of each divisor: the root indices outside its subset
+    outside = np.ones((n_paths, u), dtype=bool)
+    outside[np.arange(n_paths)[:, None], subsets] = False
+    kernels = polyfactor.divisor_coefficients(u, np.nonzero(outside)[1].reshape(n_paths, n - 1))
+    kernels /= np.linalg.norm(kernels, axis=1, keepdims=True)
     real = polyfactor.conjugation_closed(u, subsets)
     for arr in (a_rows, kernels, real):
         arr.flags.writeable = False

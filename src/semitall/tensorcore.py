@@ -92,7 +92,7 @@ class Tensor3:
 
 @dataclass(frozen=True, eq=False)
 class StartFrame:
-    """Base tensor A, its permuted/reordered copy A', the row
+    """The permuted/reordered copy A' of the base tensor A, the row
     permutation perm (A' = A''[perm]), and W0.
 
     Invariants (exact integer equalities, verified on construction): the
@@ -100,7 +100,6 @@ class StartFrame:
     block of fl1(Aprime), and mu(W0) = Aprime.
     """
 
-    A: Tensor3
     Aprime: Tensor3
     W0: np.ndarray
     perm: tuple[int, ...]
@@ -283,7 +282,7 @@ def make_start_frame(m: int, n: int) -> StartFrame:
     if not np.array_equal(F1[:, p:], -np.eye(u)):
         raise RuntimeError("trailing block of the permuted start tensor is not -E_u")
     W0 = F1[:, :p].copy()
-    return StartFrame(A=A, Aprime=Aprime, W0=W0, perm=tuple(perm))
+    return StartFrame(Aprime=Aprime, W0=W0, perm=tuple(perm))
 
 
 def random_rank_sum(fmt: Format, r: int, rng: np.random.Generator) -> Tensor3:

@@ -318,18 +318,19 @@ class TestSelftest:
 
 
 class TestFlagTable:
-    # subcommand: (a valid command, the "params" it echoes in order, a flag it does not read)
+    # subcommand: (a valid command, the "params" it echoes in order, flags it does not read)
     CASES = {
-        "alpha": (["alpha", "--m", "3", "--n", "3"], ["m", "n", "seed"], ["--eps", "1"]),
-        "divisors": (["divisors", "--m", "3", "--n", "3"], ["m", "n", "seed"], ["--tol", "1e-6"]),
-        "classify": (["classify", "--m", "3", "--n", "3", "--p", "5"], ["m", "n", "p", "seed"], ["--trials", "2"]),
-        "table": (["table", "--m", "3", "--n", "4"], ["m", "n", "seed"], ["--p", "5"]),
+        "alpha": (["alpha", "--m", "3", "--n", "3"], ["m", "n"], [["--eps", "1"], ["--seed", "1"]]),
+        "divisors": (["divisors", "--m", "3", "--n", "3"], ["m", "n"], [["--tol", "1e-6"], ["--seed", "1"]]),
+        "classify": (["classify", "--m", "3", "--n", "3", "--p", "5"], ["m", "n", "p"],
+                     [["--trials", "2"], ["--seed", "1"]]),
+        "table": (["table", "--m", "3", "--n", "4"], ["m", "n"], [["--p", "5"], ["--seed", "1"]]),
         "solve": (["solve", "--m", "3", "--n", "3", "--eps", "1e-3", "--tol", "1e-10"],
-                  ["m", "n", "eps", "seed", "tol"], ["--trials", "2"]),
-        "certify": (["certify", "--input", "TENSOR", "--seed", "2"], ["seed", "input"], ["--m", "3"]),
+                  ["m", "n", "eps", "seed", "tol"], [["--trials", "2"]]),
+        "certify": (["certify", "--input", "TENSOR", "--seed", "2"], ["seed", "input"], [["--m", "3"]]),
         "experiment": (["experiment", "perturb", "--m", "3", "--n", "3", "--eps", "1e-3", "--trials", "1"],
-                       ["m", "n", "eps", "trials", "seed", "mode"], ["--input", "f"]),
-        "selftest": (["selftest", "--tol", "1e-6"], ["seed", "tol"], ["--n", "3"]),
+                       ["m", "n", "eps", "trials", "seed", "mode"], [["--input", "f"]]),
+        "selftest": (["selftest", "--tol", "1e-6"], ["tol"], [["--n", "3"], ["--seed", "1"]]),
     }
 
     @pytest.fixture
@@ -349,11 +350,12 @@ class TestFlagTable:
 
     @pytest.mark.parametrize("command", sorted(CASES))
     def test_undeclared_flag_exits_1(self, argv_of, capsys, command):
-        argv, _, extra = self.CASES[command]
-        with pytest.raises(SystemExit) as exc:
-            dispatch(argv_of(argv) + extra)
-        assert exc.value.code == 1
-        assert f"error: unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        argv, _, extras = self.CASES[command]
+        for extra in extras:
+            with pytest.raises(SystemExit) as exc:
+                dispatch(argv_of(argv) + extra)
+            assert exc.value.code == 1
+            assert f"error: unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
 
 class TestOutputModes:

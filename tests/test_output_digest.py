@@ -1,6 +1,10 @@
 import importlib.util
 import pathlib
 
+import pytest
+
+from semitall import cli
+
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
 _SPEC = importlib.util.spec_from_file_location("output_digest", _PATH)
 output_digest = importlib.util.module_from_spec(_SPEC)
@@ -36,3 +40,11 @@ class TestCompare:
             "numbers differ by at most 3.33e-01 (line 2); "
             "non-numeric: line 1: '\"verdict\": \"RANK_P\"' against '\"verdict\": \"RANK_GT_P\"'"
         )
+
+
+@pytest.mark.parametrize("command", output_digest.COMMANDS)
+def test_recorded_command_parses(command):
+    # parsing only: a flag-table change that breaks the recorded list fails
+    # here (argparse exits 1 on an undeclared flag), not at the next digest run
+    args = cli._build_parser().parse_args(command.split())
+    assert args.command == command.split()[0]

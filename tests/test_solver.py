@@ -45,13 +45,12 @@ class TestStartSolutions:
         assert z[real, :m].shape == expected.shape == (polyfactor.alpha_closed(m, n), m)
         assert np.max(np.abs(z[real, :m] - expected), initial=0.0) < 1e-12
 
-    @pytest.mark.parametrize("m,n", [(3, 5), (4, 5), (5, 5)])
-    def test_stacked_build_matches_per_subset_loop(self, m, n, monkeypatch):
+    @pytest.mark.parametrize("m,n", [(3, 5), (4, 5), (5, 5), (4, 12)])
+    def test_a_rows_match_per_subset_loop(self, m, n):
         # reference: one subset at a time, as the start system was built
         # before it was stacked; the arithmetic is the same, so are the bits
         u = m + n - 2
-        monkeypatch.setattr(solver, "START_SVD_ENTRIES", 7 * u * n)  # SVDs in batches of 7 rows
-        frame, a_rows, kernels, real, subsets = solver._start_system.__wrapped__(m, n)
+        _, a_rows, _, real, subsets = solver._start_system(m, n)
         roots = polyfactor.neg_roots(u)
         for idx, subset in enumerate(subsets):
             coeffs = polyfactor._expand_from_roots(roots[list(subset)])
@@ -59,15 +58,27 @@ class TestStartSolutions:
             xprime = np.array([sign * x[src] for (src, sign) in tensorcore.slice_reorder(m)])
             a = (-1.0 / xprime[-1]) * xprime
             a[-1] = -1.0 + 0.0j
-            _, _, Vh = np.linalg.svd(tensorcore.pencil_eval(a, frame.Aprime))
             assert np.array_equal(a_rows[idx], a), subset
-            assert np.array_equal(kernels[idx], Vh[-1].conj()), subset
             assert real[idx] == all((u - 1 - k) in subset for k in subset), subset
 
-    def test_degenerate_start_names_the_first_subset(self, monkeypatch):
-        monkeypatch.setattr(solver, "DEGENERATE_KERNEL_TOL", 1.0)  # every kernel counts as degenerate
-        with pytest.raises(DegenerateStartError, match=r"^start subset \(0, 1\) has kernel dimension >= 2$"):
-            solver._start_system.__wrapped__(3, 3)
+    @pytest.mark.parametrize("m,n", [(3, 5), (4, 5), (5, 5), (4, 12)])
+    def test_kernels_are_the_svd_null_vectors(self, m, n):
+        # oracle: the last right singular vector of each start pencil; the
+        # closed-form cofactor rows must span the same one-dimensional kernel
+        frame, a_rows, kernels, _, _ = solver._start_system(m, n)
+        pencils = tensorcore.pencil_eval(a_rows, frame.Aprime)
+        _, svals, Vh = np.linalg.svd(pencils)
+        assert np.max(np.abs(np.linalg.norm(kernels, axis=1) - 1.0)) < 1e-15
+        assert np.abs(np.sum(Vh[:, -1] * kernels, axis=1)).min() >= 1 - 1e-14
+        assert np.linalg.norm((pencils @ kernels[..., None])[..., 0], axis=1).max() <= 1e-13
+        # the kernel is one-dimensional, with room to spare
+        assert (svals[:, -2] / svals[:, 0]).min() >= 1e-3
+
+    def test_chart_orthogonal_to_a_kernel_names_its_subset(self):
+        kernels = solver._start_system(3, 3)[2]
+        c = np.array([kernels[0, 1], -kernels[0, 0], 0.0])  # kernels[0] @ c == 0
+        with pytest.raises(DegenerateStartError, match=r"^chart vector nearly orthogonal to the kernel at \(0, 1\)$"):
+            start_solutions(3, 3, c=c)
 
     def test_chart_conventions(self):
         z, _, _, subsets = start_solutions(3, 4, seed=3)

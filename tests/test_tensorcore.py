@@ -108,7 +108,7 @@ class TestBaseTensor:
 class TestStartFrame:
     def test_3_3_reordering(self):
         frame = make_start_frame(3, 3)
-        A = frame.A
+        A = make_base_tensor(3, 3)
         assert np.array_equal(frame.Aprime.data[:, :, 0], A.slice(2)[list(frame.perm)])
         assert np.array_equal(frame.Aprime.data[:, :, 1], -A.slice(1)[list(frame.perm)])
         assert np.array_equal(frame.Aprime.data[:, :, 2], -A.slice(0)[list(frame.perm)])
@@ -142,7 +142,7 @@ class TestStartFrame:
         for j, (src, sign) in enumerate(order):
             xprime[j] = sign * x[src]
         left = pencil_eval(xprime, frame.Aprime)
-        right = pencil_eval(x, frame.A)[list(frame.perm)]
+        right = pencil_eval(x, make_base_tensor(m, n))[list(frame.perm)]
         assert np.allclose(left, right)
 
 
