@@ -13,7 +13,6 @@ from .certifier import (
     INCONCLUSIVE,
     RANK_GT_P,
     RANK_P,
-    CertifyOptions,
     ExperimentStats,
     RankCertificate,
     certify,
@@ -37,7 +36,7 @@ from .polyfactor import (
     real_divisors,
 )
 from .recurrence import ConditionReport, LambdaSeq, build_N, lambda_seq, rank_conditions
-from .solver import SolveReport, TrackOptions, solve_all, start_solutions, track_path
+from .solver import SolveReport, solve_all, start_solutions, track_path
 from .tensorcore import (
     FL1,
     FL2,
@@ -69,9 +68,8 @@ __all__ = [
     "neg_roots", "divisor_coefficients", "conjugation_closed", "real_divisors", "divisor_points",
     "alpha_closed", "alpha_brute",
     "LambdaSeq", "ConditionReport", "lambda_seq", "build_N", "rank_conditions",
-    "TrackOptions", "SolveReport",
-    "start_solutions", "track_path", "solve_all",
-    "RankCertificate", "ExperimentStats", "CertifyOptions",
+    "SolveReport", "start_solutions", "track_path", "solve_all",
+    "RankCertificate", "ExperimentStats",
     "certify", "perturb_experiment", "global_experiment",
     "RANK_P", "RANK_GT_P", "INCONCLUSIVE",
     "Verdict", "bit_disjoint", "classify", "theorem_table",

@@ -242,15 +242,14 @@ def criterion_7_homotopy_stability():
     return True, f"80 targets, all {sum(math.comb(m + n - 2, m - 1) for m, n in CRITERION_7_FORMATS)} path counts conserved"
 
 
-def criterion_8_negative_control(span_tol: float | None = None):
+def criterion_8_negative_control(span_tol: float = certifier.SPAN_TOL):
     """Perturbations of the reference frame certify RANK_GT_P with small span."""
-    opts = certifier.CertifyOptions(span_tol=span_tol) if span_tol is not None else None
     for m, n in [(3, 3), (3, 5)]:
         fmt = tensorcore.Format(m, n)
         alpha = polyfactor.alpha_closed(m, n)
         dims = []
         stats = certifier.perturb_experiment(
-            fmt, eps=1e-3, trials=50, seed=808, opts=opts,
+            fmt, eps=1e-3, trials=50, seed=808, span_tol=span_tol,
             collect=lambda i, cert: dims.append(cert.dim_u),
         )
         if stats.counts[certifier.RANK_P] != 0:
@@ -262,7 +261,7 @@ def criterion_8_negative_control(span_tol: float | None = None):
     return True, "both formats >= 95% RANK_GT_P, zero RANK_P, dim U <= alpha"
 
 
-def criterion_9_positive_control(span_tol: float | None = None):
+def criterion_9_positive_control(span_tol: float = certifier.SPAN_TOL):
     """Random sums of p rank-1 tensors certify RANK_P, never RANK_GT_P."""
     details = []
     for m, n in [(3, 3), (3, 4)]:
@@ -271,10 +270,7 @@ def criterion_9_positive_control(span_tol: float | None = None):
         for trial in range(50):
             rng = np.random.default_rng((909, m, n, trial))
             T = tensorcore.random_rank_sum(fmt, fmt.p, rng)
-            opts = certifier.CertifyOptions(seed=(909, m, n, trial))
-            if span_tol is not None:
-                opts.span_tol = span_tol
-            cert = certifier.certify(T, opts)
+            cert = certifier.certify(T, seed=(909, m, n, trial), span_tol=span_tol)
             counts[cert.verdict] += 1
         if counts[certifier.RANK_GT_P] != 0:
             return False, f"({m},{n}): RANK_GT_P on a rank <= p tensor, counts {counts}"
@@ -284,11 +280,10 @@ def criterion_9_positive_control(span_tol: float | None = None):
     return True, "RANK_P " + ", ".join(details) + ", zero RANK_GT_P"
 
 
-def criterion_10_plurality_evidence(span_tol: float | None = None):
+def criterion_10_plurality_evidence(span_tol: float = certifier.SPAN_TOL):
     """Gaussian tensors at (3,3) produce both verdicts with frequency > 5%."""
     fmt = tensorcore.Format(3, 3)
-    opts = certifier.CertifyOptions(span_tol=span_tol) if span_tol is not None else None
-    stats = certifier.global_experiment(fmt, trials=200, seed=777, opts=opts)
+    stats = certifier.global_experiment(fmt, trials=200, seed=777, span_tol=span_tol)
     fr_p = stats.fraction(certifier.RANK_P)
     fr_gt = stats.fraction(certifier.RANK_GT_P)
     detail = f"RANK_P {fr_p:.1%}, RANK_GT_P {fr_gt:.1%}, INCONCLUSIVE {stats.fraction(certifier.INCONCLUSIVE):.1%}"

@@ -13,7 +13,7 @@ real, so its non-real kernel pairs come in conjugate pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +25,14 @@ RANK_GT_P = "RANK_GT_P"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass
-class CertifyOptions:
-    """Span tolerance and seed of one certification run.
+# Relative singular-value cutoff of the psi span.  It sits at a cliff for
+# near-degenerate inputs, so it is the one certificate threshold callers set
+# (``certify(span_tol=)``, ``--tol``).
+SPAN_TOL = 1e-8
 
-    ``span_tol`` sits at a cliff for near-degenerate inputs and is
-    deliberately exposed; the other thresholds are module constants of
-    ``solver`` and ``tensorcore``.
-    """
-
-    span_tol: float = 1e-8
-    seed: object = 0
+# Relative gap under which the second-smallest singular value of the
+# pencil marks a kernel of dimension >= 2 at a real endpoint.
+DEGENERATE_KERNEL_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -71,7 +68,7 @@ class ExperimentStats:
         return self.counts.get(verdict, 0) / self.trials if self.trials else 0.0
 
 
-def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCertificate:
+def certify(T: tensorcore.Tensor3, seed: object = 0, span_tol: float = SPAN_TOL) -> RankCertificate:
     """Certify whether the n x p x m tensor T has rank p or rank > p.
 
     Raises ChartViolationError when T sits outside the sigma chart.  A
@@ -79,26 +76,20 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
     and forces INCONCLUSIVE, as does any path failure or, in a complete
     solve, a broken conjugate closure (see ``_closure_notes``).
     """
-    opts = opts or CertifyOptions()
-    n, p, m = T.shape
-    fmt = tensorcore.Format(m, n)
-    if p != fmt.p:
-        raise ValueError(f"tensor shape {T.shape} is not critical: expected p = {fmt.p}")
-
-    W = tensorcore.sigma(T)
-    Y = tensorcore.mu(W, fmt)
-    track = solver.TrackOptions()
-    report = solver.solve_all(Y, track, seed=opts.seed)
+    fmt = tensorcore.vspace_format(T)
+    m, n = fmt.m, fmt.n
+    Y = tensorcore.mu(tensorcore.sigma(T), fmt)
+    report = solver.solve_all(Y, seed=seed)
 
     Z, real, index = report.solutions, report.real, report.path_index
     a_real = np.real(solver._aligned(Z[real, :m]))
     b_real = np.real(solver._aligned(Z[real, m:]))
     svals = np.linalg.svd(tensorcore.pencil_eval(a_real, Y), compute_uv=False)
-    degenerate = svals[:, -2] < solver.DEGENERATE_KERNEL_TOL * svals[:, 0]
+    degenerate = svals[:, -2] < DEGENERATE_KERNEL_TOL * svals[:, 0]
     notes = [f"path {i}: kernel dimension >= 2 at a real solution" for i in index[real][degenerate].tolist()]
     psi_rows = tensorcore.psi(a_real[~degenerate], b_real[~degenerate], fmt)
     psi_matrix = psi_rows.T
-    dim_u = tensorcore.span_dim(psi_rows, opts.span_tol)
+    dim_u = tensorcore.span_dim(psi_rows, span_tol)
     broken = [] if report.failures else _closure_notes(Z, real, index, report.n_paths)
 
     if report.failures:
@@ -119,11 +110,11 @@ def certify(T: tensorcore.Tensor3, opts: CertifyOptions | None = None) -> RankCe
         n_paths=report.n_paths,
         paths_failed=len(report.failures),
         tolerances={
-            "span_tol": opts.span_tol,
+            "span_tol": span_tol,
             "reality_tol": solver.REALITY_TOL,
-            "degenerate_tol": solver.DEGENERATE_KERNEL_TOL,
+            "degenerate_tol": DEGENERATE_KERNEL_TOL,
             "chart_cond": tensorcore.COND_LIMIT,
-            "corrector_tol": track.corrector_tol,
+            "corrector_tol": solver.CORRECTOR_TOL,
         },
         psi_matrix=psi_matrix,
         notes=notes,
@@ -155,7 +146,7 @@ def perturb_experiment(
     eps: float,
     trials: int,
     seed: object = 0,
-    opts: CertifyOptions | None = None,
+    span_tol: float = SPAN_TOL,
     collect=None,
 ) -> ExperimentStats:
     """Certify tau(W0 + eps * R) for Gaussian R, ``trials`` times.
@@ -171,14 +162,14 @@ def perturb_experiment(
     def draw(rng):
         return tensorcore.tau(W0 + eps * rng.standard_normal((fmt.u, fmt.p)), fmt)
 
-    return _trials(fmt, draw, 101, eps, trials, seed, opts, collect)
+    return _trials(fmt, draw, 101, eps, trials, seed, span_tol, collect)
 
 
 def global_experiment(
     fmt: tensorcore.Format,
     trials: int,
     seed: object = 0,
-    opts: CertifyOptions | None = None,
+    span_tol: float = SPAN_TOL,
     collect=None,
 ) -> ExperimentStats:
     """Certify i.i.d. standard normal tensors of shape n x p x m.
@@ -191,24 +182,23 @@ def global_experiment(
     def draw(rng):
         return tensorcore.Tensor3(rng.standard_normal((fmt.n, fmt.p, fmt.m)))
 
-    return _trials(fmt, draw, 201, None, trials, seed, opts, collect)
+    return _trials(fmt, draw, 201, None, trials, seed, span_tol, collect)
 
 
-def _trials(fmt, draw, tag, eps, trials, seed, opts, collect) -> ExperimentStats:
+def _trials(fmt, draw, tag, eps, trials, seed, span_tol, collect) -> ExperimentStats:
     """Certify ``draw(rng)`` for each trial, the tensor drawn from the rng
     seeded (seed, tag, trial) and certified at seed (seed, tag + 1, trial),
     and tally the verdicts.  A tensor outside the sigma chart counts as
     INCONCLUSIVE and stays out of the mean dim U."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    opts = opts or CertifyOptions()
     entropy = solver._seed_entropy(seed)
     counts = {RANK_P: 0, RANK_GT_P: 0, INCONCLUSIVE: 0}
     dims = []
     for trial in range(trials):
         T = draw(np.random.default_rng((entropy, tag, trial)))
         try:
-            cert = certify(T, replace(opts, seed=(entropy, tag + 1, trial)))
+            cert = certify(T, (entropy, tag + 1, trial), span_tol)
             dims.append(cert.dim_u)
         except ChartViolationError:
             cert = RankCertificate(

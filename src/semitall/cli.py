@@ -123,8 +123,8 @@ def _cmd_solve(args: argparse.Namespace):
             target = tensorcore.Tensor3(frame.Aprime.data + args.eps * rng.standard_normal(frame.Aprime.shape))
         else:
             target = frame.Aprime
-    opts = solver.TrackOptions() if args.tol is None else solver.TrackOptions(corrector_tol=args.tol)
-    report = solver.solve_all(target, opts, seed=args.seed)
+    tol = solver.CORRECTOR_TOL if args.tol is None else args.tol
+    report = solver.solve_all(target, seed=args.seed, corrector_tol=tol)
     m = report.m
     doc = {
         "m": report.m, "n": report.n,
@@ -145,10 +145,8 @@ def _cmd_solve(args: argparse.Namespace):
 def _cmd_certify(args: argparse.Namespace):
     """rank-p certificate for an n x p x m tensor file"""
     T = tensorcore.load_tensor(args.input)
-    opts = certifier.CertifyOptions(seed=args.seed)
-    if args.tol is not None:
-        opts.span_tol = args.tol
-    cert = certifier.certify(T, opts)
+    span_tol = certifier.SPAN_TOL if args.tol is None else args.tol
+    cert = certifier.certify(T, seed=args.seed, span_tol=span_tol)
     doc = {
         "verdict": cert.verdict,
         "m": cert.m, "n": cert.n, "p": cert.p,
@@ -166,16 +164,14 @@ def _cmd_certify(args: argparse.Namespace):
 def _cmd_experiment(args: argparse.Namespace):
     """seeded Monte Carlo certification experiments"""
     fmt = tensorcore.Format(args.m, args.n)
-    opts = certifier.CertifyOptions()
-    if args.tol is not None:
-        opts.span_tol = args.tol
+    span_tol = certifier.SPAN_TOL if args.tol is None else args.tol
     if args.mode == "perturb":
         _require(args, "eps")
-        stats = certifier.perturb_experiment(fmt, args.eps, args.trials, seed=args.seed, opts=opts)
+        stats = certifier.perturb_experiment(fmt, args.eps, args.trials, seed=args.seed, span_tol=span_tol)
     elif args.eps is not None:
         raise ValueError("experiment global draws Gaussian tensors and takes no --eps")
     else:
-        stats = certifier.global_experiment(fmt, args.trials, seed=args.seed, opts=opts)
+        stats = certifier.global_experiment(fmt, args.trials, seed=args.seed, span_tol=span_tol)
     doc = {
         "mode": args.mode,
         "m": stats.m, "n": stats.n,
@@ -238,6 +234,8 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         tol = getattr(args, "tol", None)
         if tol is not None and not (0 < tol < math.inf):
             raise ValueError(f"--tol must be positive and finite, got {tol:g}")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         result, code = handler(args)
     except (ValueError, ResourceLimitError, OSError) as exc:
         return 1, f"error: {exc}\n"
@@ -259,8 +257,11 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
     else:
         text = jsonio.dumps(report)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return 1, f"error: {exc}\n"
         return code, ""
     return code, text
 

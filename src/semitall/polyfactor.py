@@ -48,9 +48,9 @@ def _expand_from_roots(roots) -> np.ndarray:
     roots = np.asarray(roots, dtype=complex)
     if len(roots) == 0:
         return np.array([1.0 + 0.0j])
-    width = max(1, (len(roots) - 1).bit_length())
-    order = sorted(range(len(roots)), key=lambda i: int(format(i, f"0{width}b")[::-1], 2))
-    polys = [np.array([-roots[i], 1.0 + 0.0j]) for i in order]
+    leaves = np.ones((len(roots), 2), dtype=complex)
+    leaves[:, 0] = -roots[_leaf_order(len(roots))]
+    polys = list(leaves)
     while len(polys) > 1:
         merged = [np.convolve(polys[i], polys[i + 1]) for i in range(0, len(polys) - 1, 2)]
         if len(polys) % 2:
@@ -59,6 +59,15 @@ def _expand_from_roots(roots) -> np.ndarray:
     c = polys[0]
     c[-1] = 1.0  # exact monic normalization
     return c
+
+
+@lru_cache(maxsize=None)
+def _leaf_order(k: int) -> np.ndarray:
+    """The indices 0..k-1 sorted by their bit reversal within the width of
+    k - 1 (read-only; cached per k, since every expansion of k roots reads it)."""
+    order = np.argsort(_bit_reverse32(np.arange(k), max(1, (k - 1).bit_length())))
+    order.flags.writeable = False
+    return order
 
 
 def closed_selections(u: int, d: int) -> list[tuple[int, ...]]:

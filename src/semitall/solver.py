@@ -74,35 +74,15 @@ PATH_BUDGET = 10**4
 # memory of a solve at the path budget stays bounded.
 STACK_ENTRIES = 2**20
 
-# Relative gap under which the second-smallest singular value of the
-# pencil marks a kernel of dimension >= 2 (read by the certifier at real
-# endpoints).
-DEGENERATE_KERNEL_TOL = 1e-8
-
+# The corrector's default tolerance: Newton stops once the residual's
+# max-norm is below it times max(1, max |z|).
+CORRECTOR_TOL = 1e-12
 
 # Smallest corrector tolerance the tracker accepts.  Below it the residual
 # test sits at rounding level and steps are rejected until they underflow:
 # on 45 Gaussian targets at (3,3), (3,4) and (4,4) no path stalls at 5e-15,
 # while 1e-15 stalls 9 of their 540 paths and 3e-16 stalls 119.
 MIN_CORRECTOR_TOL = 5e-15
-
-
-@dataclass
-class TrackOptions:
-    """Settings of the predictor-corrector tracker.
-
-    ``gamma`` is sampled per solve when left unset.
-    """
-
-    corrector_tol: float = 1e-12
-    gamma: complex | None = None
-
-    def __post_init__(self):
-        if not self.corrector_tol >= MIN_CORRECTOR_TOL:
-            raise ValueError(f"corrector_tol must be at least {MIN_CORRECTOR_TOL:g}, the smallest the corrector "
-                             f"meets in double precision, got {self.corrector_tol:g}")
-        if self.gamma is not None and self.gamma == 0:
-            raise ValueError("gamma must be nonzero")
 
 
 @dataclass
@@ -258,6 +238,11 @@ class _Lockstep:
     """
 
     def __init__(self, B_from, B_to, gamma: complex, corrector_tol: float):
+        if not corrector_tol >= MIN_CORRECTOR_TOL:
+            raise ValueError(f"corrector_tol must be at least {MIN_CORRECTOR_TOL:g}, the smallest the corrector "
+                             f"meets in double precision, got {corrector_tol:g}")
+        if gamma == 0:
+            raise ValueError("gamma must be nonzero")
         u, n, m = B_from.shape
         B0 = gamma * B_from
         S = np.stack([B0, B_to - B0])  # (2, u, n, m)
@@ -432,33 +417,26 @@ def track_path(
     B_from: tensorcore.Tensor3,
     B_to: tensorcore.Tensor3,
     z0: np.ndarray,
-    opts: TrackOptions,
+    gamma: complex,
     c: np.ndarray | None = None,
-    d: np.ndarray | None = None,
-    delta: complex = -1.0 + 0.0j,
+    corrector_tol: float = CORRECTOR_TOL,
 ) -> np.ndarray:
-    """Continue one start row z0 = (a, b) from B_from to B_to and return
-    the endpoint row.
+    """Continue one start row z0 = (a, b) from B_from to B_to along the
+    detour constant gamma and return the endpoint row.
 
     Raises PathError with reason PATH_STALL (step underflow or step
     budget), PATH_DIVERGE (corrector breakdown at the endpoint) or
-    AT_INFINITY (coordinate blowup).  The b chart defaults to the affine
-    functional that z0 already satisfies; the a chart defaults to a_m = -1.
-    ``opts.gamma`` must be set.
+    AT_INFINITY (coordinate blowup).  The a chart is a_m = -1; the b chart
+    defaults to the affine functional that z0 already satisfies.
     """
     u, n, m = B_from.shape
     if B_to.shape != (u, n, m):
         raise ValueError(f"target shape {B_to.shape} does not match start shape {(u, n, m)}")
-    if opts.gamma is None:
-        raise ValueError("track_path needs opts.gamma; solve_all samples one per solve")
+    tracker = _Lockstep(B_from.data, B_to.data, gamma, corrector_tol)
     if c is None:
         # recover an affine functional pinning b from the start point itself
         c = z0[m:].conj() / np.linalg.norm(z0[m:]) ** 2
-    if d is None:
-        d = np.zeros(m, dtype=complex)
-        d[-1] = 1.0
-    tracker = _Lockstep(B_from.data, B_to.data, opts.gamma, opts.corrector_tol)
-    z, failed = tracker.run(z0[None], _charts(c[None], d[None]), delta)
+    z, failed = tracker.run(z0[None], _charts(c[None], np.eye(m)[-1:]), -1.0)
     if failed:
         raise failed[0]
     return z[0]
@@ -520,35 +498,31 @@ def _first_kept(z: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
     return kept, named
 
 
-def solve_all(B: tensorcore.Tensor3, opts: TrackOptions | None = None, seed: object = 0) -> SolveReport:
+def solve_all(B: tensorcore.Tensor3, seed: object = 0, corrector_tol: float = CORRECTOR_TOL) -> SolveReport:
     """Track every start path to the target tensor B (shape u x n x m).
 
     All paths are tracked in lockstep, each with its own step control.
     Endpoints closer than ``DEDUP_TOL`` in chart coordinates are collisions:
     the later path is recorded as a WARN_MULTIPLICITY failure rather than
     merged silently.  Paths hitting infinity are retried once, together,
-    each on its own random complex chart on a.  Determinism: (seed, gamma,
-    chart) fix every path.
+    each on its own random complex chart on a.  Determinism: the seed fixes
+    gamma and the charts, and with them every path.
     """
-    u, n, m = B.shape
-    fmt = tensorcore.Format(m, n)
-    if u != fmt.u:
-        raise ValueError(f"target shape {B.shape} has u = {u}, expected {fmt.u}")
+    fmt = tensorcore.kernel_format(B)
+    m, n = fmt.m, fmt.n
     bad = np.count_nonzero(~np.isfinite(B.data))
     if bad:
         raise ValueError(f"target tensor has {bad} non-finite entries")
-    opts = opts or TrackOptions()
     rng = np.random.default_rng(seed)
     c = _chart_vector(n, rng)
-    gamma = opts.gamma if opts.gamma is not None else _sample_gamma(rng)
+    gamma = _sample_gamma(rng)
 
     frame, a0, kernels, _, subsets = _start_system(m, n)
     b0 = _on_chart(kernels, c, subsets)
     n_paths = len(a0)
     cs = np.broadcast_to(c, (n_paths, n))
-    e_m = np.zeros((n_paths, m))
-    e_m[:, -1] = 1.0
-    tracker = _Lockstep(frame.Aprime.data, B.data, gamma, opts.corrector_tol)
+    e_m = np.broadcast_to(np.eye(m)[-1], (n_paths, m))
+    tracker = _Lockstep(frame.Aprime.data, B.data, gamma, corrector_tol)
     z, failed = tracker.run(np.concatenate([a0, b0], axis=1), _charts(cs, e_m), -1.0)
     # (reason, detail) of every path that ends without an endpoint
     errors = {idx: (exc.reason, str(exc)) for idx, exc in failed.items() if exc.reason != AT_INFINITY}

@@ -171,7 +171,9 @@ def span_dim(vectors, tol: float) -> int:
 
 # -- transfer maps ----------------------------------------------------------
 
-def _vspace_format(T: Tensor3) -> Format:
+def vspace_format(T: Tensor3) -> Format:
+    """The format of an n x p x m tensor T at the critical p; raises
+    ValueError for any other shape."""
     n, p, m = T.shape
     fmt = Format(m, n)
     if p != fmt.p:
@@ -179,7 +181,9 @@ def _vspace_format(T: Tensor3) -> Format:
     return fmt
 
 
-def _kernel_format(Y: Tensor3) -> Format:
+def kernel_format(Y: Tensor3) -> Format:
+    """The format of a u x n x m tensor Y with u = m + n - 2; raises
+    ValueError for any other shape."""
     u, n, m = Y.shape
     fmt = Format(m, n)
     if u != fmt.u:
@@ -197,7 +201,7 @@ def _guarded_solve(block: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 def sigma(T: Tensor3) -> np.ndarray:
     """Chart coordinate of an n x p x m tensor: bottom block of fl2 times
     the inverse of its leading p x p block."""
-    fmt = _vspace_format(T)
+    fmt = vspace_format(T)
     F2 = flatten(T, FL2)
     top = F2[: fmt.p]
     bottom = F2[fmt.p :]
@@ -216,7 +220,7 @@ def tau(W: np.ndarray, fmt: Format) -> Tensor3:
 def nu(Y: Tensor3) -> np.ndarray:
     """Chart coordinate of a u x n x m tensor: minus the inverse of the
     trailing u x u block of fl1 times the leading p columns."""
-    fmt = _kernel_format(Y)
+    fmt = kernel_format(Y)
     F1 = flatten(Y, FL1)
     trailing = F1[:, fmt.p :]
     leading = F1[:, : fmt.p]

@@ -8,7 +8,6 @@ from semitall.certifier import (
     INCONCLUSIVE,
     RANK_GT_P,
     RANK_P,
-    CertifyOptions,
     certify,
     global_experiment,
     perturb_experiment,
@@ -23,7 +22,7 @@ class TestCertify:
         frame = make_start_frame(3, 5)
         rng = np.random.default_rng(21)
         W = frame.W0 + 1e-3 * rng.standard_normal((fmt.u, fmt.p))
-        cert = certify(tau(W, fmt), CertifyOptions(seed=21))
+        cert = certify(tau(W, fmt), seed=21)
         assert cert.verdict == RANK_GT_P
         assert cert.dim_u <= 3  # the real-divisor count of this format
         assert cert.paths_failed == 0
@@ -32,7 +31,7 @@ class TestCertify:
         fmt = Format(3, 3)
         rng = np.random.default_rng(22)
         T = random_rank_sum(fmt, fmt.p, rng)
-        cert = certify(T, CertifyOptions(seed=22))
+        cert = certify(T, seed=22)
         assert cert.verdict == RANK_P
         assert cert.dim_u == fmt.p
         assert cert.real_points == cert.n_paths == 6
@@ -53,13 +52,13 @@ class TestCertify:
         rng = np.random.default_rng(23)
         for trial in range(10):
             T = Tensor3(rng.standard_normal((fmt.n, fmt.p, fmt.m)))
-            cert = certify(T, CertifyOptions(seed=(23, trial)))
+            cert = certify(T, seed=(23, trial))
             assert cert.dim_u <= min(cert.real_points, fmt.p)
 
     def test_certificate_audit_fields(self):
         fmt = Format(3, 3)
         rng = np.random.default_rng(24)
-        cert = certify(random_rank_sum(fmt, fmt.p, rng), CertifyOptions(seed=24))
+        cert = certify(random_rank_sum(fmt, fmt.p, rng), seed=24)
         assert cert.psi_matrix.shape[0] == fmt.p
         assert cert.psi_matrix.shape[1] == cert.real_points
         assert set(cert.tolerances) >= {"span_tol", "reality_tol", "corrector_tol"}
@@ -69,7 +68,7 @@ class TestCertify:
         fmt = Format(3, 3)
         rng = np.random.default_rng(25)
         base = random_rank_sum(fmt, fmt.p, rng)
-        base_verdict = certify(base, CertifyOptions(seed=25)).verdict
+        base_verdict = certify(base, seed=25).verdict
         checked = 0
         for trial in range(20):
             P = rng.standard_normal((fmt.n, fmt.n))
@@ -77,7 +76,7 @@ class TestCertify:
             data = np.einsum("ij,jlk->ilk", P, base.data)
             data = np.einsum("ilk,lq->iqk", data, Q)
             try:
-                verdict = certify(Tensor3(data), CertifyOptions(seed=(25, trial))).verdict
+                verdict = certify(Tensor3(data), seed=(25, trial)).verdict
             except ChartViolationError:
                 continue
             assert verdict == base_verdict
@@ -158,7 +157,7 @@ class TestSoundness:
         for trial in range(25):
             rng = np.random.default_rng((41, m, n, trial))
             T = random_rank_sum(fmt, fmt.p, rng)
-            cert = certify(T, CertifyOptions(seed=(41, m, n, trial)))
+            cert = certify(T, seed=(41, m, n, trial))
             assert cert.verdict != RANK_GT_P, f"unsound verdict at trial {trial}"
 
     @staticmethod
@@ -177,7 +176,7 @@ class TestSoundness:
             return report
 
         monkeypatch.setattr(solver, "solve_all", damaged)
-        return certify(T, CertifyOptions(seed=43))
+        return certify(T, seed=43)
 
     @staticmethod
     def _drop_row(report, k):
@@ -215,7 +214,7 @@ class TestSoundness:
         rng = np.random.default_rng(42)
         T = random_rank_sum(fmt, fmt.p, rng)
         monkeypatch.setattr(solver, "MAX_STEPS", 3)
-        cert = certify(T, CertifyOptions(seed=42))
+        cert = certify(T, seed=42)
         assert cert.verdict == INCONCLUSIVE
         assert cert.paths_failed > 0
 

@@ -221,6 +221,19 @@ class TestCertify:
         assert text.startswith("error: --tol must be positive")
 
 
+class TestWrongShape:
+    @pytest.mark.parametrize("command,shape,message", [
+        ("certify", (3, 4, 3), "shape (3, 4, 3) is not an n x p x m tensor at the critical p = 5"),
+        ("solve", (3, 3, 3), "shape (3, 3, 3) is not a u x n x m tensor with u = 4"),
+    ], ids=["certify", "solve"])
+    def test_tensorcore_message(self, tmp_path, command, shape, message):
+        path = tmp_path / "tensor.json"
+        save_tensor(tensorcore.Tensor3(np.ones(shape)), path)
+        code, text = dispatch([command, "--input", str(path)])
+        assert code == 1
+        assert text == f"error: {message}\n"
+
+
 class TestMalformedInput:
     # (file contents, or None for a directory; words the error must contain)
     CASES = {
@@ -341,6 +354,12 @@ class TestFlagTable:
         save_tensor(tau(make_start_frame(3, 3).W0, Format(3, 3)), path)
         return lambda argv: [str(path) if a == "TENSOR" else a for a in argv]
 
+    @pytest.mark.parametrize("command", ["solve", "certify", "experiment"])
+    def test_negative_seed_is_named(self, argv_of, command):
+        code, text = dispatch(argv_of(self.CASES[command][0]) + ["--seed", "-1"])
+        assert code == 1
+        assert text == "error: --seed must be nonnegative, got -1\n"
+
     @pytest.mark.parametrize("command", sorted(CASES))
     def test_params_echo_only_declared_flags(self, argv_of, command):
         argv, params, _ = self.CASES[command]
@@ -376,6 +395,12 @@ class TestOutputModes:
         assert exc.value.code == 0
         doc = json.loads(out.read_text())
         assert doc["result"]["alpha"] == 2
+
+    def test_unwritable_output_is_named(self, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        code, text = dispatch(["alpha", "--m", "3", "--n", "3", "--output", str(out)])
+        assert code == 1
+        assert text == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
     def test_plain_mode(self):
         code, text = dispatch(["alpha", "--m", "3", "--n", "3", "--format", "plain"])

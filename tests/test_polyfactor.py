@@ -59,6 +59,19 @@ class TestNegRoots:
         assert np.max(np.abs(coeffs - target)) < 1e-10
 
 
+class TestLeafOrder:
+    def test_matches_the_sorted_bit_reversal(self):
+        # the reference is the per-call formula the cached order replaces
+        for k in range(1, 65):
+            width = max(1, (k - 1).bit_length())
+            reference = sorted(range(k), key=lambda i: int(format(i, f"0{width}b")[::-1], 2))
+            assert polyfactor._leaf_order(k).tolist() == reference, k
+
+    def test_cached_order_is_read_only(self):
+        with pytest.raises(ValueError):
+            polyfactor._leaf_order(5)[0] = 1
+
+
 class TestRealDivisors:
     def test_quartic_quadratic_divisors(self):
         divs = real_divisors(4, 2)

@@ -5,7 +5,7 @@ import pytest
 
 from semitall import acceptance, polyfactor, solver, tensorcore
 from semitall.errors import CHART_ESCAPE, PATH_STALL, WARN_MULTIPLICITY, DegenerateStartError, ResourceLimitError
-from semitall.solver import SolveReport, TrackOptions, projectively_real, solve_all, start_solutions, track_path
+from semitall.solver import SolveReport, projectively_real, solve_all, start_solutions, track_path
 
 
 def perturbed_target(m, n, eps, seed):
@@ -111,8 +111,7 @@ class TestTrackPath:
     def test_identity_path_returns_start(self):
         frame = tensorcore.make_start_frame(3, 3)
         z0 = start_solutions(3, 3, seed=5)[0][0]
-        opts = TrackOptions(gamma=1.0 + 0.0j)
-        out = track_path(frame.Aprime, frame.Aprime, z0, opts)
+        out = track_path(frame.Aprime, frame.Aprime, z0, 1.0 + 0.0j)
         assert np.max(np.abs(out[:3] - z0[:3])) < 1e-8
         assert np.max(np.abs(out[3:] - z0[3:])) < 1e-8
         assert endpoint_residual(frame.Aprime, out, 3) < 1e-10
@@ -122,9 +121,8 @@ class TestTrackPath:
         rng = np.random.default_rng(6)
         c = rng.standard_normal(3)
         c /= np.linalg.norm(c)
-        opts = TrackOptions(gamma=complex(0.28, 0.96))
         for z0 in start_solutions(3, 3, c=c)[0]:
-            out = track_path(frame.Aprime, target, z0, opts, c=c)
+            out = track_path(frame.Aprime, target, z0, complex(0.28, 0.96), c=c)
             assert endpoint_residual(target, out, 3) < 1e-9
             # endpoint stays near its start for a small perturbation
             assert np.max(np.abs(out[:3] - z0[:3])) < 0.1
@@ -134,13 +132,16 @@ class TestTrackPath:
         other = tensorcore.make_start_frame(3, 4)
         z0 = start_solutions(3, 3, seed=1)[0][0]
         with pytest.raises(ValueError):
-            track_path(frame.Aprime, other.Aprime, z0, TrackOptions())
+            track_path(frame.Aprime, other.Aprime, z0, 1.0 + 0.0j)
 
     def test_gamma_required(self):
+        # gamma is a required argument, and the tracker refuses a zero one
         frame = tensorcore.make_start_frame(3, 3)
         z0 = start_solutions(3, 3, seed=1)[0][0]
-        with pytest.raises(ValueError):
-            track_path(frame.Aprime, frame.Aprime, z0, TrackOptions())
+        with pytest.raises(TypeError):
+            track_path(frame.Aprime, frame.Aprime, z0)
+        with pytest.raises(ValueError, match="gamma must be nonzero"):
+            track_path(frame.Aprime, frame.Aprime, z0, 0.0 + 0.0j)
 
 
 class TestLockstep:
@@ -186,13 +187,13 @@ class TestLockstep:
         c = solver._chart_vector(n, np.random.default_rng(28))
         z0 = start_solutions(m, n, c=c)[0]
         z0_bad = np.insert(z0, 3, 0.0, axis=0)
-        opts = TrackOptions(gamma=complex(0.6, -0.8))
 
         def run(z):
             d = np.zeros((len(z), m))
             d[:, -1] = 1.0
             charts = solver._charts(np.broadcast_to(c, (len(z), n)), d)
-            return solver._Lockstep(frame.Aprime.data, target.data, opts.gamma, opts.corrector_tol).run(z, charts, -1.0)
+            tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), solver.CORRECTOR_TOL)
+            return tracker.run(z, charts, -1.0)
 
         z_ref, failed_ref = run(z0)
         z_bad, failed_bad = run(z0_bad)
@@ -371,9 +372,8 @@ class TestSolveAll:
             assert report.complete
             frame = tensorcore.make_start_frame(m, n)
             starts = start_solutions(m, n, c=report.chart_b)[0]
-            opts = TrackOptions(gamma=report.gamma)
             for z, idx in zip(report.solutions, report.path_index):
-                alone = track_path(frame.Aprime, target, starts[idx], opts, c=report.chart_b)
+                alone = track_path(frame.Aprime, target, starts[idx], report.gamma, c=report.chart_b)
                 assert np.max(np.abs(alone[:m] - z[:m])) < 1e-10
                 assert np.max(np.abs(alone[m:] - z[m:])) < 1e-10
 
@@ -563,14 +563,23 @@ class TestRealFilter:
 
 
 class TestTrackOptions:
+    # the tracker's corrector_tol keyword, refused below the floor by both
+    # entry points, solve_all and track_path
+    @staticmethod
+    def _refuse(tol, match):
+        frame = tensorcore.make_start_frame(3, 3)
+        z0 = start_solutions(3, 3, seed=1)[0][0]
+        with pytest.raises(ValueError, match=match):
+            solve_all(frame.Aprime, corrector_tol=tol)
+        with pytest.raises(ValueError, match=match):
+            track_path(frame.Aprime, frame.Aprime, z0, 1.0 + 0.0j, corrector_tol=tol)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TrackOptions(corrector_tol=0.0)
+        self._refuse(0.0, "corrector_tol")
 
     @pytest.mark.parametrize("tol", [1e-15, 3e-16, 4.9e-15, math.nan])
     def test_tolerance_below_the_floor_is_refused(self, tol):
-        with pytest.raises(ValueError, match="corrector_tol must be at least 5e-15"):
-            TrackOptions(corrector_tol=tol)
+        self._refuse(tol, "corrector_tol must be at least 5e-15")
 
     def test_no_path_stalls_at_the_floor(self):
         # the floor is the smallest tolerance the corrector meets: at it,
@@ -579,7 +588,5 @@ class TestTrackOptions:
             for seed in range(5):
                 u = m + n - 2
                 B = tensorcore.Tensor3(np.random.default_rng((seed, m, n)).standard_normal((u, n, m)))
-                report = solve_all(B, TrackOptions(corrector_tol=solver.MIN_CORRECTOR_TOL), seed=seed)
+                report = solve_all(B, seed=seed, corrector_tol=solver.MIN_CORRECTOR_TOL)
                 assert PATH_STALL not in {f.reason for f in report.failures}, (m, n, seed)
-        with pytest.raises(ValueError):
-            TrackOptions(gamma=0.0 + 0.0j)
