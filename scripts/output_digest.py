@@ -46,6 +46,17 @@ COMMANDS = [
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
+def output(command: str) -> str:
+    """The output of one command, ``elapsed_s`` lines dropped."""
+    _, text = cli.dispatch(command.split())
+    return "".join(line for line in text.splitlines(keepends=True) if "elapsed_s" not in line)
+
+
+def digest(text: str) -> str:
+    """The first 16 hex digits of the sha256 of an output."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def run_all(out: str) -> list[str]:
     """Outputs of every command, ``elapsed_s`` lines dropped, each also
     written to ``out``."""
@@ -57,8 +68,7 @@ def run_all(out: str) -> list[str]:
         tensorcore.save_tensor(tensorcore.Tensor3(np.random.default_rng(3).standard_normal((3, 5, 3))), "t33.json")
         texts = []
         for k, command in enumerate(COMMANDS):
-            _, text = cli.dispatch(command.split())
-            text = "".join(line for line in text.splitlines(keepends=True) if "elapsed_s" not in line)
+            text = output(command)
             with open(f"{k:02d}.out", "w") as fh:
                 fh.write(text)
             texts.append(text)
@@ -97,7 +107,7 @@ def main() -> None:
     texts = run_all(out)
     print(f"# outputs in {out}")
     for k, (command, text) in enumerate(zip(COMMANDS, texts)):
-        line = f"{hashlib.sha256(text.encode()).hexdigest()[:16]}  {command}"
+        line = f"{digest(text)}  {command}"
         if args.against:
             with open(os.path.join(args.against, f"{k:02d}.out")) as fh:
                 line += f"  [{compare(fh.read(), text)}]"

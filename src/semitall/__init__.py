@@ -35,15 +35,14 @@ from .polyfactor import (
     neg_roots,
     real_divisors,
 )
-from .recurrence import ConditionReport, LambdaSeq, build_N, lambda_seq, rank_conditions
+from .recurrence import ConditionReport, build_N, lambda_seq, rank_conditions
 from .solver import SolveReport, solve_all, start_solutions, track_path
 from .tensorcore import (
-    FL1,
-    FL2,
     Format,
     StartFrame,
     Tensor3,
-    flatten,
+    fl1,
+    fl2,
     load_tensor,
     make_base_tensor,
     make_start_frame,
@@ -55,19 +54,18 @@ from .tensorcore import (
     sigma,
     span_dim,
     tau,
-    unflatten,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Format", "Tensor3", "StartFrame", "FL1", "FL2",
-    "flatten", "unflatten", "pencil_eval", "psi", "span_dim",
+    "Format", "Tensor3", "StartFrame",
+    "fl1", "fl2", "pencil_eval", "psi", "span_dim",
     "sigma", "tau", "mu", "nu",
     "make_base_tensor", "make_start_frame", "save_tensor", "load_tensor",
     "neg_roots", "divisor_coefficients", "conjugation_closed", "real_divisors", "divisor_points",
     "alpha_closed", "alpha_brute",
-    "LambdaSeq", "ConditionReport", "lambda_seq", "build_N", "rank_conditions",
+    "ConditionReport", "lambda_seq", "build_N", "rank_conditions",
     "SolveReport", "start_solutions", "track_path", "solve_all",
     "RankCertificate", "ExperimentStats",
     "certify", "perturb_experiment", "global_experiment",

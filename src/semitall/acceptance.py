@@ -65,7 +65,7 @@ def criterion_1_alpha_oracle():
     pairs = brute = guarded = 0
     for m in range(3, 17):
         for n in range(m, 17):
-            u, d = m + n - 2, m - 1
+            u, d = tensorcore.Format(m, n).u, m - 1
             closed = polyfactor.alpha_closed(m, n)
             generated = len(polyfactor.closed_selections(u, d))
             if closed != generated:
@@ -96,8 +96,7 @@ def criterion_2_alpha_case_list():
     computed = set()
     for m in range(3, 10):
         for n in range(m, 41):
-            p = (m - 1) * (n - 1) + 1
-            if polyfactor.alpha_closed(m, n) < p:
+            if polyfactor.alpha_closed(m, n) < tensorcore.Format(m, n).p:
                 computed.add((m, n))
     expected = {
         (m, n) for m in range(3, 10) for n in range(m, 41) if ALPHA_CASE_ROWS.get(m, lambda _: False)(n)
@@ -124,14 +123,14 @@ def criterion_3_classify_cases():
     """classify is PLURAL on the five known rows, UNKNOWN at (5,27), never SINGLE."""
     for m in range(3, 10):
         for n in range(m, 41):
-            v = classifier.classify(m, n, (m - 1) * (n - 1) + 1)
+            v = classifier.classify(m, n, tensorcore.Format(m, n).p)
             if v.kind == classifier.SINGLE:
                 return False, f"SINGLE issued at critical format ({m},{n})"
             in_rows = PLURAL_CASE_ROWS.get(m, lambda _: False)(n)
             if in_rows and v.kind != classifier.PLURAL:
                 return False, f"({m},{n}) expected PLURAL, got {v.kind} {v.reasons}"
     for m, n in [(5, 27), (5, 33), (6, 35), (7, 17), (7, 18), (8, 17)]:
-        v = classifier.classify(m, n, (m - 1) * (n - 1) + 1)
+        v = classifier.classify(m, n, tensorcore.Format(m, n).p)
         if v.kind != classifier.UNKNOWN:
             return False, f"({m},{n}) expected UNKNOWN, got {v.kind} {v.reasons}"
     v = classifier.classify(9, 10, 73)
@@ -146,23 +145,22 @@ CRITERION_4_FORMATS = [(3, 3), (3, 4), (3, 5), (4, 4), (4, 5), (5, 5)]
 def criterion_4_rank_equivalence():
     """Divisor points drop rank with all five conditions true; random points
     have full rank with all five false (100 per format)."""
-    rank_tol = 1e-8
     n_div = 0
     for m, n in CRITERION_4_FORMATS:
-        u = m + n - 2
+        u = tensorcore.Format(m, n).u
         for point in polyfactor.divisor_points(polyfactor.real_divisors(u, m - 1)):
-            rep = recurrence.rank_conditions(point[: m - 1], m, n, tol=rank_tol)
+            rep = recurrence.rank_conditions(point[: m - 1], m, n)
             ratio = rep.singular_values[-1] / rep.singular_values[0]
-            if not rep.all_true or ratio >= rank_tol:
-                return False, f"divisor point {point[: m - 1]} at ({m},{n}): flags {rep.flags()}, ratio {ratio:.2e}"
+            if not all(rep.flags) or ratio >= recurrence.RANK_TOL:
+                return False, f"divisor point {point[: m - 1]} at ({m},{n}): flags {rep.flags}, ratio {ratio:.2e}"
             n_div += 1
         rng = np.random.default_rng((404, m, n))
         for _ in range(100):
             a = rng.standard_normal(m - 1)
-            rep = recurrence.rank_conditions(a, m, n, tol=rank_tol)
+            rep = recurrence.rank_conditions(a, m, n)
             ratio = rep.singular_values[-1] / rep.singular_values[0]
-            if not rep.all_false or ratio < rank_tol:
-                return False, f"random point at ({m},{n}): flags {rep.flags()}, ratio {ratio:.2e}"
+            if any(rep.flags) or ratio < recurrence.RANK_TOL:
+                return False, f"random point at ({m},{n}): flags {rep.flags}, ratio {ratio:.2e}"
     return True, f"{n_div} divisor points and 600 random points consistent"
 
 
@@ -183,7 +181,7 @@ def criterion_5_round_trips():
         for n in range(m, 9):
             fmt = tensorcore.Format(m, n)
             frame = tensorcore.make_start_frame(m, n)
-            F1 = tensorcore.flatten(frame.Aprime, tensorcore.FL1)
+            F1 = tensorcore.fl1(frame.Aprime)
             if not np.array_equal(F1[:, fmt.p :], -np.eye(fmt.u)):
                 return False, f"trailing block not -E_u at ({m},{n})"
             if not np.array_equal(tensorcore.mu(frame.W0, fmt).data, frame.Aprime.data):
@@ -198,7 +196,7 @@ def criterion_6_start_systems():
     """Start systems: full path count, residuals < 1e-10, alpha real points."""
     details = []
     for m, n in CRITERION_6_FORMATS:
-        u = m + n - 2
+        u = tensorcore.Format(m, n).u
         z, residuals, real, _ = solver.start_solutions(m, n, seed=(606, m, n))
         expected = math.comb(u, m - 1)
         if len(z) != expected:
@@ -239,7 +237,8 @@ def criterion_7_homotopy_stability():
                 return False, f"({m},{n}) trial {trial}: endpoint separation {dist.min():.2e}"
             if report.real_count != alpha:
                 return False, f"({m},{n}) trial {trial}: real count {report.real_count} != {alpha}"
-    return True, f"80 targets, all {sum(math.comb(m + n - 2, m - 1) for m, n in CRITERION_7_FORMATS)} path counts conserved"
+    paths = sum(math.comb(tensorcore.Format(m, n).u, m - 1) for m, n in CRITERION_7_FORMATS)
+    return True, f"80 targets, all {paths} path counts conserved"
 
 
 def criterion_8_negative_control(span_tol: float = certifier.SPAN_TOL):

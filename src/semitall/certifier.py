@@ -71,11 +71,14 @@ class ExperimentStats:
 def certify(T: tensorcore.Tensor3, seed: object = 0, span_tol: float = SPAN_TOL) -> RankCertificate:
     """Certify whether the n x p x m tensor T has rank p or rank > p.
 
-    Raises ChartViolationError when T sits outside the sigma chart.  A
-    kernel of dimension >= 2 at any real solution poisons the span count
-    and forces INCONCLUSIVE, as does any path failure or, in a complete
-    solve, a broken conjugate closure (see ``_closure_notes``).
+    Raises ChartViolationError when T sits outside the sigma chart, and
+    ValueError for a span_tol that is not positive and finite or a seed
+    that ``solver.solve_all`` refuses.  A kernel of dimension >= 2 at any
+    real solution poisons the span count and forces INCONCLUSIVE, as does
+    any path failure or, in a complete solve, a broken conjugate closure
+    (see ``_closure_notes``).
     """
+    tensorcore.check_span_tol(span_tol)
     fmt = tensorcore.vspace_format(T)
     m, n = fmt.m, fmt.n
     Y = tensorcore.mu(tensorcore.sigma(T), fmt)

@@ -66,8 +66,7 @@ def classify(m: int, n: int, p: int) -> Verdict:
     plurality criteria are evaluated and all applicable reason codes are
     reported; mid-range p is out of scope and returns UNKNOWN.
     """
-    Format(m, n)  # raises ValueError outside 3 <= m <= n
-    p_crit = (m - 1) * (n - 1) + 1
+    p_crit = Format(m, n).p  # raises ValueError outside 3 <= m <= n
     if not p_crit <= p <= m * n:
         raise ValueError(f"p = {p} outside [{p_crit}, {m * n}]")
 
@@ -101,5 +100,5 @@ def theorem_table(m_max: int, n_max: int) -> list[Verdict]:
     rows = []
     for m in range(3, m_max + 1):
         for n in range(m, n_max + 1):
-            rows.append(classify(m, n, (m - 1) * (n - 1) + 1))
+            rows.append(classify(m, n, Format(m, n).p))
     return rows

@@ -69,9 +69,9 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _cmd_alpha(args: argparse.Namespace):
     """count the real monic degree-(m-1) divisors of y^(m+n-2)+1"""
+    fmt = tensorcore.Format(args.m, args.n)
     a = polyfactor.alpha_closed(args.m, args.n)
-    p = (args.m - 1) * (args.n - 1) + 1
-    return {"m": args.m, "n": args.n, "u": args.m + args.n - 2, "alpha": a, "p": p, "alpha_lt_p": a < p}, 0
+    return {"m": args.m, "n": args.n, "u": fmt.u, "alpha": a, "p": fmt.p, "alpha_lt_p": a < fmt.p}, 0
 
 
 def _cmd_divisors(args: argparse.Namespace):
@@ -85,7 +85,7 @@ def _cmd_divisors(args: argparse.Namespace):
 
 def _cmd_classify(args: argparse.Namespace):
     """typical-rank verdict for one format (p defaults to the critical value)"""
-    p = args.p if args.p is not None else (args.m - 1) * (args.n - 1) + 1
+    p = args.p if args.p is not None else tensorcore.Format(args.m, args.n).p
     v = classifier.classify(args.m, args.n, p)
     return _verdict_doc(v), 0
 

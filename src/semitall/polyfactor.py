@@ -142,8 +142,7 @@ def alpha_closed(m: int, n: int) -> int:
     and n (the pairing on root indices has a fixed point exactly when
     u = m+n-2 is odd, and closed subsets of odd size need one).
     """
-    Format(m, n)
-    u = m + n - 2
+    u = Format(m, n).u
     if m % 2 == 1 and n % 2 == 1:
         return math.comb(u // 2, (m - 1) // 2)
     if m % 2 == 0 and n % 2 == 1:
@@ -161,8 +160,7 @@ def alpha_brute(m: int, n: int) -> int:
     Raises ResourceLimitError when there are more than ``BRUTE_SUBSET_LIMIT``
     subsets.
     """
-    Format(m, n)
-    u, d = m + n - 2, m - 1
+    u, d = Format(m, n).u, m - 1
     total = math.comb(u, d)
     if total > BRUTE_SUBSET_LIMIT:
         raise ResourceLimitError(

@@ -25,56 +25,30 @@ from .tensorcore import Format
 RECURRENCE = "recurrence"
 DETERMINANT = "determinant"
 
-
-@dataclass
-class LambdaSeq:
-    """Values lambda_1..lambda_T for parameter vector a, 1-based access."""
-
-    a: np.ndarray
-    values: np.ndarray
-
-    def value(self, t: int) -> float:
-        if not 1 <= t <= len(self.values):
-            raise IndexError(f"lambda index {t} outside computed range 1..{len(self.values)}")
-        return float(self.values[t - 1])
+# Relative threshold of all five rank-deficiency tests.
+RANK_TOL = 1e-8
 
 
 @dataclass
 class ConditionReport:
-    """Outcome of the five equivalent rank-deficiency conditions.
+    """Outcome of the five equivalent rank-deficiency conditions, one flag
+    each in ``flags`` (conditions 1..5 of ``rank_conditions``).
 
-    Witness data: the m-1 maximal minors [i, m, ..., u] of N, the values
-    lambda_(u+1)..lambda_(u+m-1), and the remainder of y^u + 1 divided by h.
+    Witness data: the singular values of N, the m-1 maximal minors
+    [i, m, ..., u] of N, the values lambda_(u+1)..lambda_(u+m-1), and the
+    remainder of y^u + 1 divided by h.
     """
 
-    c1: bool
-    c2: bool
-    c3: bool
-    c4: bool
-    c5: bool
+    flags: tuple[bool, bool, bool, bool, bool]
     singular_values: np.ndarray
     minors: np.ndarray
     lambda_tail: np.ndarray
     remainder: np.ndarray
 
-    def flags(self) -> tuple[bool, bool, bool, bool, bool]:
-        return (self.c1, self.c2, self.c3, self.c4, self.c5)
 
-    @property
-    def all_agree(self) -> bool:
-        return len(set(self.flags())) == 1
-
-    @property
-    def all_true(self) -> bool:
-        return all(self.flags())
-
-    @property
-    def all_false(self) -> bool:
-        return not any(self.flags())
-
-
-def lambda_seq(a, T: int, mode: str = RECURRENCE) -> LambdaSeq:
-    """Compute lambda_1..lambda_T for parameters a = (a_1..a_(m-1)).
+def lambda_seq(a, T: int, mode: str = RECURRENCE) -> np.ndarray:
+    """Compute lambda_1..lambda_T for parameters a = (a_1..a_(m-1)) as a
+    float array whose entry t-1 is lambda_t.
 
     ``mode`` selects the linear recurrence or the direct banded-determinant
     evaluation.  Both run in exact rational arithmetic and round each value
@@ -104,7 +78,7 @@ def lambda_seq(a, T: int, mode: str = RECURRENCE) -> LambdaSeq:
         exact = [_lambda_det(A, D, t) for t in range(1, T + 1)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return LambdaSeq(a=a, values=np.array([_to_float(num, den) for num, den in exact]))
+    return np.array([_to_float(num, den) for num, den in exact])
 
 
 def _to_float(num: int, den: int) -> float:
@@ -177,8 +151,9 @@ def build_N(a_full, m: int, n: int) -> np.ndarray:
     return N
 
 
-def rank_conditions(a, m: int, n: int, tol: float = 1e-8) -> ConditionReport:
-    """Evaluate the five equivalent rank-deficiency conditions at (a, -1).
+def rank_conditions(a, m: int, n: int) -> ConditionReport:
+    """Evaluate the five equivalent rank-deficiency conditions at (a, -1),
+    each at the relative threshold ``RANK_TOL``.
 
     (1) N is column-rank deficient (relative singular-value test),
     (2) the m-1 maximal minors [i, m, m+1, ..., u] of N vanish,
@@ -189,16 +164,14 @@ def rank_conditions(a, m: int, n: int, tol: float = 1e-8) -> ConditionReport:
     The window in (4) suffices because lambda satisfies an order-(m-1)
     recurrence, so agreement there propagates to all t.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     a = np.asarray(a, dtype=float)
     if len(a) != m - 1:
         raise ValueError(f"expected m-1 = {m - 1} parameters, got {len(a)}")
-    u = m + n - 2
+    u = Format(m, n).u
     N = build_N(np.append(a, -1.0), m, n)
 
     svals = np.linalg.svd(N, compute_uv=False)
-    c1 = bool(svals[-1] < tol * svals[0])
+    c1 = bool(svals[-1] < RANK_TOL * svals[0])
 
     minors = np.empty(m - 1)
     minor_ok = []
@@ -208,16 +181,16 @@ def rank_conditions(a, m: int, n: int, tol: float = 1e-8) -> ConditionReport:
         det = float(np.linalg.det(sub))
         minors[i - 1] = det
         hadamard = float(np.prod(np.linalg.norm(sub, axis=1)))
-        minor_ok.append(abs(det) < tol * max(1.0, hadamard))
+        minor_ok.append(abs(det) < RANK_TOL * max(1.0, hadamard))
     c2 = bool(all(minor_ok))
 
-    lam = lambda_seq(a, u + 2 * (m - 1)).values
+    lam = lambda_seq(a, u + 2 * (m - 1))
     lscale = max(1.0, float(np.max(np.abs(lam))))
     c3 = bool(
-        all(abs(lam[u + t - 1]) < tol * lscale for t in range(1, m - 1))
-        and abs(lam[u + m - 2] + 1.0) < tol * lscale
+        all(abs(lam[u + t - 1]) < RANK_TOL * lscale for t in range(1, m - 1))
+        and abs(lam[u + m - 2] + 1.0) < RANK_TOL * lscale
     )
-    c4 = bool(all(abs(lam[u + t - 1] + lam[t - 1]) < tol * lscale for t in range(1, 2 * m - 1)))
+    c4 = bool(all(abs(lam[u + t - 1] + lam[t - 1]) < RANK_TOL * lscale for t in range(1, 2 * m - 1)))
 
     target = np.zeros(u + 1)
     target[0] = 1.0
@@ -225,14 +198,10 @@ def rank_conditions(a, m: int, n: int, tol: float = 1e-8) -> ConditionReport:
     h = np.concatenate([-a, [1.0]])
     quo, rem = npoly.polydiv(target, h)
     qscale = max(1.0, float(np.max(np.abs(quo))))
-    c5 = bool(np.max(np.abs(rem)) < tol * qscale)
+    c5 = bool(np.max(np.abs(rem)) < RANK_TOL * qscale)
 
     return ConditionReport(
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        c4=c4,
-        c5=c5,
+        flags=(c1, c2, c3, c4, c5),
         singular_values=svals,
         minors=minors,
         lambda_tail=lam[u : u + m - 1].copy(),

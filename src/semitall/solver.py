@@ -199,6 +199,7 @@ def start_solutions(m: int, n: int, c: np.ndarray | None = None, seed: object = 
     (c drawn from ``seed`` when not given), their residuals at A', their
     reality flags and the divisor index subset of each row.  Exactly the
     conjugation-closed subsets are flagged real."""
+    _seed_entropy(seed)
     frame, a_rows, kernels, real, subsets = _start_system(m, n)
     if c is None:
         c = _chart_vector(n, np.random.default_rng(seed))
@@ -449,18 +450,16 @@ def _aligned(v: np.ndarray) -> np.ndarray:
     return v / top
 
 
-def projectively_real(a: np.ndarray, b: np.ndarray, tol: float) -> bool | np.ndarray:
-    """Whether (a, b) is real as a pair of projective points; for stacks of
-    rows a (P, m) and b (P, n), one flag per row.
+def projectively_real(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each row pair (a, b) of the stacks a (P, m) and b (P, n) is
+    real as a pair of projective points, one flag per row.
 
     Each vector is first rescaled by its entry of largest modulus (phase
     alignment); conjugate pairs are accepted or rejected together by
     symmetry.
     """
-    a, b = np.asarray(a), np.asarray(b)
     imag = np.maximum(np.abs(_aligned(a).imag).max(axis=-1), np.abs(_aligned(b).imag).max(axis=-1))
-    real = imag < tol
-    return bool(real) if real.ndim == 0 else real
+    return imag < tol
 
 
 def close_pairs(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -506,8 +505,10 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0, corrector_tol: float = CO
     the later path is recorded as a WARN_MULTIPLICITY failure rather than
     merged silently.  Paths hitting infinity are retried once, together,
     each on its own random complex chart on a.  Determinism: the seed fixes
-    gamma and the charts, and with them every path.
+    gamma and the charts, and with them every path; it is a nonnegative
+    integer or a tuple or list of them (``_seed_entropy``).
     """
+    entropy = _seed_entropy(seed)
     fmt = tensorcore.kernel_format(B)
     m, n = fmt.m, fmt.n
     bad = np.count_nonzero(~np.isfinite(B.data))
@@ -531,7 +532,7 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0, corrector_tol: float = CO
     # complex a-chart d . a = 1
     retry = np.array(sorted(set(failed) - set(errors)), dtype=int)
     if retry.size:
-        d = np.array([_retry_chart(seed, int(idx), m) for idx in retry])
+        d = np.array([_retry_chart(entropy, int(idx), m) for idx in retry])
         a_r = a0[retry] / np.sum(d * a0[retry], axis=1, keepdims=True)
         z_r, failed_r = tracker.run(np.concatenate([a_r, b0[retry]], axis=1), _charts(cs[retry], d), 1.0)
         for row, idx in enumerate(retry):
@@ -576,18 +577,25 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0, corrector_tol: float = CO
     )
 
 
-def _retry_chart(seed: object, idx: int, m: int) -> np.ndarray:
-    rng = np.random.default_rng((_seed_entropy(seed), 7919, idx))
+def _retry_chart(entropy: int, idx: int, m: int) -> np.ndarray:
+    rng = np.random.default_rng((entropy, 7919, idx))
     d = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return d / np.linalg.norm(d)
 
 
 def _seed_entropy(seed: object) -> int:
-    if isinstance(seed, (int, np.integer)):
+    """Fold a seed into one nonnegative integer.  A seed is a nonnegative
+    integer (numpy integers too) or a tuple or list of them; anything else
+    raises ValueError naming it."""
+
+    def whole(x):
+        return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
+
+    if whole(seed):
         return int(seed)
-    if isinstance(seed, (tuple, list)):
+    if isinstance(seed, (tuple, list)) and all(map(whole, seed)):
         acc = 0
         for part in seed:
             acc = (acc * 1000003 + int(part)) % (2**63)
         return acc
-    return 0
+    raise ValueError(f"seed must be a nonnegative integer or a tuple or list of them, got {seed!r}")

@@ -30,9 +30,6 @@ import numpy as np
 from . import jsonio
 from .errors import ChartViolationError
 
-FL1 = "fl1"
-FL2 = "fl2"
-
 # Chart inversions refuse blocks with condition number beyond this.
 COND_LIMIT = 1e12
 
@@ -78,22 +75,10 @@ class Tensor3:
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    @property
-    def nslices(self) -> int:
-        return self.data.shape[2]
-
-    def slice(self, k: int) -> np.ndarray:
-        return self.data[:, :, k]
-
-    @property
-    def slices(self) -> list[np.ndarray]:
-        return [self.data[:, :, k] for k in range(self.nslices)]
-
 
 @dataclass(frozen=True, eq=False)
 class StartFrame:
-    """The permuted/reordered copy A' of the base tensor A, the row
-    permutation perm (A' = A''[perm]), and W0.
+    """The reordered, row-permuted copy A' of the base tensor, and W0.
 
     Invariants (exact integer equalities, verified on construction): the
     last u columns of fl1(Aprime) equal -E_u, W0 is the leading p-column
@@ -102,39 +87,26 @@ class StartFrame:
 
     Aprime: Tensor3
     W0: np.ndarray
-    perm: tuple[int, ...]
 
 
-def flatten(T: Tensor3, mode: str) -> np.ndarray:
-    """fl1 (horizontal slice concatenation) or fl2 (vertical slice stack)."""
-    if mode == FL1:
-        return np.hstack(T.slices)
-    if mode == FL2:
-        return np.vstack(T.slices)
-    raise ValueError(f"unknown flattening mode {mode!r}")
+def fl1(T: Tensor3) -> np.ndarray:
+    """Horizontal flattening: the slices left to right, d1 x d2*d3."""
+    d1, d2, d3 = T.shape
+    return T.data.transpose(0, 2, 1).reshape(d1, d3 * d2)
 
 
-def unflatten(M: np.ndarray, shape: tuple[int, int, int], mode: str) -> Tensor3:
-    """Inverse of ``flatten`` for the stated target shape."""
-    d1, d2, d3 = shape
-    M = np.asarray(M, dtype=float)
-    if mode == FL1:
-        if M.shape != (d1, d2 * d3):
-            raise ValueError(f"fl1 matrix shape {M.shape} does not match {shape}")
-        return Tensor3(M.reshape(d1, d3, d2).transpose(0, 2, 1))
-    if mode == FL2:
-        if M.shape != (d1 * d3, d2):
-            raise ValueError(f"fl2 matrix shape {M.shape} does not match {shape}")
-        return Tensor3(M.reshape(d3, d1, d2).transpose(1, 2, 0))
-    raise ValueError(f"unknown flattening mode {mode!r}")
+def fl2(T: Tensor3) -> np.ndarray:
+    """Vertical flattening: the slices top to bottom, d1*d3 x d2."""
+    d1, d2, d3 = T.shape
+    return T.data.transpose(2, 0, 1).reshape(d3 * d1, d2)
 
 
 def pencil_eval(x, B: Tensor3) -> np.ndarray:
     """Linear slice pencil x_1 B_1 + ... + x_m B_m; x may be complex, or a
     stack of coefficient vectors (P, m), giving the stack of P pencils."""
     x = np.asarray(x)
-    if x.shape[-1:] != (B.nslices,) or x.ndim > 2:
-        raise ValueError(f"coefficient vector shape {x.shape} does not match {B.nslices} slices")
+    if x.shape[-1:] != B.shape[2:] or x.ndim > 2:
+        raise ValueError(f"coefficient vector shape {x.shape} does not match {B.shape[2]} slices")
     return (B.data @ x[..., None, :, None])[..., 0]
 
 
@@ -152,18 +124,22 @@ def psi(a, b, fmt: Format) -> np.ndarray:
     return (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], fmt.m * fmt.n)[..., : fmt.p]
 
 
-def span_dim(vectors, tol: float) -> int:
-    """Numerical rank of the span of the given vectors.
+def check_span_tol(tol: float) -> None:
+    """Refuse a span tolerance that is not positive and finite: NaN or inf
+    would count no singular value and read as a span of dimension 0."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"span_tol must be positive and finite, got {tol:g}")
+
+
+def span_dim(rows: np.ndarray, tol: float) -> int:
+    """Numerical rank of the span of the rows of a (k, p) matrix.
 
     Counts singular values above tol times the largest one.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    vecs = list(vectors)
-    if not vecs:
+    check_span_tol(tol)
+    if not len(rows):
         return 0
-    M = np.column_stack(vecs)
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(rows.T, compute_uv=False)
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
@@ -202,38 +178,38 @@ def sigma(T: Tensor3) -> np.ndarray:
     """Chart coordinate of an n x p x m tensor: bottom block of fl2 times
     the inverse of its leading p x p block."""
     fmt = vspace_format(T)
-    F2 = flatten(T, FL2)
+    F2 = fl2(T)
     top = F2[: fmt.p]
     bottom = F2[fmt.p :]
     return _guarded_solve(top.T, bottom.T, "leading fl2").T
 
 
 def tau(W: np.ndarray, fmt: Format) -> Tensor3:
-    """Tensor in the sigma chart with coordinate W: unflatten (E_p; W)."""
+    """Tensor in the sigma chart with coordinate W: fl2 of it is (E_p; W)."""
     W = np.asarray(W, dtype=float)
     if W.shape != (fmt.u, fmt.p):
         raise ValueError(f"expected a {fmt.u} x {fmt.p} matrix, got {W.shape}")
     stacked = np.vstack([np.eye(fmt.p), W])
-    return unflatten(stacked, (fmt.n, fmt.p, fmt.m), FL2)
+    return Tensor3(stacked.reshape(fmt.m, fmt.n, fmt.p).transpose(1, 2, 0))
 
 
 def nu(Y: Tensor3) -> np.ndarray:
     """Chart coordinate of a u x n x m tensor: minus the inverse of the
     trailing u x u block of fl1 times the leading p columns."""
     fmt = kernel_format(Y)
-    F1 = flatten(Y, FL1)
+    F1 = fl1(Y)
     trailing = F1[:, fmt.p :]
     leading = F1[:, : fmt.p]
     return -_guarded_solve(trailing, leading, "trailing fl1")
 
 
 def mu(W: np.ndarray, fmt: Format) -> Tensor3:
-    """Kernel-side tensor with coordinate W: unflatten (W, -E_u)."""
+    """Kernel-side tensor with coordinate W: fl1 of it is (W, -E_u)."""
     W = np.asarray(W, dtype=float)
     if W.shape != (fmt.u, fmt.p):
         raise ValueError(f"expected a {fmt.u} x {fmt.p} matrix, got {W.shape}")
     M = np.hstack([W, -np.eye(fmt.u)])
-    return unflatten(M, (fmt.u, fmt.n, fmt.m), FL1)
+    return Tensor3(M.reshape(fmt.u, fmt.m, fmt.n).transpose(0, 2, 1))
 
 
 # -- base tensor and start frame --------------------------------------------
@@ -268,25 +244,22 @@ def slice_reorder(m: int) -> list[tuple[int, float]]:
 
 
 def make_start_frame(m: int, n: int) -> StartFrame:
-    """Build the start frame: A, the reordered A'', the row permutation
-    perm with trailing-block identity, A' = A''[perm], and W0.
+    """Build the start frame: the base tensor A with its slices reordered
+    by ``slice_reorder`` (A''), then its rows permuted by the closed-form
+    block swap that moves rows n+1..u to the front (A'), and W0.
 
-    perm is the closed-form block swap (rows n+1..u to the front); the
-    trailing fl1 block of A' is then verified to be exactly -E_u.
+    The trailing fl1 block of A' is verified to be exactly -E_u.
     """
     fmt = Format(m, n)
     u, p = fmt.u, fmt.p
-    A = make_base_tensor(m, n)
-    order = slice_reorder(m)
-    App = Tensor3(np.stack([sign * A.slice(src) for (src, sign) in order], axis=2))
-    perm = list(range(n, u)) + list(range(n))
-
-    Aprime = Tensor3(App.data[perm, :, :])
-    F1 = flatten(Aprime, FL1)
+    A = make_base_tensor(m, n).data
+    App = np.stack([sign * A[:, :, src] for (src, sign) in slice_reorder(m)], axis=2)
+    Aprime = Tensor3(App[list(range(n, u)) + list(range(n))])
+    F1 = fl1(Aprime)
     if not np.array_equal(F1[:, p:], -np.eye(u)):
         raise RuntimeError("trailing block of the permuted start tensor is not -E_u")
     W0 = F1[:, :p].copy()
-    return StartFrame(Aprime=Aprime, W0=W0, perm=tuple(perm))
+    return StartFrame(Aprime=Aprime, W0=W0)
 
 
 def random_rank_sum(fmt: Format, r: int, rng: np.random.Generator) -> Tensor3:

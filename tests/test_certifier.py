@@ -13,7 +13,16 @@ from semitall.certifier import (
     perturb_experiment,
 )
 from semitall.errors import ChartViolationError
-from semitall.tensorcore import FL2, Format, Tensor3, make_start_frame, random_rank_sum, tau, unflatten
+from semitall.tensorcore import Format, Tensor3, make_start_frame, random_rank_sum, tau
+
+# seeds outside the documented types: a nonnegative integer, or a tuple or
+# list of them
+BAD_SEEDS = [None, 1.5, "x", -1, True, (1, -2), (1, 2.5), [None]]
+BAD_SPAN_TOLS = [np.nan, np.inf, -np.inf, 0.0]
+
+
+def _refuse_solving(*args, **kwargs):
+    raise AssertionError("solve_all called")
 
 
 class TestCertify:
@@ -38,10 +47,31 @@ class TestCertify:
 
     def test_chart_violation_refused(self):
         fmt = Format(3, 3)
-        stacked = np.vstack([np.zeros((fmt.p, fmt.p)), np.ones((fmt.u, fmt.p))])
-        T = unflatten(stacked, (fmt.n, fmt.p, fmt.m), FL2)
+        T = Tensor3(np.zeros((fmt.n, fmt.p, fmt.m)))
+        T.data[:, :, 1:] = 1.0  # the leading p x p block of fl2 has rank 1
         with pytest.raises(ChartViolationError):
             certify(T)
+
+    @pytest.mark.parametrize("span_tol", BAD_SPAN_TOLS)
+    def test_span_tol_refused_before_solving(self, span_tol, monkeypatch):
+        # NaN or inf keeps no singular value: this rank-p tensor would read
+        # RANK_GT_P with dim_u 0
+        T = random_rank_sum(Format(3, 3), 5, np.random.default_rng(0))
+        monkeypatch.setattr(solver, "solve_all", _refuse_solving)
+        with pytest.raises(ValueError, match="span_tol must be positive and finite"):
+            certify(T, seed=0, span_tol=span_tol)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_seed_outside_documented_types_refused(self, seed):
+        T = random_rank_sum(Format(3, 3), 5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer .*, got "):
+            certify(T, seed=seed)
+
+    def test_numpy_integer_seed_is_that_seed(self):
+        T = random_rank_sum(Format(3, 3), 5, np.random.default_rng(0))
+        ref, cert = certify(T, seed=3), certify(T, seed=np.int64(3))
+        assert np.array_equal(ref.psi_matrix, cert.psi_matrix)
+        assert (ref.verdict, ref.dim_u) == (cert.verdict, cert.dim_u) == (RANK_P, 5)
 
     def test_wrong_p_rejected(self):
         with pytest.raises(ValueError):
@@ -120,6 +150,16 @@ class TestPerturbExperiment:
         with pytest.raises(ValueError):
             perturb_experiment(Format(3, 3), eps=1e-3, trials=-1)
 
+    @pytest.mark.parametrize("span_tol", BAD_SPAN_TOLS)
+    def test_span_tol_refused(self, span_tol):
+        with pytest.raises(ValueError, match="span_tol must be positive and finite"):
+            perturb_experiment(Format(3, 3), eps=1e-3, trials=2, seed=0, span_tol=span_tol)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_seed_outside_documented_types_refused(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer"):
+            perturb_experiment(Format(3, 3), eps=1e-3, trials=2, seed=seed)
+
 
 class TestGlobalExperiment:
     def test_both_verdicts_at_3_3(self):
@@ -141,6 +181,23 @@ class TestGlobalExperiment:
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError):
             global_experiment(Format(3, 3), trials=-2, seed=36)
+
+    @pytest.mark.parametrize("span_tol", BAD_SPAN_TOLS)
+    def test_span_tol_refused(self, span_tol):
+        # with NaN every trial would tally as RANK_GT_P
+        with pytest.raises(ValueError, match="span_tol must be positive and finite"):
+            global_experiment(Format(3, 3), trials=2, seed=0, span_tol=span_tol)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_seed_outside_documented_types_refused(self, seed):
+        # None and "x" must not run as seed 0
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer"):
+            global_experiment(Format(3, 3), trials=2, seed=seed)
+
+    def test_numpy_integer_and_list_seeds(self):
+        fmt = Format(3, 3)
+        assert global_experiment(fmt, trials=3, seed=np.int64(37)).counts == global_experiment(fmt, 3, seed=37).counts
+        assert global_experiment(fmt, trials=3, seed=[37, 1]).counts == global_experiment(fmt, 3, seed=(37, 1)).counts
 
     def test_determinism(self):
         fmt = Format(3, 3)

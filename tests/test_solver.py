@@ -80,6 +80,12 @@ class TestStartSolutions:
         with pytest.raises(DegenerateStartError, match=r"^chart vector nearly orthogonal to the kernel at \(0, 1\)$"):
             start_solutions(3, 3, c=c)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, "x"], ids=repr)
+    def test_seed_outside_documented_types_refused(self, seed):
+        # None would draw a fresh chart vector on every call
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer"):
+            start_solutions(3, 3, seed=seed)
+
     def test_chart_conventions(self):
         z, _, _, subsets = start_solutions(3, 4, seed=3)
         assert len(subsets) == len(z)
@@ -89,8 +95,7 @@ class TestStartSolutions:
 
     def test_real_flags_match_numeric_filter(self):
         z, _, real, _ = start_solutions(4, 5, seed=4)
-        for row, flag in zip(z, real):
-            assert projectively_real(row[:4], row[4:], 1e-8) == flag
+        assert np.array_equal(projectively_real(z[:, :4], z[:, 4:], 1e-8), real)
 
     def test_mutating_a_start_solution_leaves_the_next_call(self):
         first = start_solutions(3, 4, seed=3)
@@ -307,6 +312,21 @@ class TestLockstep:
 
 
 class TestSolveAll:
+    @pytest.mark.parametrize("seed", [None, 1.5, "x", -1, True, (1, -2), [2, None]], ids=repr)
+    def test_seed_outside_documented_types_refused(self, seed):
+        # None would draw fresh entropy for gamma and the charts on every call
+        frame = tensorcore.make_start_frame(3, 3)
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer or a tuple or list of them, got "):
+            solve_all(frame.Aprime, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint8(7), (1, 2), [1, 2], (np.int32(1), 2), ()], ids=repr)
+    def test_documented_seeds_reach_the_generator_unchanged(self, seed):
+        _, target = perturbed_target(3, 3, 1e-2, seed=10)
+        report = solve_all(target, seed=seed)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(report.chart_b, solver._chart_vector(3, rng))
+        assert report.gamma == solver._sample_gamma(rng)
+
     def test_recovers_start_system(self):
         frame = tensorcore.make_start_frame(3, 3)
         report = solve_all(frame.Aprime, seed=7)
@@ -543,7 +563,7 @@ def _align(v):
 class TestRealFilter:
     def test_start_solutions_3_3(self):
         z = start_solutions(3, 3, seed=16)[0]
-        assert sum(projectively_real(s[:3], s[3:], 1e-8) for s in z) == 2
+        assert np.count_nonzero(projectively_real(z[:, :3], z[:, 3:], 1e-8)) == 2
 
     def test_conjugate_pair_symmetric(self):
         z, _, real, _ = start_solutions(3, 3, seed=17)
@@ -557,9 +577,9 @@ class TestRealFilter:
             assert len(partner) == 1
 
     def test_purely_real_accepted_at_any_tol(self):
-        a = np.array([0.5 + 0j, -0.5 + 0j, -1.0 + 0j])
-        b = np.array([1.0 + 0j, 2.0 + 0j, 3.0 + 0j])
-        assert projectively_real(a, b, 1e-300)
+        a = np.array([[0.5 + 0j, -0.5 + 0j, -1.0 + 0j]])
+        b = np.array([[1.0 + 0j, 2.0 + 0j, 3.0 + 0j]])
+        assert np.array_equal(projectively_real(a, b, 1e-300), [True])
 
 
 class TestTrackOptions:

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from semitall import tensorcore
 from semitall.errors import ChartViolationError
 from semitall.tensorcore import (
-    FL1,
-    FL2,
     Format,
     Tensor3,
-    flatten,
+    fl1,
+    fl2,
     load_tensor,
     make_base_tensor,
     make_start_frame,
@@ -22,7 +21,6 @@ from semitall.tensorcore import (
     sigma,
     span_dim,
     tau,
-    unflatten,
 )
 
 small_dims = st.integers(1, 4)
@@ -50,41 +48,39 @@ class TestFlatten:
         data = np.zeros((2, 2, 2))
         data[:, :, 0] = np.eye(2)
         T = Tensor3(data)
-        assert np.array_equal(flatten(T, FL1), np.hstack([np.eye(2), np.zeros((2, 2))]))
+        assert np.array_equal(fl1(T), np.hstack([np.eye(2), np.zeros((2, 2))]))
 
     def test_rank_one_tensor_flattens_to_rank_one(self):
         rng = np.random.default_rng(0)
         x, y, z = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(5)
         T = Tensor3(np.einsum("i,j,k->ijk", x, y, z))
-        assert np.linalg.matrix_rank(flatten(T, FL1)) == 1
-        assert np.linalg.matrix_rank(flatten(T, FL2)) == 1
+        assert np.linalg.matrix_rank(fl1(T)) == 1
+        assert np.linalg.matrix_rank(fl2(T)) == 1
 
     def test_base_tensor_fl1_blocks(self):
         T = make_base_tensor(3, 3)
-        F1 = flatten(T, FL1)
+        F1 = fl1(T)
         assert F1.shape == (4, 9)
         for k in range(3):
-            assert np.array_equal(F1[:, 3 * k : 3 * (k + 1)], T.slice(k))
+            assert np.array_equal(F1[:, 3 * k : 3 * (k + 1)], T.data[:, :, k])
 
     @given(small_dims, small_dims, small_dims, st.randoms(use_true_random=False))
     def test_round_trip_both_modes(self, d1, d2, d3, rnd):
+        # entry (i, j, k) sits at fl1[i, k*d2 + j] and at fl2[k*d1 + i, j]:
+        # each flattening places every entry once, so it inverts
         rng = np.random.default_rng(rnd.randrange(2**31))
         T = Tensor3(rng.standard_normal((d1, d2, d3)))
-        for mode in (FL1, FL2):
-            back = unflatten(flatten(T, mode), (d1, d2, d3), mode)
-            assert np.array_equal(back.data, T.data)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            unflatten(np.zeros((2, 5)), (2, 2, 2), FL1)
-        with pytest.raises(ValueError):
-            flatten(Tensor3(np.zeros((2, 2, 2))), "fl3")
+        F1, F2 = fl1(T), fl2(T)
+        assert F1.shape == (d1, d2 * d3) and F2.shape == (d1 * d3, d2)
+        for i, j, k in np.ndindex(d1, d2, d3):
+            assert F1[i, k * d2 + j] == T.data[i, j, k]
+            assert F2[k * d1 + i, j] == T.data[i, j, k]
 
 
 class TestBaseTensor:
     def test_3_3_slices(self):
         T = make_base_tensor(3, 3)
-        A1, A2, A3 = T.slices
+        A1, A2, A3 = np.moveaxis(T.data, 2, 0)
         assert np.array_equal(A1, np.vstack([np.eye(3), np.zeros((1, 3))]))
         assert np.array_equal(A2, np.vstack([np.zeros((1, 3)), np.eye(3)]))
         expected = np.zeros((4, 3))
@@ -102,29 +98,32 @@ class TestBaseTensor:
         T = make_base_tensor(m, n)
         assert set(np.unique(T.data)) <= {-1.0, 0.0, 1.0}
         for k in range(m - 1):
-            assert np.count_nonzero(T.slice(k)) == n
+            assert np.count_nonzero(T.data[:, :, k]) == n
 
 
 class TestStartFrame:
     def test_3_3_reordering(self):
         frame = make_start_frame(3, 3)
-        A = make_base_tensor(3, 3)
-        assert np.array_equal(frame.Aprime.data[:, :, 0], A.slice(2)[list(frame.perm)])
-        assert np.array_equal(frame.Aprime.data[:, :, 1], -A.slice(1)[list(frame.perm)])
-        assert np.array_equal(frame.Aprime.data[:, :, 2], -A.slice(0)[list(frame.perm)])
+        A = make_base_tensor(3, 3).data
+        swap = [3, 0, 1, 2]  # rows n+1..u to the front
+        assert np.array_equal(frame.Aprime.data[:, :, 0], A[swap, :, 2])
+        assert np.array_equal(frame.Aprime.data[:, :, 1], -A[swap, :, 1])
+        assert np.array_equal(frame.Aprime.data[:, :, 2], -A[swap, :, 0])
 
     def test_4_4_block_swap(self):
         frame = make_start_frame(4, 4)
-        assert frame.perm == (4, 5, 0, 1, 2, 3)
+        assert np.array_equal(frame.Aprime.data, reordered(4, 4)[[4, 5, 0, 1, 2, 3]])
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_trailing_identity_exact(self, m):
         for n in range(m, 9):
             fmt = Format(m, n)
             frame = make_start_frame(m, n)
-            F1 = flatten(frame.Aprime, FL1)
+            F1 = fl1(frame.Aprime)
             assert np.array_equal(F1[:, fmt.p :], -np.eye(fmt.u))
-            assert np.array_equal(flatten_trailing(m, n)[list(frame.perm)], -np.eye(fmt.u))
+            swap = list(range(n, fmt.u)) + list(range(n))
+            trailing = fl1(Tensor3(reordered(m, n)))[:, fmt.p :]
+            assert np.array_equal(trailing[swap], -np.eye(fmt.u))
 
     def test_w0_reproduces_aprime(self):
         fmt = Format(4, 5)
@@ -142,17 +141,15 @@ class TestStartFrame:
         for j, (src, sign) in enumerate(order):
             xprime[j] = sign * x[src]
         left = pencil_eval(xprime, frame.Aprime)
-        right = pencil_eval(x, make_base_tensor(m, n))[list(frame.perm)]
+        swap = list(range(n, Format(m, n).u)) + list(range(n))
+        right = pencil_eval(x, make_base_tensor(m, n))[swap]
         assert np.allclose(left, right)
 
 
-def flatten_trailing(m, n):
-    # trailing fl1 block of the reordered-but-unpermuted tensor
-    fmt = Format(m, n)
-    A = make_base_tensor(m, n)
-    order = tensorcore.slice_reorder(m)
-    App = Tensor3(np.stack([s * A.slice(src) for (src, s) in order], axis=2))
-    return flatten(App, FL1)[:, fmt.p :]
+def reordered(m, n):
+    # the base tensor with its slices reordered, rows not yet permuted
+    A = make_base_tensor(m, n).data
+    return np.stack([s * A[:, :, src] for (src, s) in tensorcore.slice_reorder(m)], axis=2)
 
 
 class TestTransferMaps:
@@ -168,28 +165,28 @@ class TestTransferMaps:
     def test_tau_of_zero(self):
         fmt = Format(3, 3)
         T = tau(np.zeros((fmt.u, fmt.p)), fmt)
-        F2 = flatten(T, FL2)
+        F2 = fl2(T)
         assert np.array_equal(F2[: fmt.p], np.eye(fmt.p))
         assert np.array_equal(F2[fmt.p :], np.zeros((fmt.u, fmt.p)))
 
     def test_mu_of_zero(self):
         fmt = Format(3, 3)
         Y = mu(np.zeros((fmt.u, fmt.p)), fmt)
-        F1 = flatten(Y, FL1)
+        F1 = fl1(Y)
         assert np.array_equal(F1[:, : fmt.p], np.zeros((fmt.u, fmt.p)))
         assert np.array_equal(F1[:, fmt.p :], -np.eye(fmt.u))
 
     def test_sigma_chart_violation(self):
         fmt = Format(3, 3)
-        stacked = np.vstack([np.zeros((fmt.p, fmt.p)), np.ones((fmt.u, fmt.p))])
-        T = unflatten(stacked, (fmt.n, fmt.p, fmt.m), FL2)
+        T = Tensor3(np.zeros((fmt.n, fmt.p, fmt.m)))
+        T.data[:, :, 1:] = 1.0  # the leading p x p block of fl2 has rank 1
         with pytest.raises(ChartViolationError):
             sigma(T)
 
     def test_nu_chart_violation(self):
         fmt = Format(3, 3)
-        M = np.hstack([np.ones((fmt.u, fmt.p)), np.zeros((fmt.u, fmt.u))])
-        Y = unflatten(M, (fmt.u, fmt.n, fmt.m), FL1)
+        Y = Tensor3(np.ones((fmt.u, fmt.n, fmt.m)))
+        Y.data[:, 1:, 2] = 0.0  # the trailing u x u block of fl1 has rank 1
         with pytest.raises(ChartViolationError):
             nu(Y)
 
@@ -207,7 +204,7 @@ class TestPencil:
         for k in range(3):
             e = np.zeros(3)
             e[k] = 1.0
-            assert np.array_equal(pencil_eval(e, B), B.slice(k))
+            assert np.array_equal(pencil_eval(e, B), B.data[:, :, k])
 
     def test_zero_gives_zero(self):
         B = make_base_tensor(3, 3)
@@ -289,26 +286,31 @@ class TestSpanDim:
     def test_two_unit_vectors(self):
         e1, e2 = np.zeros(5), np.zeros(5)
         e1[0] = e2[1] = 1.0
-        assert span_dim([e1, e2], 1e-8) == 2
+        assert span_dim(np.array([e1, e2]), 1e-8) == 2
 
     def test_parallel_vectors(self):
         v = np.arange(1.0, 6.0)
-        assert span_dim([v, 2 * v], 1e-8) == 1
+        assert span_dim(np.array([v, 2 * v]), 1e-8) == 1
 
     def test_random_full_span(self):
         rng = np.random.default_rng(3)
-        vecs = [rng.standard_normal(5) for _ in range(5)]
-        assert span_dim(vecs, 1e-8) == 5
+        assert span_dim(rng.standard_normal((5, 5)), 1e-8) == 5
 
     def test_empty(self):
-        assert span_dim([], 1e-8) == 0
+        assert span_dim(np.zeros((0, 5)), 1e-8) == 0
 
     def test_zero_vector_only(self):
-        assert span_dim([np.zeros(4)], 1e-8) == 0
+        assert span_dim(np.zeros((1, 4)), 1e-8) == 0
 
     def test_tol_guard(self):
         with pytest.raises(ValueError):
-            span_dim([np.ones(3)], 0.0)
+            span_dim(np.ones((1, 3)), 0.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
+    def test_non_finite_tol_refused(self, tol):
+        # NaN or inf would keep no singular value and read as dimension 0
+        with pytest.raises(ValueError, match="span_tol must be positive and finite"):
+            span_dim(np.eye(3), tol)
 
 
 class TestTensorFile:
