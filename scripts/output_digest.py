@@ -14,7 +14,8 @@ this one:
 With ``--against DIR`` each command is reported as identical to the saved
 run, or with its largest numeric difference, relative to
 max(|x|, |y|, 1), and its first non-numeric difference.  Numbers are
-compared by value, since the report writer prints 1.0 as ``1``.
+compared by value, since the report writer prints 1.0 as ``1``.  The
+script then exits 1 unless every command is identical.
 
 Run from the repository root with ``PYTHONPATH=src``.
 """
@@ -23,6 +24,7 @@ import argparse
 import hashlib
 import os
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -98,21 +100,27 @@ def compare(old: str, new: str) -> str:
     return text + (f"; non-numeric: {other}" if other else "; non-numeric parts equal")
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
+    """Run every command and print its digest; with ``--against``, return 1
+    unless every output is identical to the saved run's."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="directory for the inputs and outputs (default: a new temporary one)")
     parser.add_argument("--against", help="directory of a saved run to compare with")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     out = os.path.abspath(args.out or tempfile.mkdtemp(prefix="digest-"))
     texts = run_all(out)
     print(f"# outputs in {out}")
+    differ = 0
     for k, (command, text) in enumerate(zip(COMMANDS, texts)):
         line = f"{digest(text)}  {command}"
         if args.against:
             with open(os.path.join(args.against, f"{k:02d}.out")) as fh:
-                line += f"  [{compare(fh.read(), text)}]"
+                verdict = compare(fh.read(), text)
+            differ += verdict != "identical"
+            line += f"  [{verdict}]"
         print(line)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -241,15 +241,14 @@ def criterion_7_homotopy_stability():
     return True, f"80 targets, all {paths} path counts conserved"
 
 
-def criterion_8_negative_control(span_tol: float = certifier.SPAN_TOL):
+def criterion_8_negative_control():
     """Perturbations of the reference frame certify RANK_GT_P with small span."""
     for m, n in [(3, 3), (3, 5)]:
         fmt = tensorcore.Format(m, n)
         alpha = polyfactor.alpha_closed(m, n)
         dims = []
         stats = certifier.perturb_experiment(
-            fmt, eps=1e-3, trials=50, seed=808, span_tol=span_tol,
-            collect=lambda i, cert: dims.append(cert.dim_u),
+            fmt, eps=1e-3, trials=50, seed=808, collect=lambda i, cert: dims.append(cert.dim_u),
         )
         if stats.counts[certifier.RANK_P] != 0:
             return False, f"({m},{n}): RANK_P issued {stats.counts[certifier.RANK_P]} times"
@@ -260,7 +259,7 @@ def criterion_8_negative_control(span_tol: float = certifier.SPAN_TOL):
     return True, "both formats >= 95% RANK_GT_P, zero RANK_P, dim U <= alpha"
 
 
-def criterion_9_positive_control(span_tol: float = certifier.SPAN_TOL):
+def criterion_9_positive_control():
     """Random sums of p rank-1 tensors certify RANK_P, never RANK_GT_P."""
     details = []
     for m, n in [(3, 3), (3, 4)]:
@@ -269,7 +268,7 @@ def criterion_9_positive_control(span_tol: float = certifier.SPAN_TOL):
         for trial in range(50):
             rng = np.random.default_rng((909, m, n, trial))
             T = tensorcore.random_rank_sum(fmt, fmt.p, rng)
-            cert = certifier.certify(T, seed=(909, m, n, trial), span_tol=span_tol)
+            cert = certifier.certify(T, seed=(909, m, n, trial))
             counts[cert.verdict] += 1
         if counts[certifier.RANK_GT_P] != 0:
             return False, f"({m},{n}): RANK_GT_P on a rank <= p tensor, counts {counts}"
@@ -279,10 +278,10 @@ def criterion_9_positive_control(span_tol: float = certifier.SPAN_TOL):
     return True, "RANK_P " + ", ".join(details) + ", zero RANK_GT_P"
 
 
-def criterion_10_plurality_evidence(span_tol: float = certifier.SPAN_TOL):
+def criterion_10_plurality_evidence():
     """Gaussian tensors at (3,3) produce both verdicts with frequency > 5%."""
     fmt = tensorcore.Format(3, 3)
-    stats = certifier.global_experiment(fmt, trials=200, seed=777, span_tol=span_tol)
+    stats = certifier.global_experiment(fmt, trials=200, seed=777)
     fr_p = stats.fraction(certifier.RANK_P)
     fr_gt = stats.fraction(certifier.RANK_GT_P)
     detail = f"RANK_P {fr_p:.1%}, RANK_GT_P {fr_gt:.1%}, INCONCLUSIVE {stats.fraction(certifier.INCONCLUSIVE):.1%}"
@@ -304,10 +303,8 @@ CRITERIA = [
     (10, "plurality-evidence", 180.0, criterion_10_plurality_evidence),
 ]
 
-_TOL_AWARE = {8, 9, 10}
 
-
-def run_acceptance(indices=None, span_tol: float | None = None) -> list[CheckResult]:
+def run_acceptance(indices=None) -> list[CheckResult]:
     """Run the selected criteria (all by default) and collect results."""
     results = []
     for index, name, budget, func in CRITERIA:
@@ -315,10 +312,7 @@ def run_acceptance(indices=None, span_tol: float | None = None) -> list[CheckRes
             continue
         start = time.perf_counter()
         try:
-            if index in _TOL_AWARE and span_tol is not None:
-                passed, detail = func(span_tol=span_tol)
-            else:
-                passed, detail = func()
+            passed, detail = func()
         except Exception as exc:  # a crashing criterion is a failing criterion
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start

@@ -186,7 +186,7 @@ def _cmd_experiment(args: argparse.Namespace):
 
 def _cmd_selftest(args: argparse.Namespace):
     """run the acceptance criteria and report pass/fail per criterion"""
-    results = acceptance.run_acceptance(span_tol=args.tol)
+    results = acceptance.run_acceptance()
     for r in results:
         print(r.line(), flush=True)
     doc = {
@@ -212,7 +212,7 @@ _COMMANDS = {
     "solve": (_cmd_solve, "m n eps seed tol input"),
     "certify": (_cmd_certify, "seed tol input!"),
     "experiment": (_cmd_experiment, "m! n! eps trials! seed tol mode"),
-    "selftest": (_cmd_selftest, "tol"),
+    "selftest": (_cmd_selftest, ""),
 }
 
 

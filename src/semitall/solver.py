@@ -15,9 +15,9 @@ u + 2 in the m + n = u + 2 unknowns (a, b).  Paths follow
 
 with gamma a random unit complex constant (detour away from the
 discriminant), an order-2 tangent predictor, a Newton corrector with a
-basin guard, and adaptive step control.  All paths of a solve are
-tracked in lockstep as stacked arrays, each path with its own step
-control.
+basin guard, and adaptive step control.  All paths of a tracking pass
+share its charts and are tracked in lockstep as stacked arrays, each
+path with its own step control.
 """
 
 from __future__ import annotations
@@ -83,6 +83,12 @@ CORRECTOR_TOL = 1e-12
 # on 45 Gaussian targets at (3,3), (3,4) and (4,4) no path stalls at 5e-15,
 # while 1e-15 stalls 9 of their 540 paths and 3e-16 stalls 119.
 MIN_CORRECTOR_TOL = 5e-15
+
+# Largest corrector tolerance the tracker accepts, two orders below
+# DEDUP_TOL and REALITY_TOL: on 99 complete Gaussian transfer tensors at
+# (3,3), (3,5), (4,4) and (5,5) the real and endpoint counts match the
+# default's on all 99 up to 1e-7, on 96 at 1e-6 and on 56 at 1e-5.
+MAX_CORRECTOR_TOL = 1e-8
 
 
 @dataclass
@@ -217,11 +223,11 @@ def _solve_rows(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 class _Lockstep:
     """Paths of the homotopy B(t) = gamma * B_from + t * (B_to - gamma * B_from),
-    tracked in lockstep.
+    tracked in lockstep on one pair of charts.
 
-    Path p solves the square system [M(a, B(t)) b ; d_p . a - delta ;
-    c_p . b - 1] in z = (a, b); its chart rows [d_p, 0 ; 0, c_p] are row p
-    of ``charts``.  The system is bilinear, so the top u rows of the
+    Every path solves the square system [M(a, B(t)) b ; d . a + 1 ;
+    c . b - 1] in z = (a, b), whose chart rows [d, 0 ; 0, c] are
+    ``chart`` (``_chart``).  The system is bilinear, so the top u rows of the
     Jacobian are linear in z: J_top(z, t) = L0 z + t L1 z, built for every
     path by one matrix product [z, t z] @ [L0; L1].  Since
     J_top(z, t) z = 2 M(a, B(t)) b, the residual is half of J_top z and
@@ -238,10 +244,13 @@ class _Lockstep:
     the same row of a product of fewer rows.
     """
 
-    def __init__(self, B_from, B_to, gamma: complex, corrector_tol: float):
+    def __init__(self, B_from, B_to, gamma: complex, corrector_tol: float, chart: np.ndarray):
         if not corrector_tol >= MIN_CORRECTOR_TOL:
             raise ValueError(f"corrector_tol must be at least {MIN_CORRECTOR_TOL:g}, the smallest the corrector "
                              f"meets in double precision, got {corrector_tol:g}")
+        if not corrector_tol <= MAX_CORRECTOR_TOL:
+            raise ValueError(f"corrector_tol must be at most {MAX_CORRECTOR_TOL:g}, the largest that keeps "
+                             f"endpoints apart at the dedup and reality tolerances, got {corrector_tol:g}")
         if gamma == 0:
             raise ValueError("gamma must be nonzero")
         u, n, m = B_from.shape
@@ -255,13 +264,16 @@ class _Lockstep:
         self.L = L.transpose(0, 3, 1, 2).reshape(2 * N, u * N)
         self.L1 = self.L[N:]
         self.halve_top = np.append(np.full(u, 0.5), [1.0, 1.0])
+        # right-hand side of the residual: zero on the top rows, the chart values below
+        self.rhs = np.append(np.zeros(u), [-1.0, 1.0]).astype(complex)
+        self.chart = chart
         self.u, self.N = u, N
         self.tol = corrector_tol
 
-    def _stack(self, charts):
-        """A Jacobian buffer for the paths of ``charts``, chart rows written."""
-        J = np.empty((len(charts), self.u + 2, self.N), dtype=complex)
-        J[:, self.u :] = charts
+    def _stack(self, P: int):
+        """A Jacobian buffer for P paths, chart rows written."""
+        J = np.empty((P, self.u + 2, self.N), dtype=complex)
+        J[:, self.u :] = self.chart
         return J
 
     def _build(self, J, z, t):
@@ -291,7 +303,7 @@ class _Lockstep:
         NaN and so does its next residual; the last two are not converged.
         A row's residual is checked at most iters + 1 times, around at most
         iters solves.  Rows that do not converge come back as given."""
-        tol, halve_top, rhs = self.tol, self.halve_top, self.rhs_full
+        tol, halve_top, rhs = self.tol, self.halve_top, self.rhs
         out = z.copy()
         ok = np.zeros(len(z), dtype=bool)
         moved = np.zeros(len(z))
@@ -323,38 +335,34 @@ class _Lockstep:
             ml = ml + np.maximum.reduce(np.abs(dz), axis=1)
         return out, ok, moved
 
-    def run(self, z0: np.ndarray, charts: np.ndarray, delta: complex) -> tuple[np.ndarray, dict[int, PathError]]:
-        """Track every row of z0, on the chart rows of the same row of
-        ``charts``, from t = 0 to 1.  Returns the endpoints and the failed
-        rows with their errors; failed rows of the endpoint array are
-        meaningless."""
-        # right-hand side of the residual: zero on the top rows, the chart values below
-        self.rhs_full = np.zeros(self.u + 2, dtype=complex)
-        self.rhs_full[self.u :] = delta, 1.0
+    def run(self, z0: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
+        """Track every row of z0, which lies on the chart, from t = 0 to 1.
+        Returns the endpoints and the (reason, detail) of each failed row;
+        failed rows of the endpoint array are meaningless."""
         z = z0.astype(complex)
-        failed: dict[int, PathError] = {}
+        failed: dict[int, tuple[str, str]] = {}
         size = max(1, STACK_ENTRIES // self.N**2)
         for lo in range(0, len(z), size):
             # singular rows come back NaN and breaking-down rows may
             # overflow; the tracker reads both off the values
             with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-                z[lo : lo + size], batch = self._run(z[lo : lo + size], charts[lo : lo + size])
-            failed.update((lo + p, exc) for p, exc in batch.items())
+                z[lo : lo + size], batch = self._run(z[lo : lo + size])
+            failed.update((lo + p, error) for p, error in batch.items())
         return z, failed
 
-    def _run(self, z, charts):
+    def _run(self, z):
         # tracks one batch in place; every path still moving has taken the
         # same number of steps, so the step budget is one count
         P = len(z)
-        failed: dict[int, PathError] = {}
+        failed: dict[int, tuple[str, str]] = {}
         dead = np.zeros(P, dtype=bool)
         # the paths still moving: batch row, z, t, step, Jacobian buffer
-        idx, za, ta, ha, J = np.arange(P), z, np.zeros(P), np.full(P, INITIAL_STEP), self._stack(charts)
+        idx, za, ta, ha, J = np.arange(P), z, np.zeros(P), np.full(P, INITIAL_STEP), self._stack(P)
 
         def fail(sel, reason, message):
             for p in np.flatnonzero(sel):
                 dead[idx[p]] = True
-                failed[int(idx[p])] = PathError(reason, message.format(t=ta[p]))
+                failed[int(idx[p])] = (reason, message.format(t=ta[p]))
 
         for _ in range(MAX_STEPS):
             if not idx.size:
@@ -392,18 +400,17 @@ class _Lockstep:
         fail(np.ones(idx.size, dtype=bool), PATH_STALL, f"step budget {MAX_STEPS} exhausted at t = {{t:.6f}}")
 
         ends = np.flatnonzero(~dead)
-        z[ends], ok, _ = self._correct(self._stack(charts[ends]), z[ends], np.ones(len(ends)), max(MAX_NEWTON, 20))
+        z[ends], ok, _ = self._correct(self._stack(len(ends)), z[ends], np.ones(len(ends)), max(MAX_NEWTON, 20))
         for p in ends[~ok]:
-            failed[int(p)] = PathError(PATH_DIVERGE, "endpoint correction did not converge at t = 1")
+            failed[int(p)] = (PATH_DIVERGE, "endpoint correction did not converge at t = 1")
         return z, failed
 
 
-def _charts(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Chart rows [d_p, 0 ; 0, c_p] for rows d of shape (P, m) and c of (P, n)."""
-    P, m = d.shape
-    out = np.zeros((P, 2, m + c.shape[1]), dtype=complex)
-    out[:, 0, :m] = d
-    out[:, 1, m:] = c
+def _chart(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The chart rows [d, 0 ; 0, c] of one tracking pass, d . a = -1 and
+    c . b = 1, for d of length m and c of length n."""
+    out = np.zeros((2, len(d) + len(c)), dtype=complex)
+    out[0, : len(d)], out[1, len(d) :] = d, c
     return out
 
 
@@ -433,13 +440,12 @@ def track_path(
     u, n, m = B_from.shape
     if B_to.shape != (u, n, m):
         raise ValueError(f"target shape {B_to.shape} does not match start shape {(u, n, m)}")
-    tracker = _Lockstep(B_from.data, B_to.data, gamma, corrector_tol)
     if c is None:
         # recover an affine functional pinning b from the start point itself
         c = z0[m:].conj() / np.linalg.norm(z0[m:]) ** 2
-    z, failed = tracker.run(z0[None], _charts(c[None], np.eye(m)[-1:]), -1.0)
+    z, failed = _Lockstep(B_from.data, B_to.data, gamma, corrector_tol, _chart(c, np.eye(m)[-1])).run(z0[None])
     if failed:
-        raise failed[0]
+        raise PathError(*failed[0])
     return z[0]
 
 
@@ -504,11 +510,13 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0, corrector_tol: float = CO
     Endpoints closer than ``DEDUP_TOL`` in chart coordinates are collisions:
     the later path is recorded as a WARN_MULTIPLICITY failure rather than
     merged silently.  Paths hitting infinity are retried once, together,
-    each on its own random complex chart on a.  Determinism: the seed fixes
-    gamma and the charts, and with them every path; it is a nonnegative
-    integer or a tuple or list of them (``_seed_entropy``).
+    in one more pass on one random complex chart d . a = -1, drawn after c
+    and gamma; a retried endpoint that is off a_m = -1 is a CHART_ESCAPE.
+    Determinism: the seed fixes gamma and the charts, and with them every
+    path; it is a nonnegative integer or a tuple or list of them
+    (``_seed_entropy``).
     """
-    entropy = _seed_entropy(seed)
+    _seed_entropy(seed)
     fmt = tensorcore.kernel_format(B)
     m, n = fmt.m, fmt.n
     bad = np.count_nonzero(~np.isfinite(B.data))
@@ -521,32 +529,30 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0, corrector_tol: float = CO
     frame, a0, kernels, _, subsets = _start_system(m, n)
     b0 = _on_chart(kernels, c, subsets)
     n_paths = len(a0)
-    cs = np.broadcast_to(c, (n_paths, n))
-    e_m = np.broadcast_to(np.eye(m)[-1], (n_paths, m))
-    tracker = _Lockstep(frame.Aprime.data, B.data, gamma, corrector_tol)
-    z, failed = tracker.run(np.concatenate([a0, b0], axis=1), _charts(cs, e_m), -1.0)
+    tracker = _Lockstep(frame.Aprime.data, B.data, gamma, corrector_tol, _chart(c, np.eye(m)[-1]))
+    z, failed = tracker.run(np.concatenate([a0, b0], axis=1))
     # (reason, detail) of every path that ends without an endpoint
-    errors = {idx: (exc.reason, str(exc)) for idx, exc in failed.items() if exc.reason != AT_INFINITY}
+    errors = {idx: error for idx, error in failed.items() if error[0] != AT_INFINITY}
 
-    # one retry for the points leaving a_m = -1, each on its own random
-    # complex a-chart d . a = 1
+    # one more pass for the points leaving a_m = -1, on one random complex
+    # a-chart d . a = -1
     retry = np.array(sorted(set(failed) - set(errors)), dtype=int)
     if retry.size:
-        d = np.array([_retry_chart(entropy, int(idx), m) for idx in retry])
-        a_r = a0[retry] / np.sum(d * a0[retry], axis=1, keepdims=True)
-        z_r, failed_r = tracker.run(np.concatenate([a_r, b0[retry]], axis=1), _charts(cs[retry], d), 1.0)
-        for row, idx in enumerate(retry):
-            idx = int(idx)
-            if row in failed_r:
-                errors[idx] = (failed_r[row].reason, "retry chart: " + str(failed_r[row]))
-                continue
-            a, b = z_r[row, :m], z_r[row, m:]
-            if abs(a[-1]) < 1e-8 * np.max(np.abs(a)):
-                errors[idx] = (CHART_ESCAPE, "endpoint stays outside the a_m = -1 chart")
-                continue
-            a = -a / a[-1]
-            a[-1] = -1.0 + 0.0j
-            z[idx] = np.concatenate([a, b / (c @ b)])
+        d = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        d /= np.linalg.norm(d)
+        tracker = _Lockstep(frame.Aprime.data, B.data, gamma, corrector_tol, _chart(c, d))
+        z_r, failed_r = tracker.run(np.concatenate([-a0[retry] / (a0[retry] @ d)[:, None], b0[retry]], axis=1))
+        for row, (reason, detail) in failed_r.items():
+            errors[int(retry[row])] = (reason, "retry chart: " + detail)
+        landed = np.setdiff1d(np.arange(len(retry)), list(failed_r))
+        a, b = z_r[landed, :m], z_r[landed, m:]
+        off = np.abs(a[:, -1]) < 1e-8 * np.abs(a).max(axis=1)
+        for idx in retry[landed[off]].tolist():
+            errors[idx] = (CHART_ESCAPE, "endpoint stays outside the a_m = -1 chart")
+        # back onto a_m = -1 and c . b = 1
+        a, b, back = a[~off], b[~off], retry[landed[~off]]
+        z[back] = np.concatenate([-a / a[:, -1:], b / (b @ c)[:, None]], axis=1)
+        z[back, m - 1] = -1.0
 
     # first kept wins among the endpoints, in path order
     ends = np.array([idx for idx in range(n_paths) if idx not in errors], dtype=int)
@@ -575,12 +581,6 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0, corrector_tol: float = CO
         gamma=gamma,
         chart_b=c,
     )
-
-
-def _retry_chart(entropy: int, idx: int, m: int) -> np.ndarray:
-    rng = np.random.default_rng((entropy, 7919, idx))
-    d = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return d / np.linalg.norm(d)
 
 
 def _seed_entropy(seed: object) -> int:

@@ -87,13 +87,22 @@ class TestHarness:
             solver._start_system.cache_clear()
         assert not passed
 
-    def test_loose_tolerance_degrades_and_names_the_criterion(self):
-        results = acceptance.run_acceptance(indices={8}, span_tol=1e-1)
-        assert len(results) == 1
-        # with span_tol = 0.1 the span collapses, so dim U stays tiny and the
-        # negative control still passes; the positive control is the one that
-        # breaks, reporting which criterion it is
-        results = acceptance.run_acceptance(indices={9}, span_tol=1e-1)
-        r = results[0]
-        assert r.index == 9
-        assert not r.passed
+    def test_failing_criterion_is_named_by_its_index(self, monkeypatch):
+        # a failing criterion is reported under its own index and name, with
+        # its detail, beside a passing one
+        def passing():
+            return True, "ok"
+
+        def failing():
+            return False, "broken on purpose"
+
+        criteria = [(index, name, budget, failing if index == 9 else passing)
+                    for index, name, budget, _ in acceptance.CRITERIA]
+        monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+        results = acceptance.run_acceptance(indices={8, 9})
+        assert [(r.index, r.name, r.passed) for r in results] == [
+            (8, "certifier-negative-control", True),
+            (9, "certifier-positive-control", False),
+        ]
+        assert results[1].detail == "broken on purpose"
+        assert results[1].line().startswith("criterion 09 certifier-positive-control: FAIL")

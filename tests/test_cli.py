@@ -171,6 +171,15 @@ class TestSolve:
         assert code == 1
         assert text == f"error: corrector_tol must be at least 5e-15, the smallest the corrector meets in double precision, got {tol}\n"
 
+    @pytest.mark.parametrize("tol,shown", [("1e-3", "0.001"), ("1e-7", "1e-07")])
+    def test_tol_above_the_ceiling_is_named(self, tol, shown):
+        # at 1e-3 the solve would exit 0 with real count 0 where the default
+        # tolerance finds 2 real endpoints
+        code, text = dispatch(["solve", "--m", "3", "--n", "4", "--eps", "1e-3", "--seed", "7", "--tol", tol])
+        assert code == 1
+        assert text == ("error: corrector_tol must be at most 1e-08, the largest that keeps endpoints apart "
+                        f"at the dedup and reality tolerances, got {shown}\n")
+
     def test_reproducible_bytes(self):
         _, t1 = dispatch(["solve", "--m", "3", "--n", "3", "--eps", "1e-2", "--seed", "9"])
         _, t2 = dispatch(["solve", "--m", "3", "--n", "3", "--eps", "1e-2", "--seed", "9"])
@@ -314,7 +323,7 @@ class TestSelftest:
             acceptance.CheckResult(1, "alpha-oracle-equivalence", True, "ok", 0.1, 10.0),
             acceptance.CheckResult(2, "alpha-case-list", True, "ok", 0.1, 1.0),
         ]
-        monkeypatch.setattr(acceptance, "run_acceptance", lambda span_tol=None: canned)
+        monkeypatch.setattr(acceptance, "run_acceptance", lambda: canned)
         code, doc = run_json(["selftest"])
         assert code == 0
         assert doc["result"]["passed"] is True
@@ -324,7 +333,7 @@ class TestSelftest:
 
     def test_failure_gives_exit_2(self, monkeypatch):
         canned = [acceptance.CheckResult(1, "alpha-oracle-equivalence", False, "broken", 0.1, 10.0)]
-        monkeypatch.setattr(acceptance, "run_acceptance", lambda span_tol=None: canned)
+        monkeypatch.setattr(acceptance, "run_acceptance", lambda: canned)
         code, doc = run_json(["selftest"])
         assert code == 2
         assert doc["result"]["passed"] is False
@@ -343,13 +352,13 @@ class TestFlagTable:
         "certify": (["certify", "--input", "TENSOR", "--seed", "2"], ["seed", "input"], [["--m", "3"]]),
         "experiment": (["experiment", "perturb", "--m", "3", "--n", "3", "--eps", "1e-3", "--trials", "1"],
                        ["m", "n", "eps", "trials", "seed", "mode"], [["--input", "f"]]),
-        "selftest": (["selftest", "--tol", "1e-6"], ["tol"], [["--n", "3"], ["--seed", "1"]]),
+        "selftest": (["selftest"], [], [["--n", "3"], ["--seed", "1"], ["--tol", "1e-6"]]),
     }
 
     @pytest.fixture
     def argv_of(self, tmp_path, monkeypatch):
         canned = [acceptance.CheckResult(1, "alpha-oracle-equivalence", True, "ok", 0.1, 10.0)]
-        monkeypatch.setattr(acceptance, "run_acceptance", lambda span_tol=None: canned)
+        monkeypatch.setattr(acceptance, "run_acceptance", lambda: canned)
         path = tmp_path / "tensor.json"
         save_tensor(tau(make_start_frame(3, 3).W0, Format(3, 3)), path)
         return lambda argv: [str(path) if a == "TENSOR" else a for a in argv]

@@ -64,3 +64,24 @@ def test_recorded_command_parses(command):
     # here (argparse exits 1 on an undeclared flag), not at the next digest run
     args = cli._build_parser().parse_args(command.split())
     assert args.command == command.split()[0]
+
+
+class TestAgainst:
+    @pytest.fixture
+    def saved(self, tmp_path, monkeypatch, capsys):
+        # one cheap command stands in for the recorded list
+        monkeypatch.setattr(output_digest, "COMMANDS", ["alpha --m 3 --n 3"])
+        before = tmp_path / "before"
+        assert output_digest.main(["--out", str(before)]) == 0
+        capsys.readouterr()
+        return before
+
+    def test_untouched_run_exits_0(self, saved, tmp_path, capsys):
+        assert output_digest.main(["--out", str(tmp_path / "after"), "--against", str(saved)]) == 0
+        assert "[identical]" in capsys.readouterr().out
+
+    def test_tampered_output_exits_1(self, saved, tmp_path, capsys):
+        old = saved / "00.out"
+        old.write_text(old.read_text().replace('"alpha": 2', '"alpha": 3'))
+        assert output_digest.main(["--out", str(tmp_path / "after"), "--against", str(saved)]) == 1
+        assert "numbers differ" in capsys.readouterr().out

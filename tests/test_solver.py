@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from semitall import acceptance, polyfactor, solver, tensorcore
-from semitall.errors import CHART_ESCAPE, PATH_STALL, WARN_MULTIPLICITY, DegenerateStartError, ResourceLimitError
+from semitall.errors import (
+    AT_INFINITY,
+    CHART_ESCAPE,
+    PATH_STALL,
+    WARN_MULTIPLICITY,
+    DegenerateStartError,
+    PathError,
+    ResourceLimitError,
+)
 from semitall.solver import SolveReport, projectively_real, solve_all, start_solutions, track_path
 
 
@@ -193,36 +201,30 @@ class TestLockstep:
         z0 = start_solutions(m, n, c=c)[0]
         z0_bad = np.insert(z0, 3, 0.0, axis=0)
 
-        def run(z):
-            d = np.zeros((len(z), m))
-            d[:, -1] = 1.0
-            charts = solver._charts(np.broadcast_to(c, (len(z), n)), d)
-            tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), solver.CORRECTOR_TOL)
-            return tracker.run(z, charts, -1.0)
-
-        z_ref, failed_ref = run(z0)
-        z_bad, failed_bad = run(z0_bad)
+        chart = solver._chart(c, np.eye(m)[-1])
+        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), solver.CORRECTOR_TOL, chart)
+        z_ref, failed_ref = tracker.run(z0)
+        z_bad, failed_bad = tracker.run(z0_bad)
         assert not failed_ref
         assert list(failed_bad) == [3]
-        assert failed_bad[3].reason == PATH_STALL
-        assert "singular tangent" in str(failed_bad[3])
+        reason, detail = failed_bad[3]
+        assert reason == PATH_STALL
+        assert "singular tangent" in detail
         assert np.max(np.abs(np.delete(z_bad, 3, axis=0) - z_ref)) < 1e-10
 
     @staticmethod
     def _tracker(m, n, seed):
         frame, target = perturbed_target(m, n, 1e-1, seed=seed)
         c = solver._chart_vector(n, np.random.default_rng(seed))
-        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), 1e-12)
-        tracker.rhs_full = np.append(np.zeros(tracker.u), [-1.0, 1.0]).astype(complex)
-        d = np.zeros(m)
-        d[-1] = 1.0
-        return frame, target, tracker, c, d
+        chart = solver._chart(c, np.eye(m)[-1])
+        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), 1e-12, chart)
+        return frame, target, tracker, c, chart
 
     def test_corrector_rows_leave_alone(self):
         # one mixed stack: every row ends as it would alone, and a row that
         # leaves (converged, broken down or singular) is not touched again
         m, n = 3, 4
-        _, _, tracker, c, d = self._tracker(m, n, seed=37)
+        _, _, tracker, c, _ = self._tracker(m, n, seed=37)
         rng = np.random.default_rng(37)
         starts = start_solutions(m, n, c=c)[0]
         start = starts[0]
@@ -235,12 +237,11 @@ class TestLockstep:
                 "huge": huge, "zero": np.zeros(m + n, dtype=complex), "far": far}
         z = np.array(list(rows.values()))
         t = np.zeros(len(z))
-        charts = solver._charts(np.broadcast_to(c, (len(z), n)), np.broadcast_to(d, (len(z), m)))
         # run() silences the floating-point flags of the NaN, huge and zero rows
         with np.errstate(all="ignore"):
-            out, ok, moved = tracker._correct(tracker._stack(charts), z, t, 3)
-            alone, ok_alone, moved_alone = tracker._correct(tracker._stack(charts[:1]), near[None], t[:1], 3)
-            huge_ok = tracker._correct(tracker._stack(charts[:1]), huge[None], t[:1], 60)[1][0]
+            out, ok, moved = tracker._correct(tracker._stack(len(z)), z, t, 3)
+            alone, ok_alone, moved_alone = tracker._correct(tracker._stack(1), near[None], t[:1], 3)
+            huge_ok = tracker._correct(tracker._stack(1), huge[None], t[:1], 60)[1][0]
         got = {name: (out[i], ok[i], moved[i]) for i, name in enumerate(rows)}
         assert np.array_equal(z, np.array(list(rows.values())), equal_nan=True)  # input untouched
 
@@ -263,13 +264,12 @@ class TestLockstep:
         # J(z, t) k = -dF/dt, with dF/dt = M(a, B_to - gamma B_from) b and
         # the Jacobian written out entry by entry
         m, n = 3, 4
-        frame, target, tracker, c, d = self._tracker(m, n, seed=38)
+        frame, target, tracker, _, chart = self._tracker(m, n, seed=38)
         rng = np.random.default_rng(38)
         P = 4
         z = rng.standard_normal((P, m + n)) + 1j * rng.standard_normal((P, m + n))
         t = rng.uniform(0.0, 1.0, P)
-        charts = solver._charts(np.broadcast_to(c, (P, n)), np.broadcast_to(d, (P, m)))
-        k, ok = tracker._tangent(tracker._stack(charts), z, t)
+        k, ok = tracker._tangent(tracker._stack(P), z, t)
         assert ok.all()
 
         gamma = complex(0.6, -0.8)
@@ -279,7 +279,7 @@ class TestLockstep:
         Bt = gamma * B_from[None] + t[:, None, None, None] * (B_to - gamma * B_from)[None]
         J = np.concatenate([
             np.concatenate([np.einsum("pijk,pj->pik", Bt, b), np.einsum("pijk,pk->pij", Bt, a)], axis=2),
-            charts,
+            np.broadcast_to(chart, (P, 2, m + n)),
         ], axis=1)
         lhs = np.einsum("pij,pj->pi", J, k)
         rhs = np.concatenate([-dF, np.zeros((P, 2))], axis=1)
@@ -291,24 +291,24 @@ class TestLockstep:
         # bit, a fresh product of the same height joined to the chart rows,
         # also after the stack is gathered
         m, n = 5, 5
-        _, _, tracker, c, d = self._tracker(m, n, seed=39)
+        _, _, tracker, _, chart = self._tracker(m, n, seed=39)
         rng = np.random.default_rng(39)
         z = rng.standard_normal((P, m + n)) + 1j * rng.standard_normal((P, m + n))
         t = rng.uniform(0.0, 1.0, P)
-        charts = solver._charts(np.broadcast_to(c, (P, n)), np.broadcast_to(d, (P, m)))
 
-        def fresh(z, t, charts):
+        def fresh(z, t):
             zz = np.concatenate([z, t[:, None] * z], axis=1)
-            return np.concatenate([(zz @ tracker.L).reshape(len(z), tracker.u, tracker.N), charts], axis=1)
+            top = (zz @ tracker.L).reshape(len(z), tracker.u, tracker.N)
+            return np.concatenate([top, np.broadcast_to(chart, (len(z), 2, m + n))], axis=1)
 
-        J = tracker._stack(charts)
+        J = tracker._stack(P)
         tracker._build(J, z, t)
         assert J.shape == (P, tracker.u + 2, tracker.N)
-        assert J.tobytes() == fresh(z, t, charts).tobytes()
+        assert J.tobytes() == fresh(z, t).tobytes()
         keep = rng.random(P) < 0.5
         J = J[keep]
         tracker._build(J, z[keep] + 1.0, t[keep])
-        assert J.tobytes() == fresh(z[keep] + 1.0, t[keep], charts[keep]).tobytes()
+        assert J.tobytes() == fresh(z[keep] + 1.0, t[keep]).tobytes()
 
 
 class TestSolveAll:
@@ -442,6 +442,36 @@ class TestSolveAll:
         report = solve_all(tensorcore.Tensor3(data), seed=30)
         assert [f.reason for f in report.failures] == [CHART_ESCAPE]
         assert len(report.solutions) == report.n_paths - 1
+
+    def test_retried_path_completes_on_a_m_chart(self):
+        # slice 0 of B nearly kills v, so one path runs off to infinity on
+        # a_m = -1 but ends at a finite point; the retry pass lands it, and
+        # it is reported back on a_m = -1 like every other endpoint
+        m, n = 3, 3
+        rng = np.random.default_rng((29, m, n, 1))
+        data = rng.standard_normal((4, n, m))
+        v = rng.standard_normal(m)
+        data[:, :, 0] -= (1 - 1e-8) * np.outer(data[:, :, 0] @ v, v) / (v @ v)
+        target = tensorcore.Tensor3(data)
+        report = solve_all(target, seed=1)
+
+        # the path that reaches infinity when tracked alone on a_m = -1
+        frame = tensorcore.make_start_frame(m, n)
+        starts = start_solutions(m, n, c=report.chart_b)[0]
+        retried = []
+        for idx, z0 in enumerate(starts):
+            try:
+                track_path(frame.Aprime, target, z0, report.gamma, c=report.chart_b)
+            except PathError as exc:
+                assert exc.reason == AT_INFINITY
+                retried.append(idx)
+        assert len(retried) == 1
+
+        assert report.complete
+        assert retried[0] in report.path_index.tolist()
+        row = report.solutions[report.path_index.tolist().index(retried[0])]
+        assert row[m - 1] == -1.0
+        assert (report.n_paths - report.real_count) % 2 == 0
 
     def test_error_state_is_left_as_found(self):
         # the tracker silences floating-point flags only while it tracks a
@@ -583,8 +613,8 @@ class TestRealFilter:
 
 
 class TestTrackOptions:
-    # the tracker's corrector_tol keyword, refused below the floor by both
-    # entry points, solve_all and track_path
+    # the tracker's corrector_tol keyword, refused below the floor and above
+    # the ceiling by both entry points, solve_all and track_path
     @staticmethod
     def _refuse(tol, match):
         frame = tensorcore.make_start_frame(3, 3)
@@ -600,6 +630,23 @@ class TestTrackOptions:
     @pytest.mark.parametrize("tol", [1e-15, 3e-16, 4.9e-15, math.nan])
     def test_tolerance_below_the_floor_is_refused(self, tol):
         self._refuse(tol, "corrector_tol must be at least 5e-15")
+
+    @pytest.mark.parametrize("tol", [1.1e-8, 1e-7, 1e-3, math.inf])
+    def test_tolerance_above_the_ceiling_is_refused(self, tol):
+        self._refuse(tol, "corrector_tol must be at most 1e-08")
+
+    def test_counts_hold_at_the_ceiling(self):
+        # at the ceiling, Gaussian targets keep the default's real count and
+        # endpoint count
+        for m, n in [(3, 3), (3, 5), (4, 4)]:
+            for seed in range(3):
+                u = m + n - 2
+                B = tensorcore.Tensor3(np.random.default_rng((seed, m, n)).standard_normal((u, n, m)))
+                ref = solve_all(B, seed=seed)
+                loose = solve_all(B, seed=seed, corrector_tol=solver.MAX_CORRECTOR_TOL)
+                assert loose.complete == ref.complete, (m, n, seed)
+                assert loose.real_count == ref.real_count, (m, n, seed)
+                assert len(loose.solutions) == len(ref.solutions), (m, n, seed)
 
     def test_no_path_stalls_at_the_floor(self):
         # the floor is the smallest tolerance the corrector meets: at it,
