@@ -38,7 +38,7 @@ COMMANDS = [
     "table --m 9 --n 40 --format csv",
     "solve --m 3 --n 4 --eps 1e-3 --seed 7",
     "solve --m 4 --n 5 --eps 1e-2 --seed 3",
-    "solve --m 3 --n 3 --eps 1e-3 --seed 2 --tol 1e-10 --format plain",
+    "solve --m 3 --n 3 --eps 1e-3 --seed 2 --format plain",
     "certify --input t55.json --seed 1",
     "certify --input t33.json --seed 4 --tol 1e-6",
     "experiment global --m 3 --n 3 --trials 20 --seed 5",

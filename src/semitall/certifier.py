@@ -195,6 +195,7 @@ def _trials(fmt, draw, tag, eps, trials, seed, span_tol, collect) -> ExperimentS
     INCONCLUSIVE and stays out of the mean dim U."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    tensorcore.check_span_tol(span_tol)
     entropy = solver._seed_entropy(seed)
     counts = {RANK_P: 0, RANK_GT_P: 0, INCONCLUSIVE: 0}
     dims = []

@@ -123,8 +123,7 @@ def _cmd_solve(args: argparse.Namespace):
             target = tensorcore.Tensor3(frame.Aprime.data + args.eps * rng.standard_normal(frame.Aprime.shape))
         else:
             target = frame.Aprime
-    tol = solver.CORRECTOR_TOL if args.tol is None else args.tol
-    report = solver.solve_all(target, seed=args.seed, corrector_tol=tol)
+    report = solver.solve_all(target, seed=args.seed)
     m = report.m
     doc = {
         "m": report.m, "n": report.n,
@@ -209,7 +208,7 @@ _COMMANDS = {
     "divisors": (_cmd_divisors, "m! n!"),
     "classify": (_cmd_classify, "m! n! p"),
     "table": (_cmd_table, "m! n!"),
-    "solve": (_cmd_solve, "m n eps seed tol input"),
+    "solve": (_cmd_solve, "m n eps seed input"),
     "certify": (_cmd_certify, "seed tol input!"),
     "experiment": (_cmd_experiment, "m! n! eps trials! seed tol mode"),
     "selftest": (_cmd_selftest, ""),

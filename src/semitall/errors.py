@@ -16,6 +16,7 @@ class ResourceLimitError(RuntimeError):
 
 # Path failure reasons reported by the tracker.
 PATH_STALL = "PATH_STALL"
+# The tracker never reports this one; perfbench/bench.py tallies it in FAIL_REASONS.
 PATH_DIVERGE = "PATH_DIVERGE"
 AT_INFINITY = "AT_INFINITY"
 CHART_ESCAPE = "CHART_ESCAPE"

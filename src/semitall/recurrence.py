@@ -1,12 +1,13 @@
 """The lambda sequence, the banded matrix N, and five rank-deficiency tests.
 
 Given real parameters a = (a_1, ..., a_(m-1)) the sequence lambda_t is
-seeded by lambda_t = 0 for t <= m-2, lambda_(m-1) = 1 and continued either
-by the order-(m-1) linear recurrence
+seeded by lambda_t = 0 for t <= m-2, lambda_(m-1) = 1 and continued by
+the order-(m-1) linear recurrence
 
-    lambda_t = sum_k a_(m-k) lambda_(t-k),   k = 1..m-1,
+    lambda_t = sum_k a_(m-k) lambda_(t-k),   k = 1..m-1
 
-or, equivalently, by evaluating a banded Toeplitz determinant.  The point
+(``lambda_seq``), or, equivalently, given by a banded Toeplitz determinant
+(``lambda_det``, the independent oracle).  The point
 (a, -1) makes the u x n band matrix N rank-deficient exactly when
 h(y) = y^(m-1) - a_(m-1) y^(m-2) - ... - a_1 divides y^u + 1, and
 ``rank_conditions`` evaluates five equivalent formulations of that fact.
@@ -21,9 +22,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .tensorcore import Format
-
-RECURRENCE = "recurrence"
-DETERMINANT = "determinant"
 
 # Relative threshold of all five rank-deficiency tests.
 RANK_TOL = 1e-8
@@ -46,16 +44,35 @@ class ConditionReport:
     remainder: np.ndarray
 
 
-def lambda_seq(a, T: int, mode: str = RECURRENCE) -> np.ndarray:
-    """Compute lambda_1..lambda_T for parameters a = (a_1..a_(m-1)) as a
-    float array whose entry t-1 is lambda_t.
+def lambda_seq(a, T: int) -> np.ndarray:
+    """Compute lambda_1..lambda_T for parameters a = (a_1..a_(m-1)) by the
+    linear recurrence, as a float array whose entry t-1 is lambda_t.
 
-    ``mode`` selects the linear recurrence or the direct banded-determinant
-    evaluation.  Both run in exact rational arithmetic and round each value
-    to the nearest float once, so the two independent evaluations agree
-    exactly; in floating point a small lambda_t that cancels between large
-    terms would keep their round-off.
+    The recurrence runs in exact rational arithmetic and rounds each value
+    to the nearest float once, as ``lambda_det`` does, so the two
+    independent evaluations agree exactly; in floating point a small
+    lambda_t that cancels between large terms would keep their round-off.
     """
+    A, D, m = _exact_parameters(a, T)
+    # L_t = lambda_t D^t is an integer: L_t = sum_k A_(m-k) D^(k-1) L_(t-k)
+    L = [0] * (m - 2) + [D ** (m - 1)]
+    for t in range(m, T + 1):
+        L.append(sum(A[m - k - 1] * D ** (k - 1) * L[t - k - 1] for k in range(1, m)))
+    return np.array([_to_float(L[t - 1], D**t) for t in range(1, T + 1)])
+
+
+def lambda_det(a, T: int) -> np.ndarray:
+    """lambda_1..lambda_T as ``lambda_seq`` returns them, each evaluated
+    directly as a banded determinant instead of by the recurrence (exactly,
+    then rounded once)."""
+    A, D, _ = _exact_parameters(a, T)
+    return np.array([_to_float(*_band_det(A, D, t)) for t in range(1, T + 1)])
+
+
+def _exact_parameters(a, T: int) -> tuple[list[int], int, int]:
+    """The parameters a as integers A over one common denominator D,
+    a_i = A_i / D exactly, and m; refuses a window T < m-1 and non-finite
+    parameters."""
     a = np.asarray(a, dtype=float)
     m = len(a) + 1
     if T < m - 1:
@@ -67,18 +84,7 @@ def lambda_seq(a, T: int, mode: str = RECURRENCE) -> np.ndarray:
     ratios = [x.as_integer_ratio() for x in a.tolist()]
     D = max((den for _, den in ratios), default=1)
     A = [num * (D // den) for num, den in ratios]
-    mode = mode.lower()
-    if mode == RECURRENCE:
-        # L_t = lambda_t D^t is an integer: L_t = sum_k A_(m-k) D^(k-1) L_(t-k)
-        L = [0] * (m - 2) + [D ** (m - 1)]
-        for t in range(m, T + 1):
-            L.append(sum(A[m - k - 1] * D ** (k - 1) * L[t - k - 1] for k in range(1, m)))
-        exact = [(L[t - 1], D**t) for t in range(1, T + 1)]
-    elif mode == DETERMINANT:
-        exact = [_lambda_det(A, D, t) for t in range(1, T + 1)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return np.array([_to_float(num, den) for num, den in exact])
+    return A, D, m
 
 
 def _to_float(num: int, den: int) -> float:
@@ -89,7 +95,7 @@ def _to_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _lambda_det(A: list[int], D: int, t: int) -> tuple[int, int]:
+def _band_det(A: list[int], D: int, t: int) -> tuple[int, int]:
     # lambda_(m-1+s) = det(M) = det(D M) / D^s, with M the s x s band
     # matrix with a_(m-1) on the diagonal, a_(m-1-k) on the k-th
     # superdiagonal and -1 on the subdiagonal; s <= 0 reproduces the seed

@@ -39,7 +39,6 @@ from . import polyfactor, tensorcore
 from .errors import (
     AT_INFINITY,
     CHART_ESCAPE,
-    PATH_DIVERGE,
     PATH_STALL,
     WARN_MULTIPLICITY,
     DegenerateStartError,
@@ -74,21 +73,12 @@ PATH_BUDGET = 10**4
 # memory of a solve at the path budget stays bounded.
 STACK_ENTRIES = 2**20
 
-# The corrector's default tolerance: Newton stops once the residual's
-# max-norm is below it times max(1, max |z|).
+# The corrector's tolerance: Newton stops once the residual's max-norm is
+# below it times max(1, max |z|).  It sits inside the range measured safe:
+# on 45 Gaussian targets at (3,3), (3,4) and (4,4) the corrector meets 5e-15
+# with no path stalling, and on 99 complete Gaussian transfer tensors at
+# (3,3), (3,5), (4,4) and (5,5) the real and endpoint counts hold up to 1e-7.
 CORRECTOR_TOL = 1e-12
-
-# Smallest corrector tolerance the tracker accepts.  Below it the residual
-# test sits at rounding level and steps are rejected until they underflow:
-# on 45 Gaussian targets at (3,3), (3,4) and (4,4) no path stalls at 5e-15,
-# while 1e-15 stalls 9 of their 540 paths and 3e-16 stalls 119.
-MIN_CORRECTOR_TOL = 5e-15
-
-# Largest corrector tolerance the tracker accepts, two orders below
-# DEDUP_TOL and REALITY_TOL: on 99 complete Gaussian transfer tensors at
-# (3,3), (3,5), (4,4) and (5,5) the real and endpoint counts match the
-# default's on all 99 up to 1e-7, on 96 at 1e-6 and on 56 at 1e-5.
-MAX_CORRECTOR_TOL = 1e-8
 
 
 @dataclass
@@ -173,9 +163,8 @@ def _start_system(m: int, n: int):
     x = polyfactor.divisor_points(polyfactor.divisor_coefficients(u, subsets))
     src, sign = zip(*tensorcore.slice_reorder(m))
     xprime = x[:, src] * np.array(sign)
-    escaped = np.flatnonzero(np.abs(xprime[:, -1]) < 1e-12)
-    if escaped.size:
-        raise PathError(CHART_ESCAPE, f"start subset {subsets[escaped[0]]} leaves the a_m = -1 chart")
+    # xprime[:, -1] is the constant coefficient of a monic divisor of
+    # y^u + 1, a product of roots of modulus 1, so the rescaling is safe
     a_rows = (-1.0 / xprime[:, -1:]) * xprime
     a_rows[:, -1] = -1.0
 
@@ -244,13 +233,7 @@ class _Lockstep:
     the same row of a product of fewer rows.
     """
 
-    def __init__(self, B_from, B_to, gamma: complex, corrector_tol: float, chart: np.ndarray):
-        if not corrector_tol >= MIN_CORRECTOR_TOL:
-            raise ValueError(f"corrector_tol must be at least {MIN_CORRECTOR_TOL:g}, the smallest the corrector "
-                             f"meets in double precision, got {corrector_tol:g}")
-        if not corrector_tol <= MAX_CORRECTOR_TOL:
-            raise ValueError(f"corrector_tol must be at most {MAX_CORRECTOR_TOL:g}, the largest that keeps "
-                             f"endpoints apart at the dedup and reality tolerances, got {corrector_tol:g}")
+    def __init__(self, B_from, B_to, gamma: complex, chart: np.ndarray):
         if gamma == 0:
             raise ValueError("gamma must be nonzero")
         u, n, m = B_from.shape
@@ -268,7 +251,6 @@ class _Lockstep:
         self.rhs = np.append(np.zeros(u), [-1.0, 1.0]).astype(complex)
         self.chart = chart
         self.u, self.N = u, N
-        self.tol = corrector_tol
 
     def _stack(self, P: int):
         """A Jacobian buffer for P paths, chart rows written."""
@@ -303,7 +285,7 @@ class _Lockstep:
         NaN and so does its next residual; the last two are not converged.
         A row's residual is checked at most iters + 1 times, around at most
         iters solves.  Rows that do not converge come back as given."""
-        tol, halve_top, rhs = self.tol, self.halve_top, self.rhs
+        halve_top, rhs = self.halve_top, self.rhs
         out = z.copy()
         ok = np.zeros(len(z), dtype=bool)
         moved = np.zeros(len(z))
@@ -316,7 +298,7 @@ class _Lockstep:
             F -= rhs
             rn = np.maximum.reduce(np.abs(F), axis=1)
             fine = rn <= 1e10  # False for NaN as well
-            conv = fine & (rn < tol * np.fmax(1.0, np.maximum.reduce(np.abs(zl), axis=1)))
+            conv = fine & (rn < CORRECTOR_TOL * np.fmax(1.0, np.maximum.reduce(np.abs(zl), axis=1)))
             if np.count_nonzero(conv):
                 rows = live[conv]
                 ok[rows] = True
@@ -346,22 +328,22 @@ class _Lockstep:
             # singular rows come back NaN and breaking-down rows may
             # overflow; the tracker reads both off the values
             with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-                z[lo : lo + size], batch = self._run(z[lo : lo + size])
+                batch = self._run(z[lo : lo + size])
             failed.update((lo + p, error) for p, error in batch.items())
         return z, failed
 
     def _run(self, z):
-        # tracks one batch in place; every path still moving has taken the
-        # same number of steps, so the step budget is one count
+        # tracks one batch in place and returns its failures; every path
+        # still moving has taken the same number of steps, so the step
+        # budget is one count.  A path finishes only on a step whose
+        # corrector converged at t = 1, so its endpoint needs no more Newton.
         P = len(z)
         failed: dict[int, tuple[str, str]] = {}
-        dead = np.zeros(P, dtype=bool)
         # the paths still moving: batch row, z, t, step, Jacobian buffer
         idx, za, ta, ha, J = np.arange(P), z, np.zeros(P), np.full(P, INITIAL_STEP), self._stack(P)
 
         def fail(sel, reason, message):
             for p in np.flatnonzero(sel):
-                dead[idx[p]] = True
                 failed[int(idx[p])] = (reason, message.format(t=ta[p]))
 
         for _ in range(MAX_STEPS):
@@ -398,12 +380,7 @@ class _Lockstep:
                 idx, za, ta, ha, J = idx[stay], za[stay], ta[stay], ha[stay], J[stay]
         # the paths still moving have used up the step budget
         fail(np.ones(idx.size, dtype=bool), PATH_STALL, f"step budget {MAX_STEPS} exhausted at t = {{t:.6f}}")
-
-        ends = np.flatnonzero(~dead)
-        z[ends], ok, _ = self._correct(self._stack(len(ends)), z[ends], np.ones(len(ends)), max(MAX_NEWTON, 20))
-        for p in ends[~ok]:
-            failed[int(p)] = (PATH_DIVERGE, "endpoint correction did not converge at t = 1")
-        return z, failed
+        return failed
 
 
 def _chart(c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -427,15 +404,14 @@ def track_path(
     z0: np.ndarray,
     gamma: complex,
     c: np.ndarray | None = None,
-    corrector_tol: float = CORRECTOR_TOL,
 ) -> np.ndarray:
     """Continue one start row z0 = (a, b) from B_from to B_to along the
     detour constant gamma and return the endpoint row.
 
-    Raises PathError with reason PATH_STALL (step underflow or step
-    budget), PATH_DIVERGE (corrector breakdown at the endpoint) or
-    AT_INFINITY (coordinate blowup).  The a chart is a_m = -1; the b chart
-    defaults to the affine functional that z0 already satisfies.
+    Raises PathError with reason PATH_STALL (singular tangent, step
+    underflow or step budget) or AT_INFINITY (coordinate blowup).  The a
+    chart is a_m = -1; the b chart defaults to the affine functional that
+    z0 already satisfies.
     """
     u, n, m = B_from.shape
     if B_to.shape != (u, n, m):
@@ -443,7 +419,7 @@ def track_path(
     if c is None:
         # recover an affine functional pinning b from the start point itself
         c = z0[m:].conj() / np.linalg.norm(z0[m:]) ** 2
-    z, failed = _Lockstep(B_from.data, B_to.data, gamma, corrector_tol, _chart(c, np.eye(m)[-1])).run(z0[None])
+    z, failed = _Lockstep(B_from.data, B_to.data, gamma, _chart(c, np.eye(m)[-1])).run(z0[None])
     if failed:
         raise PathError(*failed[0])
     return z[0]
@@ -503,7 +479,7 @@ def _first_kept(z: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
     return kept, named
 
 
-def solve_all(B: tensorcore.Tensor3, seed: object = 0, corrector_tol: float = CORRECTOR_TOL) -> SolveReport:
+def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     """Track every start path to the target tensor B (shape u x n x m).
 
     All paths are tracked in lockstep, each with its own step control.
@@ -529,7 +505,7 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0, corrector_tol: float = CO
     frame, a0, kernels, _, subsets = _start_system(m, n)
     b0 = _on_chart(kernels, c, subsets)
     n_paths = len(a0)
-    tracker = _Lockstep(frame.Aprime.data, B.data, gamma, corrector_tol, _chart(c, np.eye(m)[-1]))
+    tracker = _Lockstep(frame.Aprime.data, B.data, gamma, _chart(c, np.eye(m)[-1]))
     z, failed = tracker.run(np.concatenate([a0, b0], axis=1))
     # (reason, detail) of every path that ends without an endpoint
     errors = {idx: error for idx, error in failed.items() if error[0] != AT_INFINITY}
@@ -540,7 +516,7 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0, corrector_tol: float = CO
     if retry.size:
         d = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         d /= np.linalg.norm(d)
-        tracker = _Lockstep(frame.Aprime.data, B.data, gamma, corrector_tol, _chart(c, d))
+        tracker = _Lockstep(frame.Aprime.data, B.data, gamma, _chart(c, d))
         z_r, failed_r = tracker.run(np.concatenate([-a0[retry] / (a0[retry] @ d)[:, None], b0[retry]], axis=1))
         for row, (reason, detail) in failed_r.items():
             errors[int(retry[row])] = (reason, "retry chart: " + detail)

@@ -155,6 +155,12 @@ class TestPerturbExperiment:
         with pytest.raises(ValueError, match="span_tol must be positive and finite"):
             perturb_experiment(Format(3, 3), eps=1e-3, trials=2, seed=0, span_tol=span_tol)
 
+    @pytest.mark.parametrize("span_tol", [np.nan, np.inf])
+    def test_span_tol_refused_at_zero_trials(self, span_tol):
+        # the refusal must not depend on a trial reaching certify
+        with pytest.raises(ValueError, match="span_tol must be positive and finite"):
+            perturb_experiment(Format(3, 3), eps=1e-3, trials=0, seed=0, span_tol=span_tol)
+
     @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
     def test_seed_outside_documented_types_refused(self, seed):
         with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer"):
@@ -187,6 +193,12 @@ class TestGlobalExperiment:
         # with NaN every trial would tally as RANK_GT_P
         with pytest.raises(ValueError, match="span_tol must be positive and finite"):
             global_experiment(Format(3, 3), trials=2, seed=0, span_tol=span_tol)
+
+    @pytest.mark.parametrize("span_tol", [np.nan, np.inf])
+    def test_span_tol_refused_at_zero_trials(self, span_tol):
+        # the refusal must not depend on a trial reaching certify
+        with pytest.raises(ValueError, match="span_tol must be positive and finite"):
+            global_experiment(Format(3, 3), trials=0, seed=0, span_tol=span_tol)
 
     @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
     def test_seed_outside_documented_types_refused(self, seed):

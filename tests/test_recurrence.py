@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from semitall import recurrence, tensorcore
 from semitall.recurrence import (
-    DETERMINANT,
-    RECURRENCE,
     build_N,
+    lambda_det,
     lambda_seq,
     rank_conditions,
 )
@@ -42,25 +41,21 @@ class TestLambdaSeq:
     @example([-2.9999999999999996, 3.0])  # lambda_37 cancels between terms of 3.9e8
     @example([2.0, 0.0, 0.0])  # zero pivots: the elimination swaps rows
     def test_determinant_matches_recurrence(self, a):
-        r = lambda_seq(a, 40, mode=RECURRENCE)
-        d = lambda_seq(a, 40, mode=DETERMINANT)
+        r = lambda_seq(a, 40)
+        d = lambda_det(a, 40)
         scale = np.maximum(1.0, np.abs(r))
         assert np.max(np.abs(r - d) / scale) < 1e-8
 
     def test_cancelling_term_is_rounded_once(self):
         # in floats, round-off of the terms feeding lambda_37 (up to 3.9e8)
-        # moved it by ~1e-7 in either mode; exactly it is -2.0645911e-6
+        # moved it by ~1e-7 in either form; exactly it is -2.0645911e-6
         a = [-2.9999999999999996, 3.0]
-        for mode in (RECURRENCE, DETERMINANT):
-            assert abs(lambda_seq(a, 40, mode=mode)[36] + 2.0645911e-6) < 1e-13
+        for form in (lambda_seq, lambda_det):
+            assert abs(form(a, 40)[36] + 2.0645911e-6) < 1e-13
 
     def test_non_finite_parameters_rejected(self):
         with pytest.raises(ValueError):
             lambda_seq([np.nan, 1.0], 5)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            lambda_seq([1.0, 1.0], 5, mode="symbolic")
 
 
 class TestBuildN:

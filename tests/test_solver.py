@@ -114,6 +114,15 @@ class TestStartSolutions:
         for arr, before in zip(again[:3], kept):
             assert np.array_equal(arr, before)
 
+    @pytest.mark.parametrize("m,n", [(3, 3), (5, 5), (4, 20), (6, 10)])
+    def test_start_rows_rescale_by_a_unit_coefficient(self, m, n):
+        # a start row is rescaled onto a_m = -1 by the constant coefficient
+        # of its monic divisor of y^u + 1, a product of unit roots
+        u = m + n - 2
+        subsets = solver._start_system(m, n)[4]
+        c0 = polyfactor.divisor_coefficients(u, subsets)[:, 0]
+        assert np.max(np.abs(np.abs(c0) - 1.0)) < 1e-14
+
     def test_path_budget(self):
         # C(28, 14) is far beyond the path budget
         with pytest.raises(ResourceLimitError):
@@ -202,7 +211,7 @@ class TestLockstep:
         z0_bad = np.insert(z0, 3, 0.0, axis=0)
 
         chart = solver._chart(c, np.eye(m)[-1])
-        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), solver.CORRECTOR_TOL, chart)
+        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), chart)
         z_ref, failed_ref = tracker.run(z0)
         z_bad, failed_bad = tracker.run(z0_bad)
         assert not failed_ref
@@ -217,7 +226,7 @@ class TestLockstep:
         frame, target = perturbed_target(m, n, 1e-1, seed=seed)
         c = solver._chart_vector(n, np.random.default_rng(seed))
         chart = solver._chart(c, np.eye(m)[-1])
-        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), 1e-12, chart)
+        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), chart)
         return frame, target, tracker, c, chart
 
     def test_corrector_rows_leave_alone(self):
@@ -309,6 +318,25 @@ class TestLockstep:
         J = J[keep]
         tracker._build(J, z[keep] + 1.0, t[keep])
         assert J.tobytes() == fresh(z[keep] + 1.0, t[keep]).tobytes()
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 5), (5, 5)])
+    def test_finished_rows_pass_the_residual_test_at_t_1(self, m, n):
+        # a path finishes only on a step whose corrector converged at t = 1,
+        # so every endpoint run() returns passes that test again as it stands
+        u = m + n - 2
+        for seed in range(3):
+            rng = np.random.default_rng((seed, m, n))
+            target = rng.standard_normal((u, n, m))
+            c = solver._chart_vector(n, rng)
+            frame = tensorcore.make_start_frame(m, n)
+            chart = solver._chart(c, np.eye(m)[-1])
+            tracker = solver._Lockstep(frame.Aprime.data, target, solver._sample_gamma(rng), chart)
+            z, failed = tracker.run(start_solutions(m, n, c=c)[0])
+            ends = np.setdiff1d(np.arange(len(z)), list(failed))
+            assert ends.size, (m, n, seed)
+            out, ok, moved = tracker._correct(tracker._stack(ends.size), z[ends], np.ones(ends.size), 0)
+            assert ok.all(), (m, n, seed, ends[~ok])
+            assert np.array_equal(out, z[ends]) and not moved.any()
 
 
 class TestSolveAll:
@@ -610,50 +638,3 @@ class TestRealFilter:
         a = np.array([[0.5 + 0j, -0.5 + 0j, -1.0 + 0j]])
         b = np.array([[1.0 + 0j, 2.0 + 0j, 3.0 + 0j]])
         assert np.array_equal(projectively_real(a, b, 1e-300), [True])
-
-
-class TestTrackOptions:
-    # the tracker's corrector_tol keyword, refused below the floor and above
-    # the ceiling by both entry points, solve_all and track_path
-    @staticmethod
-    def _refuse(tol, match):
-        frame = tensorcore.make_start_frame(3, 3)
-        z0 = start_solutions(3, 3, seed=1)[0][0]
-        with pytest.raises(ValueError, match=match):
-            solve_all(frame.Aprime, corrector_tol=tol)
-        with pytest.raises(ValueError, match=match):
-            track_path(frame.Aprime, frame.Aprime, z0, 1.0 + 0.0j, corrector_tol=tol)
-
-    def test_validation(self):
-        self._refuse(0.0, "corrector_tol")
-
-    @pytest.mark.parametrize("tol", [1e-15, 3e-16, 4.9e-15, math.nan])
-    def test_tolerance_below_the_floor_is_refused(self, tol):
-        self._refuse(tol, "corrector_tol must be at least 5e-15")
-
-    @pytest.mark.parametrize("tol", [1.1e-8, 1e-7, 1e-3, math.inf])
-    def test_tolerance_above_the_ceiling_is_refused(self, tol):
-        self._refuse(tol, "corrector_tol must be at most 1e-08")
-
-    def test_counts_hold_at_the_ceiling(self):
-        # at the ceiling, Gaussian targets keep the default's real count and
-        # endpoint count
-        for m, n in [(3, 3), (3, 5), (4, 4)]:
-            for seed in range(3):
-                u = m + n - 2
-                B = tensorcore.Tensor3(np.random.default_rng((seed, m, n)).standard_normal((u, n, m)))
-                ref = solve_all(B, seed=seed)
-                loose = solve_all(B, seed=seed, corrector_tol=solver.MAX_CORRECTOR_TOL)
-                assert loose.complete == ref.complete, (m, n, seed)
-                assert loose.real_count == ref.real_count, (m, n, seed)
-                assert len(loose.solutions) == len(ref.solutions), (m, n, seed)
-
-    def test_no_path_stalls_at_the_floor(self):
-        # the floor is the smallest tolerance the corrector meets: at it,
-        # Gaussian targets of the measured formats track every path
-        for m, n in [(3, 3), (3, 4), (4, 4)]:
-            for seed in range(5):
-                u = m + n - 2
-                B = tensorcore.Tensor3(np.random.default_rng((seed, m, n)).standard_normal((u, n, m)))
-                report = solve_all(B, seed=seed, corrector_tol=solver.MIN_CORRECTOR_TOL)
-                assert PATH_STALL not in {f.reason for f in report.failures}, (m, n, seed)
