@@ -35,7 +35,7 @@ from .polyfactor import (
     neg_roots,
     real_divisors,
 )
-from .recurrence import ConditionReport, build_N, lambda_det, lambda_seq, rank_conditions
+from .recurrence import ConditionReport, lambda_det, lambda_seq, rank_conditions
 from .solver import SolveReport, solve_all, start_solutions, track_path
 from .tensorcore import (
     Format,
@@ -65,7 +65,7 @@ __all__ = [
     "make_base_tensor", "make_start_frame", "save_tensor", "load_tensor",
     "neg_roots", "divisor_coefficients", "conjugation_closed", "real_divisors", "divisor_points",
     "alpha_closed", "alpha_brute",
-    "ConditionReport", "lambda_seq", "lambda_det", "build_N", "rank_conditions",
+    "ConditionReport", "lambda_seq", "lambda_det", "rank_conditions",
     "SolveReport", "start_solutions", "track_path", "solve_all",
     "RankCertificate", "ExperimentStats",
     "certify", "perturb_experiment", "global_experiment",

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 domain/usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 import time
@@ -215,10 +214,6 @@ _COMMANDS = {
 }
 
 
-def _table_csv(doc: dict) -> str:
-    return jsonio.dump_csv(doc["rows"])
-
-
 def dispatch(argv: list[str]) -> tuple[int, str]:
     """Parse argv, run one subcommand, and render its report.
 
@@ -226,13 +221,14 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.command != "table":
+        return 1, "error: csv output is only available for table\n"
     start = time.perf_counter()
     try:
         handler, flags = _COMMANDS[args.command]
         _require(args, *(f[:-1] for f in flags.split() if f.endswith("!")))
-        tol = getattr(args, "tol", None)
-        if tol is not None and not (0 < tol < math.inf):
-            raise ValueError(f"--tol must be positive and finite, got {tol:g}")
+        # the library refuses a bad seed too, but only after solve has handed
+        # it to numpy and certify has mapped the tensor through its chart
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         result, code = handler(args)
@@ -248,9 +244,7 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         "elapsed_s": time.perf_counter() - start,
     }
     if args.format == "csv":
-        if args.command != "table":
-            return 1, "error: csv output is only available for table\n"
-        text = _table_csv(result)
+        text = jsonio.dump_csv(result["rows"])
     elif args.format == "plain":
         text = jsonio.dump_plain(report)
     else:

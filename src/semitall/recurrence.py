@@ -1,4 +1,4 @@
-"""The lambda sequence, the banded matrix N, and five rank-deficiency tests.
+"""The lambda sequence and five rank-deficiency tests.
 
 Given real parameters a = (a_1, ..., a_(m-1)) the sequence lambda_t is
 seeded by lambda_t = 0 for t <= m-2, lambda_(m-1) = 1 and continued by
@@ -7,8 +7,8 @@ the order-(m-1) linear recurrence
     lambda_t = sum_k a_(m-k) lambda_(t-k),   k = 1..m-1
 
 (``lambda_seq``), or, equivalently, given by a banded Toeplitz determinant
-(``lambda_det``, the independent oracle).  The point
-(a, -1) makes the u x n band matrix N rank-deficient exactly when
+(``lambda_det``, the independent oracle).  The pencil N of the base
+tensor at (a, -1) is rank-deficient exactly when
 h(y) = y^(m-1) - a_(m-1) y^(m-2) - ... - a_1 divides y^u + 1, and
 ``rank_conditions`` evaluates five equivalent formulations of that fact.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .tensorcore import Format
+from .tensorcore import Format, make_base_tensor, pencil_eval
 
 # Relative threshold of all five rank-deficiency tests.
 RANK_TOL = 1e-8
@@ -30,18 +30,12 @@ RANK_TOL = 1e-8
 @dataclass
 class ConditionReport:
     """Outcome of the five equivalent rank-deficiency conditions, one flag
-    each in ``flags`` (conditions 1..5 of ``rank_conditions``).
-
-    Witness data: the singular values of N, the m-1 maximal minors
-    [i, m, ..., u] of N, the values lambda_(u+1)..lambda_(u+m-1), and the
-    remainder of y^u + 1 divided by h.
-    """
+    each in ``flags`` (conditions 1..5 of ``rank_conditions``), and the
+    singular values of N, the base tensor's pencil at (a, -1), largest
+    first."""
 
     flags: tuple[bool, bool, bool, bool, bool]
     singular_values: np.ndarray
-    minors: np.ndarray
-    lambda_tail: np.ndarray
-    remainder: np.ndarray
 
 
 def lambda_seq(a, T: int) -> np.ndarray:
@@ -134,34 +128,12 @@ def _band_det(A: list[int], D: int, t: int) -> tuple[int, int]:
     return sign * pivot_row[s - 1], D**s
 
 
-def build_N(a_full, m: int, n: int) -> np.ndarray:
-    """The u x n band matrix N at the chart point (a_1..a_(m-1), -1).
-
-    Column j carries a_1..a_(m-1) in rows j..j+m-2 followed by -1, and the
-    top-right entry (1, n) is +1.  Identical to evaluating the slice pencil
-    of the base tensor at the same point.
-    """
-    a_full = np.asarray(a_full, dtype=float)
-    if len(a_full) != m:
-        raise ValueError(f"expected m = {m} coordinates, got {len(a_full)}")
-    if a_full[-1] != -1.0:
-        raise ValueError("chart violation: last coordinate must be exactly -1")
-    u = Format(m, n).u
-    a = a_full[: m - 1]
-    N = np.zeros((u, n))
-    for j in range(n):
-        N[j : j + m - 1, j] = a
-        if j + m - 1 < u:
-            N[j + m - 1, j] = -1.0
-    N[0, n - 1] += 1.0
-    return N
-
-
 def rank_conditions(a, m: int, n: int) -> ConditionReport:
     """Evaluate the five equivalent rank-deficiency conditions at (a, -1),
     each at the relative threshold ``RANK_TOL``.
 
-    (1) N is column-rank deficient (relative singular-value test),
+    (1) N, the pencil of ``make_base_tensor(m, n)`` at (a, -1), is
+        column-rank deficient (relative singular-value test),
     (2) the m-1 maximal minors [i, m, m+1, ..., u] of N vanish,
     (3) lambda_(u+t) = 0 for t = 1..m-2 and lambda_(u+m-1) = -1,
     (4) lambda_(u+t) = -lambda_t on the window t = 1..2(m-1),
@@ -174,18 +146,16 @@ def rank_conditions(a, m: int, n: int) -> ConditionReport:
     if len(a) != m - 1:
         raise ValueError(f"expected m-1 = {m - 1} parameters, got {len(a)}")
     u = Format(m, n).u
-    N = build_N(np.append(a, -1.0), m, n)
+    N = pencil_eval(np.append(a, -1.0), make_base_tensor(m, n))
 
     svals = np.linalg.svd(N, compute_uv=False)
     c1 = bool(svals[-1] < RANK_TOL * svals[0])
 
-    minors = np.empty(m - 1)
     minor_ok = []
     for i in range(1, m):
         rows = [i - 1] + list(range(m - 1, u))
         sub = N[rows]
         det = float(np.linalg.det(sub))
-        minors[i - 1] = det
         hadamard = float(np.prod(np.linalg.norm(sub, axis=1)))
         minor_ok.append(abs(det) < RANK_TOL * max(1.0, hadamard))
     c2 = bool(all(minor_ok))
@@ -206,11 +176,5 @@ def rank_conditions(a, m: int, n: int) -> ConditionReport:
     qscale = max(1.0, float(np.max(np.abs(quo))))
     c5 = bool(np.max(np.abs(rem)) < RANK_TOL * qscale)
 
-    return ConditionReport(
-        flags=(c1, c2, c3, c4, c5),
-        singular_values=svals,
-        minors=minors,
-        lambda_tail=lam[u : u + m - 1].copy(),
-        remainder=np.asarray(rem),
-    )
+    return ConditionReport(flags=(c1, c2, c3, c4, c5), singular_values=svals)
 

@@ -216,7 +216,8 @@ def mu(W: np.ndarray, fmt: Format) -> Tensor3:
 
 def make_base_tensor(m: int, n: int) -> Tensor3:
     """The integer u x n x m tensor whose pencil drops rank exactly at the
-    divisor points of y^u + 1.
+    divisor points of y^u + 1 (the matrix N that ``recurrence.rank_conditions``
+    tests).
 
     Slices 1..m-1 are copies of E_n shifted down k-1 rows; the last slice
     has -e_1 in its final column and E_(n-1) in the lower-left block.

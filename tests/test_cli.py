@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from semitall import acceptance, cli, tensorcore
+from semitall import acceptance, certifier, cli, tensorcore
 from semitall.cli import dispatch
 from semitall.tensorcore import Format, make_start_frame, save_tensor, tau
 
@@ -212,7 +212,7 @@ class TestCertify:
         save_tensor(tau(make_start_frame(3, 3).W0, fmt), path)
         code, text = dispatch(["certify", "--input", str(path), "--tol", tol])
         assert code == 1
-        assert text.startswith("error: --tol must be positive")
+        assert text == f"error: span_tol must be positive and finite, got {float(tol):g}\n"
 
 
 class TestWrongShape:
@@ -283,6 +283,21 @@ class TestExperiment:
         code, doc = run_json(["experiment", "perturb", "--m", "3", "--n", "3", "--trials", "0", "--eps", "1e-3"])
         assert code == 0
         assert doc["result"]["eps"] == 1e-3
+
+    @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf"])
+    def test_tol_must_be_positive(self, tol):
+        code, text = dispatch(["experiment", "global", "--m", "3", "--n", "3", "--trials", "5", "--tol", tol])
+        assert code == 1
+        assert text == f"error: span_tol must be positive and finite, got {float(tol):g}\n"
+
+    def test_csv_refused_before_the_experiment_runs(self, monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(certifier, "global_experiment", run)
+        code, text = dispatch(["experiment", "global", "--m", "3", "--n", "3", "--trials", "5", "--format", "csv"])
+        assert code == 1
+        assert text == "error: csv output is only available for table\n"
 
     def test_negative_trials_rejected(self):
         code, text = dispatch(["experiment", "global", "--m", "3", "--n", "3", "--trials", "-2"])
