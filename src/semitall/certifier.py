@@ -7,8 +7,8 @@ the continuation solver on Y, keeps the real solutions, and measures that
 span.  A verdict of RANK_GT_P is only ever issued when every path is
 accounted for, because the "rank > p" direction needs the full real
 solution set; any lost path degrades the verdict to INCONCLUSIVE.  So does
-a complete solve whose endpoints break conjugate closure: the target is
-real, so its non-real kernel pairs come in conjugate pairs.
+a complete solve whose endpoints fail ``solver.SolveReport.closure``: the
+target is real, so its non-real kernel pairs come in conjugate pairs.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def certify(T: tensorcore.Tensor3, seed: object = 0, span_tol: float = SPAN_TOL)
     that ``solver.solve_all`` refuses.  A kernel of dimension >= 2 at any
     real solution poisons the span count and forces INCONCLUSIVE, as does
     any path failure or, in a complete solve, a broken conjugate closure
-    (see ``_closure_notes``).
+    or real-count parity (the notes of ``SolveReport.closure``).
     """
     tensorcore.check_span_tol(span_tol)
     fmt = tensorcore.vspace_format(T)
@@ -93,7 +93,7 @@ def certify(T: tensorcore.Tensor3, seed: object = 0, span_tol: float = SPAN_TOL)
     psi_rows = tensorcore.psi(a_real[~degenerate], b_real[~degenerate], fmt)
     psi_matrix = psi_rows.T
     dim_u = tensorcore.span_dim(psi_rows, span_tol)
-    broken = [] if report.failures else _closure_notes(Z, real, index, report.n_paths)
+    broken = report.closure
 
     if report.failures:
         verdict = INCONCLUSIVE
@@ -125,23 +125,6 @@ def certify(T: tensorcore.Tensor3, seed: object = 0, span_tol: float = SPAN_TOL)
         n=n,
         p=fmt.p,
     )
-
-
-def _closure_notes(Z: np.ndarray, real: np.ndarray, index: np.ndarray, n_paths: int) -> list[str]:
-    """Notes on every way the endpoints Z of a complete solve of a real
-    target (rows (a, b), real flags, path indices) break conjugate closure:
-    a non-real endpoint whose conjugate lies within ``solver.DEDUP_TOL``
-    (max-norm, chart coordinates; the charts are real) of no other non-real
-    endpoint, and a real count of the wrong parity."""
-    n_real = int(real.sum())
-    Z, index = Z[~real], index[~real]
-    i, j = solver.close_pairs(Z, Z.conj())
-    paired = np.zeros(len(Z), dtype=bool)
-    paired[i[i != j]] = True  # an endpoint is not its own partner
-    notes = [f"path {k}: no conjugate endpoint within {solver.DEDUP_TOL:g}" for k in index[~paired].tolist()]
-    if (n_paths - n_real) % 2:
-        notes.append(f"{n_real} real of {n_paths} endpoints: the non-real ones cannot pair up")
-    return notes
 
 
 def perturb_experiment(

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 domain/usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -48,6 +49,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="semitall-rank", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -219,8 +221,7 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
 
     Returns (exit code, rendered report text).
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.format == "csv" and args.command != "table":
         return 1, "error: csv output is only available for table\n"
     start = time.perf_counter()

@@ -94,9 +94,10 @@ class SolveReport:
 
     The endpoints are parallel arrays with one row per kept path, in path
     order: ``solutions`` holds the rows (a, b) of shape (K, m+n) on the
-    charts a_m = -1 and c . b = 1, ``residuals`` the 2-norms of M(a, B) b
-    at the target B, ``real`` the reality flags and ``path_index`` the
-    start index each row was tracked from.
+    charts a_m = -1 and c . b = 1, ``residuals`` the absolute 2-norms of
+    M(a, B) b at the target B (read them against the corrector's bound
+    sqrt(u) * CORRECTOR_TOL * max(1, |z|inf)), ``real`` the reality flags
+    and ``path_index`` the start index each row was tracked from.
 
     Path conservation: len(solutions) + len(failures) equals n_paths.
     ``complete`` is True only when no path failed, which is what the
@@ -121,6 +122,24 @@ class SolveReport:
     @property
     def real_count(self) -> int:
         return int(self.real.sum())
+
+    @property
+    def closure(self) -> list[str]:
+        """Notes on every way the endpoints of a complete solve of a real
+        target break conjugate closure: a non-real endpoint whose conjugate
+        lies within ``DEDUP_TOL`` (max-norm; the charts are real) of no other
+        non-real endpoint, and a real count of the wrong parity.  Empty when
+        paths failed, as the failures say why; read from the arrays anew."""
+        if self.failures:
+            return []
+        Z, index = self.solutions[~self.real], self.path_index[~self.real]
+        i, j = close_pairs(Z, Z.conj())
+        paired = np.zeros(len(Z), dtype=bool)
+        paired[i[i != j]] = True  # an endpoint is not its own partner
+        notes = [f"path {k}: no conjugate endpoint within {DEDUP_TOL:g}" for k in index[~paired].tolist()]
+        if (self.n_paths - self.real_count) % 2:
+            notes.append(f"{self.real_count} real of {self.n_paths} endpoints: the non-real ones cannot pair up")
+        return notes
 
 
 def _sample_gamma(rng: np.random.Generator) -> complex:

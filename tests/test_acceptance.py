@@ -87,6 +87,25 @@ class TestHarness:
             solver._start_system.cache_clear()
         assert not passed
 
+    def test_criterion_7_sees_a_closure_break(self, monkeypatch):
+        # moving one non-real endpoint of the first solve by 1e-2 keeps the
+        # endpoint count and their separation, but leaves that endpoint and
+        # its conjugate partner each without a partner
+        solve_all, first = solver.solve_all, []
+
+        def moved(*args, **kwargs):
+            report = solve_all(*args, **kwargs)
+            if not first:
+                first.append(int(np.flatnonzero(~report.real)[0]))
+                report.solutions[first[0], 0] += 1e-2
+            return report
+
+        monkeypatch.setattr(solver, "solve_all", moved)
+        passed, detail = acceptance.criterion_7_homotopy_stability()
+        assert not passed
+        assert detail.startswith("(3,3) trial 0: path ")
+        assert detail.count("no conjugate endpoint within 1e-06") == 2
+
     def test_failing_criterion_is_named_by_its_index(self, monkeypatch):
         # a failing criterion is reported under its own index and name, with
         # its detail, beside a passing one

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from semitall import certifier, solver, tensorcore
+from semitall import solver
 from semitall.certifier import (
     INCONCLUSIVE,
     RANK_GT_P,
@@ -307,6 +307,14 @@ def _chunked_closure_notes(Z, real, index, n_paths):
     return notes
 
 
+def _report(Z, real, index, n_paths, failures=()):
+    # a report holding these endpoint arrays, complete unless failures are given
+    return solver.SolveReport(
+        m=0, n=Z.shape[1], n_paths=n_paths, solutions=Z, residuals=np.zeros(len(Z)), real=real,
+        path_index=index, failures=list(failures), gamma=1j, chart_b=np.ones(Z.shape[1]),
+    )
+
+
 class TestClosure:
     @staticmethod
     def _paired_stack(rng, pairs, N):
@@ -340,13 +348,23 @@ class TestClosure:
             real = rng.random(P) < 0.1
             index = rng.permutation(P + 3)[:P]
             n_paths = P + int(rng.integers(0, 2))
-            assert certifier._closure_notes(Z, real, index, n_paths) == _chunked_closure_notes(Z, real, index, n_paths)
+            assert _report(Z, real, index, n_paths).closure == _chunked_closure_notes(Z, real, index, n_paths)
 
     def test_empty_stack(self):
         Z = np.zeros((0, 5), dtype=complex)
         empty = np.zeros(0, dtype=bool), np.zeros(0, dtype=int)
-        assert certifier._closure_notes(Z, *empty, 2) == _chunked_closure_notes(Z, *empty, 2) == []
-        assert certifier._closure_notes(Z, *empty, 3) == ["0 real of 3 endpoints: the non-real ones cannot pair up"]
+        assert _report(Z, *empty, 2).closure == _chunked_closure_notes(Z, *empty, 2) == []
+        assert _report(Z, *empty, 3).closure == ["0 real of 3 endpoints: the non-real ones cannot pair up"]
+
+    def test_silent_when_paths_failed(self):
+        # a lonely endpoint and a wrong parity, but the failure already says why
+        lonely = np.array([[1.0 + 1j, 2.0]]), np.zeros(1, dtype=bool), np.array([0])
+        report = _report(*lonely, 3, [solver.PathFailureInfo(1, "PATH_STALL")])
+        assert report.closure == []
+        assert _report(*lonely, 3).closure == [
+            "path 0: no conjugate endpoint within 1e-06",
+            "0 real of 3 endpoints: the non-real ones cannot pair up",
+        ]
 
     def test_scale_of_the_first_unknown_format(self):
         # (5,27) has C(30, 4) = 27,405 paths; 27,154 non-real endpoints of
@@ -354,6 +372,6 @@ class TestClosure:
         # (the chunked scan needs minutes)
         Z = self._paired_stack(np.random.default_rng(52), 27154 // 2, 32)
         start = time.perf_counter()
-        notes = certifier._closure_notes(Z, np.zeros(len(Z), dtype=bool), np.arange(len(Z)), len(Z))
+        notes = _report(Z, np.zeros(len(Z), dtype=bool), np.arange(len(Z)), len(Z)).closure
         assert time.perf_counter() - start < 10
         assert notes == []

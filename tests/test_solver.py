@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -497,9 +498,14 @@ class TestSolveAll:
 
         assert report.complete
         assert retried[0] in report.path_index.tolist()
-        row = report.solutions[report.path_index.tolist().index(retried[0])]
+        k = report.path_index.tolist().index(retried[0])
+        row = report.solutions[k]
         assert row[m - 1] == -1.0
         assert (report.n_paths - report.real_count) % 2 == 0
+        # the residual is an absolute 2-norm over the u rows of M(a, B) b,
+        # inside the bound that the corrector's relative max-norm test implies
+        u = tensorcore.Format(m, n).u
+        assert report.residuals[k] <= np.sqrt(u) * solver.CORRECTOR_TOL * max(1.0, np.abs(row).max())
 
     def test_error_state_is_left_as_found(self):
         # the tracker silences floating-point flags only while it tracks a
@@ -538,6 +544,63 @@ class TestSolveAll:
             _, target = perturbed_target(3, 3, 1e-3, seed=seed)
             report = solve_all(target, seed=seed)
             assert abs(report.gamma.imag) > 0.1
+
+
+def _eigen_endpoints(Y, c, rng):
+    # every kernel pair of Y as one eigenvalue problem, with no tracking.  On
+    # a_m = -1 the system is (A_0 + a_1 A_1 + ... + a_k A_k) b = 0, k = m-1.
+    # Over the k-subsets r of the u rows, M_0[r, s] is the minor of
+    # [A_1 x_s, ..., A_k x_s] at sample x_s and M_i the same with column i
+    # replaced by -A_0 x_s; by Cramer's rule a solution's minors satisfy
+    # M_i y = a_i M_0 y, so the eigenvectors y of M_0^-1 (w . M) give every
+    # a.  Then b spans the kernel of M(a, Y) on c . b = 1, and three Newton
+    # steps on [M(a, Y) b ; c . b - 1] polish (a_1..a_k, b).
+    u, n, m = Y.shape
+    k, N = m - 1, math.comb(u, m - 1)
+    rows = list(itertools.combinations(range(u), k))
+    x, w = rng.standard_normal((N, n)), rng.standard_normal(k)
+    cols = np.stack([x @ Y.data[:, :, i].T for i in range(k)], axis=2)  # (N, u, k)
+    M = [np.linalg.det(cols[:, rows]).T]
+    for i in range(k):
+        C = cols.copy()
+        C[:, :, i] = x @ Y.data[:, :, m - 1].T  # -A_0 x_s
+        M.append(np.linalg.det(C[:, rows]).T)
+    _, y = np.linalg.eig(np.linalg.solve(M[0], sum(wi * Mi for wi, Mi in zip(w, M[1:]))))
+    M0y = M[0] @ y
+    a = [np.sum(M0y.conj() * (Mi @ y), axis=0) / np.sum(np.abs(M0y) ** 2, axis=0) for Mi in M[1:]]
+    a = np.stack(a + [-np.ones(N)], axis=1).astype(complex)
+    b = np.linalg.svd(tensorcore.pencil_eval(a, Y))[2][:, -1].conj()
+    b = b / (b @ c)[:, None]
+    for _ in range(3):
+        J = np.zeros((N, u + 1, k + n), dtype=complex)
+        J[:, :u, :k] = np.einsum("ijk,pj->pik", Y.data[:, :, :k], b)
+        J[:, :u, k:] = tensorcore.pencil_eval(a, Y)
+        J[:, u, k:] = c
+        F = np.concatenate([(J[:, :u, k:] @ b[..., None])[..., 0], b @ c[:, None] - 1], axis=1)
+        dz = np.linalg.solve(J, F[..., None])[..., 0]
+        a[:, :k] -= dz[:, :k]
+        b = b - dz[:, k:]
+    return np.concatenate([a, b], axis=1)
+
+
+class TestEigenvalueOracle:
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 5), (4, 4), (5, 5)])
+    def test_solve_all_matches_the_eigenvalue_endpoints(self, m, n):
+        # Gaussian kernel targets; the checks hold whether or not a solve is
+        # complete, and the real counts are compared where it is
+        u = tensorcore.Format(m, n).u
+        for trial in range(2):
+            rng = np.random.default_rng((71, m, n, trial))
+            Y = tensorcore.Tensor3(rng.standard_normal((u, n, m)))
+            report = solve_all(Y, seed=trial)
+            E = _eigen_endpoints(Y, report.chart_b, rng)
+            assert len(E) == math.comb(u, m - 1)
+            i, j = solver.close_pairs(E, E)
+            assert np.array_equal(i, j)  # pairwise farther apart than DEDUP_TOL
+            i, j = solver.close_pairs(E, report.solutions)
+            assert np.bincount(j, minlength=len(report.solutions)).tolist() == [1] * len(report.solutions)
+            if report.complete:
+                assert projectively_real(E[:, :m], E[:, m:], solver.REALITY_TOL).sum() == report.real_count
 
 
 def _pairwise_first_kept(z):
