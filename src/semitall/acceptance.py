@@ -7,7 +7,6 @@ deterministic reproduction.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass

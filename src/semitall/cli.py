@@ -53,12 +53,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="semitall-rank", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (handler, _) in _COMMANDS.items():
+    for command, (handler, _, formats) in _COMMANDS.items():
         p = sub.add_parser(command, help=handler.__doc__)
         for name in _flags(command):
             p.add_argument(name if name == "mode" else f"--{name}", **_ARGUMENTS[name])
         p.add_argument("--output", type=str)
-        p.add_argument("--format", choices=["json", "csv", "plain"], default="json")
+        p.add_argument("--format", choices=formats.split(), default="json")
     return parser
 
 
@@ -95,8 +95,8 @@ def _verdict_doc(v: classifier.Verdict) -> dict:
     return {
         "m": v.m, "n": v.n, "p": v.p,
         "verdict": v.kind,
-        "typical_ranks": list(v.ranks),
-        "reasons": list(v.reasons),
+        "typical_ranks": v.ranks,
+        "reasons": v.reasons,
         "grank": v.grank,
         "alpha": v.alpha,
         "bit_disjoint": v.bit_disjoint,
@@ -133,8 +133,7 @@ def _cmd_solve(args: argparse.Namespace):
         "gamma": report.gamma,
         "chart_b": report.chart_b,
         "solutions": [
-            {"a": [complex(v) for v in z[:m]], "b": [complex(v) for v in z[m:]], "residual": float(residual),
-             "is_real": bool(real), "source": "TRACKED", "path_index": int(index)}
+            {"a": z[:m], "b": z[m:], "residual": residual, "is_real": real, "source": "TRACKED", "path_index": index}
             for z, residual, real, index in zip(report.solutions, report.residuals, report.real, report.path_index)
         ],
         "failures": [{"index": f.index, "reason": f.reason, "detail": f.detail} for f in report.failures],
@@ -200,19 +199,20 @@ def _cmd_selftest(args: argparse.Namespace):
     return doc, (0 if doc["passed"] else 2)
 
 
-# Subcommand -> (handler, the flags it reads).  Flags are listed in
-# "params" echo order, and a trailing "!" marks one the subcommand always
-# requires; "mode" is experiment's positional.  Every subcommand also takes
-# --output and --format, which are not echoed.
+# Subcommand -> (handler, the flags it reads, the --format choices it
+# writes).  Flags are listed in "params" echo order, and a trailing "!"
+# marks one the subcommand always requires; "mode" is experiment's
+# positional.  Every subcommand also takes --output and --format (default
+# json), which are not echoed.
 _COMMANDS = {
-    "alpha": (_cmd_alpha, "m! n!"),
-    "divisors": (_cmd_divisors, "m! n!"),
-    "classify": (_cmd_classify, "m! n! p"),
-    "table": (_cmd_table, "m! n!"),
-    "solve": (_cmd_solve, "m n eps seed input"),
-    "certify": (_cmd_certify, "seed tol input!"),
-    "experiment": (_cmd_experiment, "m! n! eps trials! seed tol mode"),
-    "selftest": (_cmd_selftest, ""),
+    "alpha": (_cmd_alpha, "m! n!", "json plain"),
+    "divisors": (_cmd_divisors, "m! n!", "json plain"),
+    "classify": (_cmd_classify, "m! n! p", "json plain"),
+    "table": (_cmd_table, "m! n!", "json csv plain"),
+    "solve": (_cmd_solve, "m n eps seed input", "json plain"),
+    "certify": (_cmd_certify, "seed tol input!", "json plain"),
+    "experiment": (_cmd_experiment, "m! n! eps trials! seed tol mode", "json plain"),
+    "selftest": (_cmd_selftest, "", "json plain"),
 }
 
 
@@ -222,11 +222,9 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
     Returns (exit code, rendered report text).
     """
     args = _build_parser().parse_args(argv)
-    if args.format == "csv" and args.command != "table":
-        return 1, "error: csv output is only available for table\n"
     start = time.perf_counter()
     try:
-        handler, flags = _COMMANDS[args.command]
+        handler, flags, _ = _COMMANDS[args.command]
         _require(args, *(f[:-1] for f in flags.split() if f.endswith("!")))
         # the library refuses a bad seed too, but only after solve has handed
         # it to numpy and certify has mapped the tensor through its chart

@@ -3,77 +3,74 @@
 Floats are rendered with 17 significant digits, which round-trips IEEE
 binary64 exactly, so a report produced twice from the same seed and flags
 is byte-identical.  Complex numbers are emitted as two-element
-``[re, im]`` arrays.
+``[re, im]`` arrays.  Every value a writer reaches passes through
+``_python`` first: a numpy array or scalar becomes the Python list or
+scalar that its ``tolist()`` gives, and a tuple becomes a list, so past
+that point the writers test Python types only.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 INDENT = 2  # spaces per nesting level of ``dumps``
+_FLAT = (type(None), int, float, complex)  # a list of only these is one line of JSON; bool is an int
+_PLAIN_FLAT = (*_FLAT, str)  # and one line of plain text
+
+
+def _python(obj):
+    """``obj`` with a numpy array or scalar as its ``tolist()`` and a tuple as a list."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, tuple):
+        return list(obj)
+    return obj
 
 
 def format_float(x: float) -> str:
-    if x != x:
-        return '"nan"'
-    if x == float("inf"):
-        return '"inf"'
-    if x == float("-inf"):
-        return '"-inf"'
-    return f"{x:.17g}"
+    text = f"{x:.17g}"
+    return text if math.isfinite(x) else f'"{text}"'  # "nan", "inf", "-inf"
+
+
+def _atom(obj) -> str:
+    """JSON text of a Python scalar, an empty dict or an empty list."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, complex):
+        return f"[{format_float(obj.real)}, {format_float(obj.imag)}]"
+    if isinstance(obj, (str, dict, list)):  # dicts and lists reach here empty
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _emit(obj, out: list, level: int) -> None:
+    obj = _python(obj)
+    if not isinstance(obj, (dict, list)) or not obj:
+        out.append(_atom(obj))
+        return
+    if isinstance(obj, list) and len(obj) <= 12:
+        values = [_python(v) for v in obj]
+        if all(isinstance(v, _FLAT) for v in values):
+            out.append("[" + ", ".join(map(_atom, values)) + "]")
+            return
+    keyed = isinstance(obj, dict)
+    labels = [json.dumps(str(k)) + ": " for k in obj] if keyed else [""] * len(obj)
     pad = " " * (INDENT * (level + 1))
-    close_pad = " " * (INDENT * level)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        out.append(f"[{format_float(z.real)}, {format_float(z.imag)}]")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out, level)
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(pad + json.dumps(str(k)) + ": ")
-            _emit(v, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(close_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        flat = all(isinstance(v, (int, float, bool, np.integer, np.floating, complex, np.complexfloating)) or v is None for v in obj)
-        if flat and len(obj) <= 12:
-            parts = []
-            for v in obj:
-                sub: list = []
-                _emit(v, sub, level)
-                parts.append("".join(sub))
-            out.append("[" + ", ".join(parts) + "]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad)
-            _emit(v, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(close_pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+    out.append("{\n" if keyed else "[\n")
+    for i, (label, v) in enumerate(zip(labels, obj.values() if keyed else obj)):
+        out.append(pad + label)
+        _emit(v, out, level + 1)
+        out.append(",\n" if i < len(obj) - 1 else "\n")
+    out.append(" " * (INDENT * level) + ("}" if keyed else "]"))
 
 
 def dumps(obj) -> str:
@@ -83,22 +80,21 @@ def dumps(obj) -> str:
     return "".join(out) + "\n"
 
 
+def _text(v) -> str:
+    """Plain and CSV text of a Python scalar: a float, and each part of a
+    complex (``a+bj``), at 17 significant digits."""
+    return format(v, ".17g") if isinstance(v, (float, complex)) else str(v)
+
+
 def dump_csv(rows: list[dict]) -> str:
     """Render a list of flat dicts as CSV, columns from the first row."""
-    if not rows:
-        return "\n"
-    cols = list(rows[0].keys())
+    cols = list(rows[0]) if rows else []
     lines = [",".join(cols)]
     for row in rows:
         cells = []
         for c in cols:
-            v = row.get(c)
-            if isinstance(v, (float, np.floating)):
-                cells.append(f"{float(v):.17g}")
-            elif isinstance(v, (list, tuple)):
-                cells.append('"' + ";".join(str(x) for x in v) + '"')
-            else:
-                cells.append(str(v))
+            v = _python(row.get(c))
+            cells.append('"' + ";".join(_text(_python(x)) for x in v) + '"' if isinstance(v, list) else _text(v))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -108,43 +104,20 @@ def dump_plain(obj) -> str:
     lines: list[str] = []
 
     def walk(o, pfx):
-        if isinstance(o, dict):
-            for k, v in o.items():
-                if isinstance(v, (dict, list, tuple, np.ndarray)) and not _is_scalar_seq(v):
-                    lines.append(f"{pfx}{k}:")
-                    walk(v, pfx + "  ")
-                else:
-                    lines.append(f"{pfx}{k} = {_scalar_str(v)}")
-        elif isinstance(o, np.ndarray):
-            walk(o.tolist(), pfx)
-        elif isinstance(o, (list, tuple)):
-            for i, v in enumerate(o):
-                if isinstance(v, (dict, list, tuple, np.ndarray)) and not _is_scalar_seq(v):
-                    lines.append(f"{pfx}[{i}]:")
-                    walk(v, pfx + "  ")
-                else:
-                    lines.append(f"{pfx}[{i}] = {_scalar_str(v)}")
-        else:
-            lines.append(f"{pfx}{_scalar_str(o)}")
-
-    def _is_scalar_seq(v):
-        if isinstance(v, np.ndarray):
-            v = v.tolist()
-        return isinstance(v, (list, tuple)) and all(
-            isinstance(x, (int, float, str, bool, complex, np.integer, np.floating)) or x is None for x in v
-        )
-
-    def _scalar_str(v):
-        if isinstance(v, (float, np.floating)):
-            return f"{float(v):.17g}"
-        if isinstance(v, (complex, np.complexfloating)):
-            z = complex(v)
-            return f"{z.real:.17g}{z.imag:+.17g}j"
-        if isinstance(v, np.ndarray):
-            v = v.tolist()
-        if isinstance(v, (list, tuple)):
-            return "[" + ", ".join(_scalar_str(x) for x in v) + "]"
-        return str(v)
+        o = _python(o)
+        if not isinstance(o, (dict, list)):
+            lines.append(pfx + _text(o))
+            return
+        for label, v in o.items() if isinstance(o, dict) else ((f"[{i}]", v) for i, v in enumerate(o)):
+            v = _python(v)
+            items = [_python(x) for x in v] if isinstance(v, list) else None
+            if items is not None and all(isinstance(x, _PLAIN_FLAT) for x in items):
+                lines.append(f"{pfx}{label} = [{', '.join(map(_text, items))}]")
+            elif isinstance(v, (dict, list)):
+                lines.append(f"{pfx}{label}:")
+                walk(v, pfx + "  ")
+            else:
+                lines.append(f"{pfx}{label} = {_text(v)}")
 
     walk(obj, "")
     return "\n".join(lines) + "\n"

@@ -65,7 +65,7 @@ def _expand_from_roots(roots) -> np.ndarray:
 def _leaf_order(k: int) -> np.ndarray:
     """The indices 0..k-1 sorted by their bit reversal within the width of
     k - 1 (read-only; cached per k, since every expansion of k roots reads it)."""
-    order = np.argsort(_bit_reverse32(np.arange(k), max(1, (k - 1).bit_length())))
+    order = np.argsort(_bit_reverse(np.arange(k, dtype=np.uint32), max(1, (k - 1).bit_length())))
     order.flags.writeable = False
     return order
 
@@ -184,25 +184,19 @@ def divisor_points(coeffs) -> np.ndarray:
 
 # -- vectorized subset enumeration -----------------------------------------
 
-def _bit_reverse32(x: np.ndarray, u: int) -> np.ndarray:
-    x = x.astype(np.uint32)
-    x = ((x >> np.uint32(1)) & np.uint32(0x55555555)) | ((x & np.uint32(0x55555555)) << np.uint32(1))
-    x = ((x >> np.uint32(2)) & np.uint32(0x33333333)) | ((x & np.uint32(0x33333333)) << np.uint32(2))
-    x = ((x >> np.uint32(4)) & np.uint32(0x0F0F0F0F)) | ((x & np.uint32(0x0F0F0F0F)) << np.uint32(4))
-    x = ((x >> np.uint32(8)) & np.uint32(0x00FF00FF)) | ((x & np.uint32(0x00FF00FF)) << np.uint32(8))
-    x = (x >> np.uint32(16)) | (x << np.uint32(16))
-    return x >> np.uint32(32 - u)
-
-
-def _bit_reverse64(x: np.ndarray, u: int) -> np.ndarray:
-    x = x.astype(np.uint64)
-    x = ((x >> np.uint64(1)) & np.uint64(0x5555555555555555)) | ((x & np.uint64(0x5555555555555555)) << np.uint64(1))
-    x = ((x >> np.uint64(2)) & np.uint64(0x3333333333333333)) | ((x & np.uint64(0x3333333333333333)) << np.uint64(2))
-    x = ((x >> np.uint64(4)) & np.uint64(0x0F0F0F0F0F0F0F0F)) | ((x & np.uint64(0x0F0F0F0F0F0F0F0F)) << np.uint64(4))
-    x = ((x >> np.uint64(8)) & np.uint64(0x00FF00FF00FF00FF)) | ((x & np.uint64(0x00FF00FF00FF00FF)) << np.uint64(8))
-    x = ((x >> np.uint64(16)) & np.uint64(0x0000FFFF0000FFFF)) | ((x & np.uint64(0x0000FFFF0000FFFF)) << np.uint64(16))
-    x = (x >> np.uint64(32)) | (x << np.uint64(32))
-    return x >> np.uint64(64 - u)
+def _bit_reverse(x: np.ndarray, u: int) -> np.ndarray:
+    """Reverse the low u bits of each entry of an unsigned integer array:
+    swap ever larger blocks of bits across the whole width of x's dtype,
+    then shift the reversed low u bits down."""
+    t = x.dtype.type
+    width = 8 * x.dtype.itemsize
+    s = 1
+    while s < width:
+        # s ones, then s zeros, repeated across the width
+        mask = t(((1 << width) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1))
+        x = ((x >> t(s)) & mask) | ((x & mask) << t(s))
+        s *= 2
+    return x >> t(width - u)
 
 
 def _popcount32(x: np.ndarray) -> np.ndarray:
@@ -225,7 +219,7 @@ def _closed_size_histogram(u: int) -> tuple[int, ...]:
     for start in range(0, 1 << u, chunk):
         stop = min(start + chunk, 1 << u)
         masks = np.arange(start, stop, dtype=np.uint32)
-        closed = masks[masks == _bit_reverse32(masks, u)]
+        closed = masks[masks == _bit_reverse(masks, u)]
         counts += np.bincount(_popcount32(closed), minlength=u + 1)[: u + 1]
     return tuple(int(c) for c in counts)
 
@@ -241,5 +235,5 @@ def _count_closed_streaming(u: int, d: int) -> int:
             break
         idx = np.array(block, dtype=np.uint64)
         masks = np.bitwise_or.reduce(np.uint64(1) << idx, axis=1)
-        count += int(np.count_nonzero(masks == _bit_reverse64(masks, u)))
+        count += int(np.count_nonzero(masks == _bit_reverse(masks, u)))
     return count

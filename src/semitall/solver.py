@@ -539,13 +539,14 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
         z_r, failed_r = tracker.run(np.concatenate([-a0[retry] / (a0[retry] @ d)[:, None], b0[retry]], axis=1))
         for row, (reason, detail) in failed_r.items():
             errors[int(retry[row])] = (reason, "retry chart: " + detail)
-        landed = np.setdiff1d(np.arange(len(retry)), list(failed_r))
+        landed = np.ones(len(retry), dtype=bool)
+        landed[list(failed_r)] = False
         a, b = z_r[landed, :m], z_r[landed, m:]
         off = np.abs(a[:, -1]) < 1e-8 * np.abs(a).max(axis=1)
-        for idx in retry[landed[off]].tolist():
+        for idx in retry[landed][off].tolist():
             errors[idx] = (CHART_ESCAPE, "endpoint stays outside the a_m = -1 chart")
         # back onto a_m = -1 and c . b = 1
-        a, b, back = a[~off], b[~off], retry[landed[~off]]
+        a, b, back = a[~off], b[~off], retry[landed][~off]
         z[back] = np.concatenate([-a / a[:, -1:], b / (b @ c)[:, None]], axis=1)
         z[back, m - 1] = -1.0
 

@@ -83,9 +83,14 @@ class TestTable:
         # rows for (3,3..6) and (4,4..6)
         assert len(lines) == 1 + 4 + 3
 
-    def test_csv_only_for_table(self):
-        code, text = dispatch(["alpha", "--m", "3", "--n", "3", "--format", "csv"])
-        assert code == 1
+    def test_csv_only_for_table(self, capsys):
+        # csv is a --format choice of table alone, so elsewhere it is a usage error
+        for command, (_, _, formats) in cli._COMMANDS.items():
+            assert ("csv" in formats.split()) == (command == "table")
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["alpha", "--m", "3", "--n", "3", "--format", "csv"])
+        assert exc.value.code == 1
+        assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
 
     def test_json_rows(self):
         _, doc = run_json(["table", "--m", "3", "--n", "5"])
@@ -290,14 +295,15 @@ class TestExperiment:
         assert code == 1
         assert text == f"error: span_tol must be positive and finite, got {float(tol):g}\n"
 
-    def test_csv_refused_before_the_experiment_runs(self, monkeypatch):
+    def test_csv_refused_before_the_experiment_runs(self, monkeypatch, capsys):
         def run(*args, **kwargs):
             raise AssertionError("the experiment ran")
 
         monkeypatch.setattr(certifier, "global_experiment", run)
-        code, text = dispatch(["experiment", "global", "--m", "3", "--n", "3", "--trials", "5", "--format", "csv"])
-        assert code == 1
-        assert text == "error: csv output is only available for table\n"
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["experiment", "global", "--m", "3", "--n", "3", "--trials", "5", "--format", "csv"])
+        assert exc.value.code == 1
+        assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
 
     def test_negative_trials_rejected(self):
         code, text = dispatch(["experiment", "global", "--m", "3", "--n", "3", "--trials", "-2"])

@@ -72,6 +72,24 @@ class TestLeafOrder:
             polyfactor._leaf_order(5)[0] = 1
 
 
+class TestBitReverse:
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_matches_the_per_bit_reversal(self, dtype):
+        # bit i < u moves to u-1-i, and the bits at u and above are dropped
+        width = np.iinfo(dtype).bits
+        rng = np.random.default_rng(width)
+        for u in (1, 5, 17, 27, width):
+            # values of u bits, as the callers pass, and values of the full width
+            for top in (2**u - 1, np.iinfo(dtype).max):
+                x = rng.integers(0, top, size=10_000, dtype=dtype, endpoint=True)
+                reference = np.zeros_like(x)
+                for i in range(u):
+                    reference |= ((x >> dtype(i)) & dtype(1)) << dtype(u - 1 - i)
+                out = polyfactor._bit_reverse(x, u)
+                assert out.dtype == dtype
+                assert np.array_equal(out, reference), u
+
+
 class TestRealDivisors:
     def test_quartic_quadratic_divisors(self):
         divs = real_divisors(4, 2)

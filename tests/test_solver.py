@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -506,6 +510,33 @@ class TestSolveAll:
         # inside the bound that the corrector's relative max-norm test implies
         u = tensorcore.Format(m, n).u
         assert report.residuals[k] <= np.sqrt(u) * solver.CORRECTOR_TOL * max(1.0, np.abs(row).max())
+
+    def test_retry_pass_leaves_numpy_ma_unimported(self):
+        # the retry pass picks its landed rows with a boolean mask; set
+        # operations such as np.setdiff1d import numpy.ma on first use,
+        # which costs every process about half a megabyte of memory
+        code = """
+import sys
+import numpy as np
+from semitall import solver, tensorcore
+runs = []
+run = solver._Lockstep.run
+solver._Lockstep.run = lambda self, z0: runs.append(len(z0)) or run(self, z0)
+m, n = 3, 3
+rng = np.random.default_rng((29, m, n, 1))
+data = rng.standard_normal((4, n, m))
+v = rng.standard_normal(m)
+data[:, :, 0] -= (1 - 1e-8) * np.outer(data[:, :, 0] @ v, v) / (v @ v)
+assert "numpy.ma" not in sys.modules
+report = solver.solve_all(tensorcore.Tensor3(data), seed=1)
+assert report.complete and runs == [6, 1], runs
+print("numpy.ma" in sys.modules)
+"""
+        src = str(pathlib.Path(solver.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "False\n"
 
     def test_error_state_is_left_as_found(self):
         # the tracker silences floating-point flags only while it tracks a
