@@ -244,12 +244,15 @@ class _Lockstep:
     Each path keeps its own t, step and status; every stage of the
     predictor-corrector makes one stacked evaluation and one stacked solve
     over the paths still in that stage, and the stacks are gathered anew
-    only when a path leaves them.  Each stack owns one Jacobian buffer of
-    shape (P, u+2, N): its chart rows are written when the stack is built
-    or gathered, and every evaluation writes only its top rows.  Rows are
-    gathered, never masked, because a stacked product is not computed row
-    by row: one row of a product of P rows can differ in its last bits from
-    the same row of a product of fewer rows.
+    only when a path leaves them.  A path leaves the corrector's stack on
+    convergence, on breakdown, or once its summed correction passes a
+    quarter of its prediction (the basin guard), where the step is
+    rejected whatever Newton would do next.  Each stack owns one Jacobian
+    buffer of shape (P, u+2, N): its chart rows are written when the stack
+    is built or gathered, and every evaluation writes only its top rows.
+    Rows are gathered, never masked, because a stacked product is not
+    computed row by row: one row of a product of P rows can differ in its
+    last bits from the same row of a product of fewer rows.
     """
 
     def __init__(self, B_from, B_to, gamma: complex, chart: np.ndarray):
@@ -295,28 +298,32 @@ class _Lockstep:
         k = _solve_rows(J, rhs[..., 0])
         return k, ~np.logical_or.reduce(np.isnan(k), axis=1)
 
-    def _correct(self, J, z, t, iters):
+    def _correct(self, J, z, t, limit, iters):
         """Newton on each path at its own t, from the Jacobian buffer J of
         z's stack (its top rows are overwritten); returns (z, converged,
-        total correction size) and leaves the input z untouched.  A path
-        leaves the loop on convergence, on breakdown (residual beyond 1e10
-        or not finite) or on a singular Jacobian, where its solve comes back
-        NaN and so does its next residual; the last two are not converged.
-        A row's residual is checked at most iters + 1 times, around at most
-        iters solves.  Rows that do not converge come back as given."""
+        total correction size) and leaves the input z untouched.  The total
+        correction is the sum of the max-norms of a row's Newton steps, and
+        a converged row's total is at most its ``limit``.  A path leaves the
+        loop on convergence, on breakdown (residual beyond 1e10 or not
+        finite), once its total passes its limit, or on a singular Jacobian,
+        where its solve comes back NaN and so does its next residual; the
+        last three are not converged.  The total only grows, so a row past
+        its limit could not converge within it.  A row's residual is checked
+        at most iters + 1 times, around at most iters solves.  Rows that do
+        not converge come back as given."""
         halve_top, rhs = self.halve_top, self.rhs
         out = z.copy()
         ok = np.zeros(len(z), dtype=bool)
         moved = np.zeros(len(z))
         # the rows still iterating, gathered anew only when one leaves
-        live, zl, tl, ml = np.arange(len(z)), z, t, moved
+        live, zl, tl, ml, ll = np.arange(len(z)), z, t, moved, limit
         for it in range(iters + 1):
             self._build(J, zl, tl)
             F = np.matmul(J, zl[..., None])[..., 0]
             F *= halve_top
             F -= rhs
             rn = np.maximum.reduce(np.abs(F), axis=1)
-            fine = rn <= 1e10  # False for NaN as well
+            fine = (rn <= 1e10) & (ml <= ll)  # False for NaN as well
             conv = fine & (rn < CORRECTOR_TOL * np.fmax(1.0, np.maximum.reduce(np.abs(zl), axis=1)))
             if np.count_nonzero(conv):
                 rows = live[conv]
@@ -330,7 +337,7 @@ class _Lockstep:
             if n_more < len(more):
                 if not n_more:
                     break
-                live, zl, tl, ml, J, F = live[more], zl[more], tl[more], ml[more], J[more], F[more]
+                live, zl, tl, ml, ll, J, F = live[more], zl[more], tl[more], ml[more], ll[more], J[more], F[more]
             dz = _solve_rows(J, F)
             zl = zl - dz
             ml = ml + np.maximum.reduce(np.abs(dz), axis=1)
@@ -376,11 +383,12 @@ class _Lockstep:
 
             dz_pred = ha[:, None] * k2
             t_new = ta + ha
-            z_new, ok, moved = self._correct(J, za + dz_pred, t_new, MAX_NEWTON)
             # basin guard: the corrector must only refine the prediction,
-            # a large pullback signals a possible jump onto another path
+            # a large pullback signals a possible jump onto another path, so
+            # a row stops correcting once its corrections pass a quarter of it
             guard = np.maximum(np.maximum.reduce(np.abs(dz_pred), axis=1), 1e-8)
-            ok &= regular & (moved <= 0.25 * guard)
+            z_new, ok, moved = self._correct(J, za + dz_pred, t_new, 0.25 * guard, MAX_NEWTON)
+            ok &= regular
             ta = np.where(ok, t_new, ta)
             za = np.where(ok[:, None], z_new, za)
             ha = ha * np.where(ok, 1.0 + (moved < 0.01 * guard), 0.5)

@@ -253,9 +253,9 @@ class TestLockstep:
         t = np.zeros(len(z))
         # run() silences the floating-point flags of the NaN, huge and zero rows
         with np.errstate(all="ignore"):
-            out, ok, moved = tracker._correct(tracker._stack(len(z)), z, t, 3)
-            alone, ok_alone, moved_alone = tracker._correct(tracker._stack(1), near[None], t[:1], 3)
-            huge_ok = tracker._correct(tracker._stack(1), huge[None], t[:1], 60)[1][0]
+            out, ok, moved = tracker._correct(tracker._stack(len(z)), z, t, np.full(len(z), np.inf), 3)
+            alone, ok_alone, moved_alone = tracker._correct(tracker._stack(1), near[None], t[:1], np.full(1, np.inf), 3)
+            huge_ok = tracker._correct(tracker._stack(1), huge[None], t[:1], np.full(1, np.inf), 60)[1][0]
         got = {name: (out[i], ok[i], moved[i]) for i, name in enumerate(rows)}
         assert np.array_equal(z, np.array(list(rows.values())), equal_nan=True)  # input untouched
 
@@ -273,6 +273,75 @@ class TestLockstep:
         # Newton would reach the path from the huge row in 60 iterations;
         # a residual beyond 1e10 stops it at once
         assert not huge_ok
+
+    @staticmethod
+    def _predictions(m, n, seed):
+        # predictions 1e-8 to 1e-1 off start points, which the tracker's
+        # system solves exactly at t = 0
+        _, _, tracker, c, _ = TestLockstep._tracker(m, n, seed)
+        rng = np.random.default_rng(seed)
+        starts = start_solutions(m, n, c=c)[0]
+        rows = []
+        for eps in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1):
+            for start in starts[:4]:
+                rows.append(start + eps * (rng.standard_normal(m + n) + 1j * rng.standard_normal(m + n)))
+        return tracker, np.array(rows)
+
+    def test_limit_stops_only_rows_that_would_pass_it(self):
+        # the summed correction only grows, so stopping a row once it passes
+        # its limit changes nothing but which rows converge within it: a row
+        # converges under a limit exactly when it converges without one
+        # within that limit, and then with the same z and correction bits
+        m, n = 3, 4
+        tracker, z = self._predictions(m, n, seed=40)
+        t = np.zeros(1)
+        inf = np.full(1, np.inf)
+        checked = 0
+        with np.errstate(all="ignore"):
+            for row in z:
+                out_inf, ok_inf, moved_inf = tracker._correct(tracker._stack(1), row[None], t, inf, solver.MAX_NEWTON)
+                need = moved_inf[0]
+                for limit in (0.0, 0.5 * need, need, np.nextafter(need, 0.0), 2.0 * need, 1e-9, 1e-3, 1.0):
+                    lim = np.full(1, limit)
+                    out, ok, moved = tracker._correct(tracker._stack(1), row[None], t, lim, solver.MAX_NEWTON)
+                    assert ok[0] == (ok_inf[0] and moved_inf[0] <= limit), (row, limit)
+                    if ok[0]:
+                        assert out.tobytes() == out_inf.tobytes() and moved.tobytes() == moved_inf.tobytes()
+                        checked += 1
+                    else:
+                        assert np.array_equal(out, row[None]) and moved[0] == 0.0
+        assert checked > len(z)  # rows converged under limits both at and above their need
+
+    def test_rows_past_their_limit_leave_the_stack(self, monkeypatch):
+        # a row whose corrections pass its limit is in no later stacked solve
+        # of that corrector call: with the limited rows added, every solve
+        # after the first has the height it has without them
+        m, n = 3, 4
+        tracker, z = self._predictions(m, n, seed=41)
+        z = z[8:16]  # 1e-4 and 1e-2 off: Newton needs several solves
+        heights = []
+        solve_rows = solver._solve_rows
+
+        def record(A, rhs):
+            heights.append(len(A))
+            return solve_rows(A, rhs)
+
+        monkeypatch.setattr(solver, "_solve_rows", record)
+        free = np.arange(len(z)) % 2 == 0
+        limit = np.where(free, np.inf, 1e-12)
+        t = np.zeros(len(z))
+        _, ok, _ = tracker._correct(tracker._stack(len(z)), z, t, limit, solver.MAX_NEWTON)
+        mixed, heights[:] = heights[:], []
+        _, ok_free, _ = tracker._correct(tracker._stack(free.sum()), z[free], t[free], limit[free], solver.MAX_NEWTON)
+        alone, heights[:] = heights[:], []
+        tracker._correct(tracker._stack(len(z)), z, t, np.full(len(z), np.inf), solver.MAX_NEWTON)
+        unlimited = heights[:]
+
+        assert ok[free].all() and ok_free.all() and not ok[~free].any()
+        assert mixed[0] == len(z) and alone[0] == free.sum()
+        assert mixed[1:] == alone[1:] and len(mixed) > 1
+        # without a limit the same rows stay in the later solves
+        assert unlimited[1] == len(z) and sum(unlimited) > sum(mixed)
 
     def test_tangent_solves_the_t_derivative(self):
         # J(z, t) k = -dF/dt, with dF/dt = M(a, B_to - gamma B_from) b and
@@ -339,7 +408,8 @@ class TestLockstep:
             z, failed = tracker.run(start_solutions(m, n, c=c)[0])
             ends = np.setdiff1d(np.arange(len(z)), list(failed))
             assert ends.size, (m, n, seed)
-            out, ok, moved = tracker._correct(tracker._stack(ends.size), z[ends], np.ones(ends.size), 0)
+            inf = np.full(ends.size, np.inf)
+            out, ok, moved = tracker._correct(tracker._stack(ends.size), z[ends], np.ones(ends.size), inf, 0)
             assert ok.all(), (m, n, seed, ends[~ok])
             assert np.array_equal(out, z[ends]) and not moved.any()
 
