@@ -8,16 +8,16 @@ conjugation-closed divisor selections give real solutions, so the real
 start count equals the closed-form divisor count.
 
 Charts: a lives on the affine slice a_m = -1 and b on c . b = 1 for a
-fixed random real vector c, making the tracked system square of size
-u + 2 in the m + n = u + 2 unknowns (a, b).  Paths follow
+fixed random real vector c, so the tracked system is square of size
+u + 1 in the m + n - 1 = u + 1 unknowns (a_1..a_(m-1), b).  Paths follow
 
     B(t) = (1 - t) * gamma * B_from + t * B_to,   t: 0 -> 1,
 
 with gamma a random unit complex constant (detour away from the
 discriminant), an order-2 tangent predictor, a Newton corrector with a
 basin guard, and adaptive step control.  All paths of a tracking pass
-share its charts and are tracked in lockstep as stacked arrays, each
-path with its own step control.
+are tracked in lockstep as stacked arrays, each path with its own step
+control.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The LAPACK gufunc behind np.linalg.solve.  At the tracker's (m+n) x (m+n)
+# The LAPACK gufunc behind np.linalg.solve.  At the tracker's (m+n-1) x (m+n-1)
 # systems np.linalg.solve's Python wrapper costs about as much as the
 # stacked LAPACK call, and the gufunc returns a singular row as NaN instead
 # of raising for the whole stack.
@@ -221,81 +221,79 @@ def start_solutions(m: int, n: int, c: np.ndarray | None = None, seed: object = 
     return np.concatenate([a_rows, b_rows], axis=1), _residuals(frame.Aprime, a_rows, b_rows), real.copy(), subsets
 
 
-def _solve_rows(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_rows(A: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Solve the stacked systems A[p] x[p] = rhs[p] with LAPACK's gesv, as
-    np.linalg.solve does.  A singular row comes back NaN and raises the
-    invalid flag (the tracker runs each batch with the flags off); every
-    other row is solved exactly as alone."""
-    return _lapack_solve(A, rhs, signature="DD->D")
+    np.linalg.solve does, into ``out`` when given.  A singular row comes
+    back NaN and raises the invalid flag (the tracker runs each batch with
+    the flags off); every other row is solved exactly as alone."""
+    return _lapack_solve(A, rhs, signature="DD->D", out=out)
 
 
 class _Lockstep:
     """Paths of the homotopy B(t) = gamma * B_from + t * (B_to - gamma * B_from),
-    tracked in lockstep on one pair of charts.
+    tracked in lockstep on the charts a_m = -1 and c . b = 1.
 
-    Every path solves the square system [M(a, B(t)) b ; d . a + 1 ;
-    c . b - 1] in z = (a, b), whose chart rows [d, 0 ; 0, c] are
-    ``chart`` (``_chart``).  The system is bilinear, so the top u rows of the
+    A path is held as z = (a_1..a_(m-1), b, a_m), whose first K = m+n-1
+    entries are its unknowns: a_m = -1 is no unknown and never moves.  Every
+    path solves the square system [M(a, B(t)) b ; c . b - 1], whose one
+    chart row is [0, c].  The system is bilinear, so the top u rows of the
     Jacobian are linear in z: J_top(z, t) = L0 z + t L1 z, built for every
-    path by one matrix product [z, t z] @ [L0; L1].  Since
-    J_top(z, t) z = 2 M(a, B(t)) b, the residual is half of J_top z and
-    its t-derivative half of (L1 z) z.
+    path by one matrix product [z, t z] @ [L0; L1].  The b-columns of J_top
+    are M(a, B(t)), so the residual is those columns times b, and its
+    t-derivative the b-columns of L1 z times b.
 
     Each path keeps its own t, step and status; every stage of the
-    predictor-corrector makes one stacked evaluation and one stacked solve
-    over the paths still in that stage, and the stacks are gathered anew
-    only when a path leaves them.  A path leaves the corrector's stack on
-    convergence, on breakdown, or once its summed correction passes a
+    predictor-corrector makes one stacked evaluation and one stacked K x K
+    solve over the paths still in that stage, and the stacks are gathered
+    anew only when a path leaves them.  A path leaves the corrector's stack
+    on convergence, on breakdown, or once its summed correction passes a
     quarter of its prediction (the basin guard), where the step is
     rejected whatever Newton would do next.  Each stack owns one Jacobian
-    buffer of shape (P, u+2, N): its chart rows are written when the stack
+    buffer of shape (P, u+1, K): its chart row is written when the stack
     is built or gathered, and every evaluation writes only its top rows.
     Rows are gathered, never masked, because a stacked product is not
     computed row by row: one row of a product of P rows can differ in its
     last bits from the same row of a product of fewer rows.
     """
 
-    def __init__(self, B_from, B_to, gamma: complex, chart: np.ndarray):
+    def __init__(self, B_from, B_to, gamma: complex, c: np.ndarray):
         if gamma == 0:
             raise ValueError("gamma must be nonzero")
         u, n, m = B_from.shape
         B0 = gamma * B_from
-        S = np.stack([B0, B_to - B0])  # (2, u, n, m)
-        N = m + n
-        L = np.zeros((2, u, N, N), dtype=complex)
-        L[:, :, :m, m:] = S.transpose(0, 1, 3, 2)  # d(M b)_i / d a_k = sum_j B_ijk b_j
-        L[:, :, m:, :m] = S  # d(M b)_i / d b_j = sum_k B_ijk a_k
-        # rows (s, x) of the stacked map, so that [z, t z] @ L is J_top
-        self.L = L.transpose(0, 3, 1, 2).reshape(2 * N, u * N)
+        S = np.stack([B0, B_to - B0]).transpose(0, 3, 1, 2)  # (2, m, u, n)
+        N, K = m + n, m + n - 1
+        # rows (s, x) over all of z and columns (i, y) over the unknowns, so that [z, t z] @ L is J_top
+        L = np.zeros((2, N, u, K), dtype=complex)
+        L[:, np.r_[: m - 1, K], :, m - 1 :] = S  # d(M b)_i / d b_j = sum_k B_ijk a_k
+        L[:, m - 1 : K, :, : m - 1] = S[:, : m - 1].transpose(0, 3, 2, 1)  # d(M b)_i / d a_k = sum_j B_ijk b_j
+        self.L = L.reshape(2 * N, u * K)
         self.L1 = self.L[N:]
-        self.halve_top = np.append(np.full(u, 0.5), [1.0, 1.0])
-        # right-hand side of the residual: zero on the top rows, the chart values below
-        self.rhs = np.append(np.zeros(u), [-1.0, 1.0]).astype(complex)
-        self.chart = chart
-        self.u, self.N = u, N
+        self.chart = np.append(np.zeros(m - 1), c)
+        self.m, self.u, self.K = m, u, K
+        self.order = np.r_[: m - 1, m:N, m - 1]  # the (a, b) index of each entry of z
 
     def _stack(self, P: int):
-        """A Jacobian buffer for P paths, chart rows written."""
-        J = np.empty((P, self.u + 2, self.N), dtype=complex)
-        J[:, self.u :] = self.chart
+        """A Jacobian buffer for P paths, chart row written."""
+        J = np.empty((P, self.u + 1, self.K), dtype=complex)
+        J[:, self.u] = self.chart
         return J
 
     def _build(self, J, z, t):
-        """Write the top rows of the Jacobians of paths z at their own t
-        into J, in place."""
-        P, u, N = len(z), self.u, self.N
-        np.matmul(np.concatenate([z, t[:, None] * z], axis=1), self.L, out=J[:, :u].reshape(P, u * N))
+        """Write the top rows of the Jacobians of paths z at their own t into J."""
+        P, u, K = len(z), self.u, self.K
+        np.matmul(np.concatenate([z, t[:, None] * z], axis=1), self.L, out=J[:, :u].reshape(P, u * K))
 
     def _tangent(self, J, z, t):
-        """dz/dt of each path at its own t, and whether its system was
-        regular (the solved row is not NaN): J k = -dF/dt, where dF/dt is
-        half of (L1 z) z.  Overwrites the top rows of J."""
+        """dz/dt of each path at its own t, and whether its system was regular
+        (the solved row is not NaN): J k = -M(a, B_to - gamma B_from) b, the
+        b-columns of L1 z times b.  Overwrites the top rows of J."""
         self._build(J, z, t)
-        P, u, N = len(z), self.u, self.N
-        zc = z[..., None]
-        rhs = np.zeros((P, N, 1), dtype=complex)
-        rhs[:, :u] = -0.5 * ((z @ self.L1).reshape(P, u, N) @ zc)
-        k = _solve_rows(J, rhs[..., 0])
+        P, m, u, K = len(z), self.m, self.u, self.K
+        rhs = np.zeros((P, K), dtype=complex)
+        rhs[:, :u] = -np.matmul((z @ self.L1).reshape(P, u, K)[..., m - 1 :], z[:, m - 1 : K, None])[..., 0]
+        k = np.zeros(z.shape, dtype=complex)  # a_m does not move
+        _solve_rows(J, rhs, k[:, :K])
         return k, ~np.logical_or.reduce(np.isnan(k), axis=1)
 
     def _correct(self, J, z, t, limit, iters):
@@ -311,7 +309,7 @@ class _Lockstep:
         its limit could not converge within it.  A row's residual is checked
         at most iters + 1 times, around at most iters solves.  Rows that do
         not converge come back as given."""
-        halve_top, rhs = self.halve_top, self.rhs
+        m, u, K = self.m, self.u, self.K
         out = z.copy()
         ok = np.zeros(len(z), dtype=bool)
         moved = np.zeros(len(z))
@@ -319,9 +317,8 @@ class _Lockstep:
         live, zl, tl, ml, ll = np.arange(len(z)), z, t, moved, limit
         for it in range(iters + 1):
             self._build(J, zl, tl)
-            F = np.matmul(J, zl[..., None])[..., 0]
-            F *= halve_top
-            F -= rhs
+            F = np.matmul(J[..., m - 1 :], zl[:, m - 1 : K, None])[..., 0]
+            F[:, u] -= 1.0
             rn = np.maximum.reduce(np.abs(F), axis=1)
             fine = (rn <= 1e10) & (ml <= ll)  # False for NaN as well
             conv = fine & (rn < CORRECTOR_TOL * np.fmax(1.0, np.maximum.reduce(np.abs(zl), axis=1)))
@@ -338,25 +335,26 @@ class _Lockstep:
                 if not n_more:
                     break
                 live, zl, tl, ml, ll, J, F = live[more], zl[more], tl[more], ml[more], ll[more], J[more], F[more]
-            dz = _solve_rows(J, F)
+            dz = np.zeros(zl.shape, dtype=complex)
+            _solve_rows(J, F, dz[:, :K])
             zl = zl - dz
             ml = ml + np.maximum.reduce(np.abs(dz), axis=1)
         return out, ok, moved
 
     def run(self, z0: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
-        """Track every row of z0, which lies on the chart, from t = 0 to 1.
-        Returns the endpoints and the (reason, detail) of each failed row;
-        failed rows of the endpoint array are meaningless."""
-        z = z0.astype(complex)
+        """Track every row (a, b) of z0, which lies on the charts, from t = 0
+        to 1.  Returns the endpoints (a, b) and the (reason, detail) of each
+        failed row; failed rows of the endpoint array are meaningless."""
+        z = np.asarray(z0, dtype=complex)[:, self.order]
         failed: dict[int, tuple[str, str]] = {}
-        size = max(1, STACK_ENTRIES // self.N**2)
+        size = max(1, STACK_ENTRIES // self.K**2)
         for lo in range(0, len(z), size):
             # singular rows come back NaN and breaking-down rows may
             # overflow; the tracker reads both off the values
             with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
                 batch = self._run(z[lo : lo + size])
             failed.update((lo + p, error) for p, error in batch.items())
-        return z, failed
+        return z[:, np.argsort(self.order)], failed
 
     def _run(self, z):
         # tracks one batch in place and returns its failures; every path
@@ -410,12 +408,12 @@ class _Lockstep:
         return failed
 
 
-def _chart(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The chart rows [d, 0 ; 0, c] of one tracking pass, d . a = -1 and
-    c . b = 1, for d of length m and c of length n."""
-    out = np.zeros((2, len(d) + len(c)), dtype=complex)
-    out[0, : len(d)], out[1, len(d) :] = d, c
-    return out
+def _rotation(d: np.ndarray) -> np.ndarray:
+    """The unitary matrix whose rows are the conjugated columns 2..m of a
+    unitary Q with first column parallel to conj(d), then d / |d|."""
+    d = d / np.linalg.norm(d)
+    Q = np.linalg.qr(np.column_stack([d.conj(), np.eye(len(d))[:, 1:]]))[0]
+    return np.vstack([Q[:, 1:].conj().T, d])
 
 
 def _residuals(B: tensorcore.Tensor3, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -446,7 +444,7 @@ def track_path(
     if c is None:
         # recover an affine functional pinning b from the start point itself
         c = z0[m:].conj() / np.linalg.norm(z0[m:]) ** 2
-    z, failed = _Lockstep(B_from.data, B_to.data, gamma, _chart(c, np.eye(m)[-1])).run(z0[None])
+    z, failed = _Lockstep(B_from.data, B_to.data, gamma, c).run(z0[None])
     if failed:
         raise PathError(*failed[0])
     return z[0]
@@ -532,24 +530,26 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     frame, a0, kernels, _, subsets = _start_system(m, n)
     b0 = _on_chart(kernels, c, subsets)
     n_paths = len(a0)
-    tracker = _Lockstep(frame.Aprime.data, B.data, gamma, _chart(c, np.eye(m)[-1]))
-    z, failed = tracker.run(np.concatenate([a0, b0], axis=1))
+    z, failed = _Lockstep(frame.Aprime.data, B.data, gamma, c).run(np.concatenate([a0, b0], axis=1))
     # (reason, detail) of every path that ends without an endpoint
     errors = {idx: error for idx, error in failed.items() if error[0] != AT_INFINITY}
 
     # one more pass for the points leaving a_m = -1, on one random complex
-    # a-chart d . a = -1
+    # a-chart d . a = -1, |d| = 1: with a unitary R whose last row is d,
+    # that chart is (R a)_m = -1, and M(a, B) = M(R a, B R^H)
     retry = np.array(sorted(set(failed) - set(errors)), dtype=int)
     if retry.size:
-        d = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        d /= np.linalg.norm(d)
-        tracker = _Lockstep(frame.Aprime.data, B.data, gamma, _chart(c, d))
-        z_r, failed_r = tracker.run(np.concatenate([-a0[retry] / (a0[retry] @ d)[:, None], b0[retry]], axis=1))
+        R = _rotation(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        a_r = a0[retry] @ R.T
+        a_r /= -a_r[:, -1:]
+        a_r[:, -1] = -1.0
+        tracker = _Lockstep(frame.Aprime.data @ R.conj().T, B.data @ R.conj().T, gamma, c)
+        z_r, failed_r = tracker.run(np.concatenate([a_r, b0[retry]], axis=1))
         for row, (reason, detail) in failed_r.items():
             errors[int(retry[row])] = (reason, "retry chart: " + detail)
         landed = np.ones(len(retry), dtype=bool)
         landed[list(failed_r)] = False
-        a, b = z_r[landed, :m], z_r[landed, m:]
+        a, b = z_r[landed, :m] @ R.conj(), z_r[landed, m:]
         off = np.abs(a[:, -1]) < 1e-8 * np.abs(a).max(axis=1)
         for idx in retry[landed][off].tolist():
             errors[idx] = (CHART_ESCAPE, "endpoint stays outside the a_m = -1 chart")

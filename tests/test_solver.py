@@ -32,6 +32,25 @@ def endpoint_residual(B, z, m):
     return solver._residuals(B, z[None, :m], z[None, m:])[0]
 
 
+def full_system(B_from, B_to, gamma, c, z, t):
+    # the tracked system in all m+n coordinates of the rows z = (a, b) at
+    # their own t, entry by entry with both chart rows, a_m = -1 and
+    # c . b = 1: the Jacobians, the residuals and their t-derivatives
+    u, n, m = B_from.shape
+    P, a, b = len(z), z[:, :m], z[:, m:]
+    dB = B_to - gamma * B_from
+    Bt = gamma * B_from[None] + t[:, None, None, None] * dB[None]
+    charts = np.zeros((2, m + n))
+    charts[0, m - 1], charts[1, m:] = 1.0, c
+    J = np.concatenate([
+        np.concatenate([np.einsum("pijk,pj->pik", Bt, b), np.einsum("pijk,pk->pij", Bt, a)], axis=2),
+        np.broadcast_to(charts, (P, 2, m + n)),
+    ], axis=1)
+    F = np.concatenate([np.einsum("pijk,pj,pk->pi", Bt, b, a), a[:, -1:] + 1, b @ c[:, None] - 1], axis=1)
+    dF = np.concatenate([np.einsum("ijk,pj,pk->pi", dB, b, a), np.zeros((P, 2))], axis=1)
+    return J, F, dF
+
+
 class TestStartSolutions:
     @pytest.mark.parametrize("m,n,paths,nreal", [(3, 3, 6, 2), (3, 4, 10, 2), (4, 4, 20, 0)])
     def test_counts_and_reality(self, m, n, paths, nreal):
@@ -215,8 +234,7 @@ class TestLockstep:
         z0 = start_solutions(m, n, c=c)[0]
         z0_bad = np.insert(z0, 3, 0.0, axis=0)
 
-        chart = solver._chart(c, np.eye(m)[-1])
-        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), chart)
+        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), c)
         z_ref, failed_ref = tracker.run(z0)
         z_bad, failed_bad = tracker.run(z0_bad)
         assert not failed_ref
@@ -230,15 +248,15 @@ class TestLockstep:
     def _tracker(m, n, seed):
         frame, target = perturbed_target(m, n, 1e-1, seed=seed)
         c = solver._chart_vector(n, np.random.default_rng(seed))
-        chart = solver._chart(c, np.eye(m)[-1])
-        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), chart)
-        return frame, target, tracker, c, chart
+        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), c)
+        return frame, target, tracker, c
 
     def test_corrector_rows_leave_alone(self):
         # one mixed stack: every row ends as it would alone, and a row that
-        # leaves (converged, broken down or singular) is not touched again
+        # leaves (converged, broken down or singular) is not touched again;
+        # the rows are in the tracker's order (a_1..a_(m-1), b, a_m)
         m, n = 3, 4
-        _, _, tracker, c, _ = self._tracker(m, n, seed=37)
+        _, _, tracker, c = self._tracker(m, n, seed=37)
         rng = np.random.default_rng(37)
         starts = start_solutions(m, n, c=c)[0]
         start = starts[0]
@@ -249,6 +267,8 @@ class TestLockstep:
         huge = np.full(m + n, 1e6, dtype=complex)
         rows = {"start": start, "nan": np.full(m + n, np.nan + 0j), "near": near,
                 "huge": huge, "zero": np.zeros(m + n, dtype=complex), "far": far}
+        rows = {name: row[tracker.order] for name, row in rows.items()}
+        start, near, huge = rows["start"], rows["near"], rows["huge"]
         z = np.array(list(rows.values()))
         t = np.zeros(len(z))
         # run() silences the floating-point flags of the NaN, huge and zero rows
@@ -277,14 +297,17 @@ class TestLockstep:
     @staticmethod
     def _predictions(m, n, seed):
         # predictions 1e-8 to 1e-1 off start points, which the tracker's
-        # system solves exactly at t = 0
-        _, _, tracker, c, _ = TestLockstep._tracker(m, n, seed)
+        # system solves exactly at t = 0, in the tracker's order; like every
+        # prediction, they keep a_m = -1
+        _, _, tracker, c = TestLockstep._tracker(m, n, seed)
         rng = np.random.default_rng(seed)
-        starts = start_solutions(m, n, c=c)[0]
+        starts = start_solutions(m, n, c=c)[0][:, tracker.order]
         rows = []
         for eps in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1):
             for start in starts[:4]:
-                rows.append(start + eps * (rng.standard_normal(m + n) + 1j * rng.standard_normal(m + n)))
+                noise = rng.standard_normal(m + n) + 1j * rng.standard_normal(m + n)
+                noise[-1] = 0.0
+                rows.append(start + eps * noise)
         return tracker, np.array(rows)
 
     def test_limit_stops_only_rows_that_would_pass_it(self):
@@ -322,9 +345,9 @@ class TestLockstep:
         heights = []
         solve_rows = solver._solve_rows
 
-        def record(A, rhs):
+        def record(A, rhs, out):
             heights.append(len(A))
-            return solve_rows(A, rhs)
+            return solve_rows(A, rhs, out)
 
         monkeypatch.setattr(solver, "_solve_rows", record)
         free = np.arange(len(z)) % 2 == 0
@@ -345,48 +368,97 @@ class TestLockstep:
 
     def test_tangent_solves_the_t_derivative(self):
         # J(z, t) k = -dF/dt, with dF/dt = M(a, B_to - gamma B_from) b and
-        # the Jacobian written out entry by entry
+        # the Jacobian in all m+n coordinates written out entry by entry:
+        # the tangent leaves a_m where it is
         m, n = 3, 4
-        frame, target, tracker, _, chart = self._tracker(m, n, seed=38)
+        frame, target, tracker, c = self._tracker(m, n, seed=38)
         rng = np.random.default_rng(38)
         P = 4
         z = rng.standard_normal((P, m + n)) + 1j * rng.standard_normal((P, m + n))
         t = rng.uniform(0.0, 1.0, P)
-        k, ok = tracker._tangent(tracker._stack(P), z, t)
+        k, ok = tracker._tangent(tracker._stack(P), z[:, tracker.order], t)
         assert ok.all()
+        assert not k[:, -1].any()
+        J, _, dF = full_system(frame.Aprime.data, target.data, complex(0.6, -0.8), c, z, t)
+        lhs = np.einsum("pij,pj->pi", J, k[:, np.argsort(tracker.order)])
+        assert np.max(np.abs(lhs + dF)) < 1e-10 * max(1.0, np.max(np.abs(dF)))
 
-        gamma = complex(0.6, -0.8)
-        B_from, B_to = frame.Aprime.data, target.data
-        a, b = z[:, :m], z[:, m:]
-        dF = np.einsum("ijk,pj,pk->pi", B_to - gamma * B_from, b, a)
-        Bt = gamma * B_from[None] + t[:, None, None, None] * (B_to - gamma * B_from)[None]
-        J = np.concatenate([
-            np.concatenate([np.einsum("pijk,pj->pik", Bt, b), np.einsum("pijk,pk->pij", Bt, a)], axis=2),
-            np.broadcast_to(chart, (P, 2, m + n)),
-        ], axis=1)
-        lhs = np.einsum("pij,pj->pi", J, k)
-        rhs = np.concatenate([-dF, np.zeros((P, 2))], axis=1)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 5), (5, 5)])
+    def test_reduced_steps_match_the_full_system(self, m, n, monkeypatch):
+        # the tracker solves for the m+n-1 unknowns with a_m = -1 fixed: at
+        # tracked points its tangents and Newton steps are those of the full
+        # system in all m+n coordinates with its chart row e_m, solved by
+        # np.linalg.solve, and a_m does not move
+        u = m + n - 2
+        rng = np.random.default_rng((42, m, n))
+        B_to = rng.standard_normal((u, n, m))
+        c = solver._chart_vector(n, rng)
+        gamma = solver._sample_gamma(rng)
+        B_from = tensorcore.make_start_frame(m, n).Aprime.data
+        tracker = solver._Lockstep(B_from, B_to, gamma, c)
+        ends, failed = tracker.run(start_solutions(m, n, c=c)[0])
+        ends = np.delete(ends, list(failed), axis=0)
+        # the endpoints, and points 1e-3 off them with a_m kept, at t = 1
+        noise = 1e-3 * (rng.standard_normal(ends.shape) + 1j * rng.standard_normal(ends.shape))
+        noise[:, m - 1] = 0.0
+        z = np.concatenate([ends, ends + noise])
+        t = np.ones(len(z))
+        J, F, dF = full_system(B_from, B_to, gamma, c, z, t)
+        order, off = tracker.order, slice(len(ends), None)
+
+        solved = []
+        solve_rows = solver._solve_rows
+
+        def record(A, rhs, out):
+            solved.append((rhs.copy(), solve_rows(A, rhs, out).copy()))
+            return out
+
+        monkeypatch.setattr(solver, "_solve_rows", record)
+        k, ok = tracker._tangent(tracker._stack(len(z)), z[:, order], t)
+        assert ok.all() and not k[:, -1].any()
+        tracker._correct(tracker._stack(len(ends)), z[off][:, order], t[off], np.full(len(ends), np.inf), 1)
+        assert len(solved) == 2 and np.array_equal(solved[0][1], k[:, :-1])
+
+        def close(x, y, tol, floor=0.0):
+            # per row, relative to the larger row's max-norm, or to the floor
+            scale = np.maximum(np.maximum(np.abs(x).max(axis=1), np.abs(y).max(axis=1)), floor)
+            return np.all(np.abs(x - y).max(axis=1) <= tol * scale)
+
+        for (rhs, x), J_full, rhs_full, zs in zip(solved, (J, J[off]), (-dF, F[off]), (z, z[off])):
+            # the right-hand side is the full one without its a_m row, which
+            # is 0; a residual is accurate to the corrector's scale max(1, |z|)
+            assert close(np.insert(rhs, u, 0.0, axis=1), rhs_full, 1e-12, np.fmax(1.0, np.abs(zs).max(axis=1)))
+            # two backward-stable solves of one system agree to 1e-12, or to
+            # cond * 1e-16 where it is worse conditioned than 1e4
+            tol = np.maximum(1e-12, 1e-16 * np.linalg.cond(J_full))
+            full = np.linalg.solve(J_full, np.insert(rhs, u, 0.0, axis=1)[..., None])[..., 0]
+            assert close(np.append(x, np.zeros((len(x), 1)), axis=1), full[:, order], tol)
+        # Newton to convergence leaves a_m = -1 as it was, bit for bit
+        inf = np.full(len(ends), np.inf)
+        out, ok, _ = tracker._correct(tracker._stack(len(ends)), z[off][:, order], t[off], inf, solver.MAX_NEWTON)
+        assert ok.all() and np.all(out[:, -1] == -1.0)
 
     @pytest.mark.parametrize("P", [0, 1, 6, 70])
     def test_jacobian_buffer_matches_a_fresh_build(self, P):
         # the top rows written in place into a stack's buffer equal, bit for
-        # bit, a fresh product of the same height joined to the chart rows,
-        # also after the stack is gathered
+        # bit, a fresh product of the same height joined to the chart row
+        # [0, c], also after the stack is gathered
         m, n = 5, 5
-        _, _, tracker, _, chart = self._tracker(m, n, seed=39)
+        _, _, tracker, c = self._tracker(m, n, seed=39)
         rng = np.random.default_rng(39)
         z = rng.standard_normal((P, m + n)) + 1j * rng.standard_normal((P, m + n))
         t = rng.uniform(0.0, 1.0, P)
+        K = m + n - 1
 
         def fresh(z, t):
             zz = np.concatenate([z, t[:, None] * z], axis=1)
-            top = (zz @ tracker.L).reshape(len(z), tracker.u, tracker.N)
-            return np.concatenate([top, np.broadcast_to(chart, (len(z), 2, m + n))], axis=1)
+            top = (zz @ tracker.L).reshape(len(z), tracker.u, K)
+            chart = np.append(np.zeros(m - 1), c).astype(complex)
+            return np.concatenate([top, np.broadcast_to(chart, (len(z), 1, K))], axis=1)
 
         J = tracker._stack(P)
         tracker._build(J, z, t)
-        assert J.shape == (P, tracker.u + 2, tracker.N)
+        assert J.shape == (P, tracker.u + 1, K)
         assert J.tobytes() == fresh(z, t).tobytes()
         keep = rng.random(P) < 0.5
         J = J[keep]
@@ -403,15 +475,15 @@ class TestLockstep:
             target = rng.standard_normal((u, n, m))
             c = solver._chart_vector(n, rng)
             frame = tensorcore.make_start_frame(m, n)
-            chart = solver._chart(c, np.eye(m)[-1])
-            tracker = solver._Lockstep(frame.Aprime.data, target, solver._sample_gamma(rng), chart)
+            tracker = solver._Lockstep(frame.Aprime.data, target, solver._sample_gamma(rng), c)
             z, failed = tracker.run(start_solutions(m, n, c=c)[0])
             ends = np.setdiff1d(np.arange(len(z)), list(failed))
             assert ends.size, (m, n, seed)
             inf = np.full(ends.size, np.inf)
-            out, ok, moved = tracker._correct(tracker._stack(ends.size), z[ends], np.ones(ends.size), inf, 0)
+            z = z[ends][:, tracker.order]
+            out, ok, moved = tracker._correct(tracker._stack(ends.size), z, np.ones(ends.size), inf, 0)
             assert ok.all(), (m, n, seed, ends[~ok])
-            assert np.array_equal(out, z[ends]) and not moved.any()
+            assert np.array_equal(out, z) and not moved.any()
 
 
 class TestSolveAll:
@@ -580,6 +652,23 @@ class TestSolveAll:
         # inside the bound that the corrector's relative max-norm test implies
         u = tensorcore.Format(m, n).u
         assert report.residuals[k] <= np.sqrt(u) * solver.CORRECTOR_TOL * max(1.0, np.abs(row).max())
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 5), (5, 5), (6, 10)])
+    def test_retry_rotation_keeps_the_pencil(self, m, n):
+        # the retry pass tracks a' = R a on B R^H, for a unitary R whose last
+        # row is d / |d|: the chart d . a = -1 is a'_m = -1, and the pencil
+        # M(a, B) b is M(a', B R^H) b
+        rng = np.random.default_rng((44, m, n))
+        d = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        R = solver._rotation(d)
+        assert np.max(np.abs(R @ R.conj().T - np.eye(m))) < 1e-14
+        assert np.array_equal(R[-1], d / np.linalg.norm(d))
+        B = tensorcore.Tensor3(rng.standard_normal((m + n - 2, n, m)))
+        a = rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m))
+        b = rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))
+        before = (tensorcore.pencil_eval(a, B) @ b[..., None])[..., 0]
+        after = np.einsum("ijk,pj,pk->pi", B.data @ R.conj().T, b, a @ R.T)
+        assert np.max(np.abs(after - before)) <= 1e-13 * np.abs(before).max()
 
     def test_retry_pass_leaves_numpy_ma_unimported(self):
         # the retry pass picks its landed rows with a boolean mask; set
