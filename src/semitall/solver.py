@@ -160,8 +160,8 @@ def _chart_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 def _start_system(m: int, n: int):
     """The start frame of format (m, n) and its C(u, m-1) start points,
     built once per process: (frame, a rows, kernel vectors b with unit
-    2-norm, real flags, divisor index subsets).  The arrays are read-only;
-    callers copy what they hand out.
+    2-norm, divisor index subsets).  The arrays are read-only; callers
+    copy what they hand out.
 
     For each (m-1)-subset of the roots of y^u + 1, the coefficient point of
     the corresponding monic divisor g is remapped through the slice reorder
@@ -169,8 +169,7 @@ def _start_system(m: int, n: int):
     multiplies by g modulo y^u + 1, so its kernel is spanned by the
     coefficient row of the cofactor (y^u + 1) / g, the product over the
     complementary u - m + 1 roots; it is one-dimensional because y^u + 1
-    has distinct roots.  Exactly the conjugation-closed subsets are flagged
-    real.
+    has distinct roots.
     """
     fmt = tensorcore.Format(m, n)
     u = fmt.u
@@ -192,10 +191,9 @@ def _start_system(m: int, n: int):
     outside[np.arange(n_paths)[:, None], subsets] = False
     kernels = polyfactor.divisor_coefficients(u, np.nonzero(outside)[1].reshape(n_paths, n - 1))
     kernels /= np.linalg.norm(kernels, axis=1, keepdims=True)
-    real = polyfactor.conjugation_closed(u, subsets)
-    for arr in (a_rows, kernels, real):
+    for arr in (a_rows, kernels):
         arr.flags.writeable = False
-    return frame, a_rows, kernels, real, subsets
+    return frame, a_rows, kernels, subsets
 
 
 def _on_chart(kernels: np.ndarray, c: np.ndarray, subsets) -> np.ndarray:
@@ -211,14 +209,17 @@ def start_solutions(m: int, n: int, c: np.ndarray | None = None, seed: object = 
     """All C(u, m-1) kernel pairs of the start tensor A' as (z, residuals,
     real, subsets): rows z = (a, b) on the charts a_m = -1 and c . b = 1
     (c drawn from ``seed`` when not given), their residuals at A', their
-    reality flags and the divisor index subset of each row.  Exactly the
-    conjugation-closed subsets are flagged real."""
+    reality flags and the divisor index subset of each row.  ``_finish``
+    audits the rows as the endpoints of the identity homotopy on A'; a
+    failure of that audit raises DegenerateStartError naming the first."""
     _seed_entropy(seed)
-    frame, a_rows, kernels, real, subsets = _start_system(m, n)
-    if c is None:
-        c = _chart_vector(n, np.random.default_rng(seed))
-    b_rows = _on_chart(kernels, c, subsets)
-    return np.concatenate([a_rows, b_rows], axis=1), _residuals(frame.Aprime, a_rows, b_rows), real.copy(), subsets
+    frame, a_rows, kernels, subsets = _start_system(m, n)
+    c = _chart_vector(n, np.random.default_rng(seed)) if c is None else c
+    z = np.concatenate([a_rows, _on_chart(kernels, c, subsets)], axis=1)
+    report = _finish(frame.Aprime, z, {}, 1.0 + 0.0j, c)
+    if report.failures:
+        raise DegenerateStartError("start row {0.index}: {0.reason}, {0.detail}".format(report.failures[0]))
+    return report.solutions, report.residuals, report.real, subsets
 
 
 def _solve_rows(A: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -428,22 +429,18 @@ def track_path(
     B_to: tensorcore.Tensor3,
     z0: np.ndarray,
     gamma: complex,
-    c: np.ndarray | None = None,
+    c: np.ndarray,
 ) -> np.ndarray:
-    """Continue one start row z0 = (a, b) from B_from to B_to along the
-    detour constant gamma and return the endpoint row.
+    """Continue one start row z0 = (a, b), on the charts a_m = -1 and
+    c . b = 1, from B_from to B_to along the detour constant gamma and
+    return the endpoint row.
 
     Raises PathError with reason PATH_STALL (singular tangent, step
-    underflow or step budget) or AT_INFINITY (coordinate blowup).  The a
-    chart is a_m = -1; the b chart defaults to the affine functional that
-    z0 already satisfies.
+    underflow or step budget) or AT_INFINITY (coordinate blowup).
     """
     u, n, m = B_from.shape
     if B_to.shape != (u, n, m):
         raise ValueError(f"target shape {B_to.shape} does not match start shape {(u, n, m)}")
-    if c is None:
-        # recover an affine functional pinning b from the start point itself
-        c = z0[m:].conj() / np.linalg.norm(z0[m:]) ** 2
     z, failed = _Lockstep(B_from.data, B_to.data, gamma, c).run(z0[None])
     if failed:
         raise PathError(*failed[0])
@@ -508,11 +505,10 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     """Track every start path to the target tensor B (shape u x n x m).
 
     All paths are tracked in lockstep, each with its own step control.
-    Endpoints closer than ``DEDUP_TOL`` in chart coordinates are collisions:
-    the later path is recorded as a WARN_MULTIPLICITY failure rather than
-    merged silently.  Paths hitting infinity are retried once, together,
-    in one more pass on one random complex chart d . a = -1, drawn after c
-    and gamma; a retried endpoint that is off a_m = -1 is a CHART_ESCAPE.
+    Paths hitting infinity are retried once, together, in one more pass on
+    one random complex chart d . a = -1, drawn after c and gamma; a retried
+    endpoint that is off a_m = -1 is a CHART_ESCAPE.  ``_finish`` audits
+    the endpoints.
     Determinism: the seed fixes gamma and the charts, and with them every
     path; it is a nonnegative integer or a tuple or list of them
     (``_seed_entropy``).
@@ -527,9 +523,8 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     c = _chart_vector(n, rng)
     gamma = _sample_gamma(rng)
 
-    frame, a0, kernels, _, subsets = _start_system(m, n)
+    frame, a0, kernels, subsets = _start_system(m, n)
     b0 = _on_chart(kernels, c, subsets)
-    n_paths = len(a0)
     z, failed = _Lockstep(frame.Aprime.data, B.data, gamma, c).run(np.concatenate([a0, b0], axis=1))
     # (reason, detail) of every path that ends without an endpoint
     errors = {idx: error for idx, error in failed.items() if error[0] != AT_INFINITY}
@@ -558,7 +553,17 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
         z[back] = np.concatenate([-a / a[:, -1:], b / (b @ c)[:, None]], axis=1)
         z[back, m - 1] = -1.0
 
-    # first kept wins among the endpoints, in path order
+    return _finish(B, z, errors, gamma, c)
+
+
+def _finish(B: tensorcore.Tensor3, z: np.ndarray, errors: dict, gamma: complex, c: np.ndarray) -> SolveReport:
+    """The audit of one solve of B from one row (a, b) per path on the charts
+    a_m = -1 and c . b = 1 and the (reason, detail) ``errors`` of the failed
+    paths, whose rows it never reads.  A row within ``DEDUP_TOL`` of an earlier
+    kept one is a WARN_MULTIPLICITY naming it; path conservation is checked;
+    each kept row gets its residual at B and its ``projectively_real`` flag."""
+    m, n_paths = B.shape[2], len(z)
+    errors = dict(errors)
     ends = np.array([idx for idx in range(n_paths) if idx not in errors], dtype=int)
     kept, named = _first_kept(z[ends])
     for row, first in named.items():
@@ -575,7 +580,7 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     a_k, b_k = z[:, :m], z[:, m:]
     return SolveReport(
         m=m,
-        n=n,
+        n=B.shape[1],
         n_paths=n_paths,
         solutions=z,
         residuals=_residuals(B, a_k, b_k),

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,15 @@ class TestDivisors:
         assert doc["result"]["count"] == 2
         points = [d["variety_point"] for d in doc["result"]["divisors"]]
         assert all(pt[-1] == -1.0 for pt in points)
+
+    def test_over_budget_format_refused_at_once(self):
+        # (33,64) has about 1.5e12 real divisors; the refusal reads only
+        # their closed-form count
+        start = time.perf_counter()
+        code, text = dispatch(["divisors", "--m", "33", "--n", "64"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        assert text == "error: 1503232609098 real divisors of degree 32 of y^95 + 1 exceed the budget 50000\n"
 
     @pytest.mark.parametrize("m,n", [(3, 2), (5, 4), (2, 3)])
     def test_format_validated(self, m, n):

@@ -118,6 +118,20 @@ class TestRealDivisors:
         # u = m+n-2 with (m, n) = (5, 5): degree-4 divisors of y^8 + 1
         assert len(real_divisors(8, 4)) == alpha_closed(5, 5)
 
+    @pytest.mark.parametrize("u,d", [(8, 4), (9, 3), (12, 6)])
+    def test_budget_refuses_before_listing(self, u, d, monkeypatch):
+        # a budget of exactly the count lists them all; one less refuses
+        # them by the closed-form count, before any is built
+        count = len(closed_selections(u, d))
+        monkeypatch.setattr(polyfactor, "DIVISOR_BUDGET", count)
+        assert len(real_divisors(u, d)) == count
+        monkeypatch.setattr(polyfactor, "DIVISOR_BUDGET", count - 1)
+        monkeypatch.setattr(polyfactor, "itertools", None)  # listing would raise AttributeError
+        message = rf"^{count} real divisors of degree {d} of y\^{u} \+ 1 exceed the budget {count - 1}$"
+        for enumerate_ in (closed_selections, real_divisors):
+            with pytest.raises(ResourceLimitError, match=message):
+                enumerate_(u, d)
+
 
 class TestConjugationCharacterization:
     @pytest.mark.parametrize("u", range(1, 13))

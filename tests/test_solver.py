@@ -82,7 +82,8 @@ class TestStartSolutions:
         # reference: one subset at a time, as the start system was built
         # before it was stacked; the arithmetic is the same, so are the bits
         u = m + n - 2
-        _, a_rows, _, real, subsets = solver._start_system(m, n)
+        _, a_rows, _, subsets = solver._start_system(m, n)
+        real = start_solutions(m, n)[2]
         roots = polyfactor.neg_roots(u)
         for idx, subset in enumerate(subsets):
             coeffs = polyfactor._expand_from_roots(roots[list(subset)])
@@ -97,7 +98,7 @@ class TestStartSolutions:
     def test_kernels_are_the_svd_null_vectors(self, m, n):
         # oracle: the last right singular vector of each start pencil; the
         # closed-form cofactor rows must span the same one-dimensional kernel
-        frame, a_rows, kernels, _, _ = solver._start_system(m, n)
+        frame, a_rows, kernels, _ = solver._start_system(m, n)
         pencils = tensorcore.pencil_eval(a_rows, frame.Aprime)
         _, svals, Vh = np.linalg.svd(pencils)
         assert np.max(np.abs(np.linalg.norm(kernels, axis=1) - 1.0)) < 1e-15
@@ -125,9 +126,24 @@ class TestStartSolutions:
             assert row[2] == -1.0 + 0.0j
             assert isinstance(subset, tuple) and len(subset) == 2
 
-    def test_real_flags_match_numeric_filter(self):
-        z, _, real, _ = start_solutions(4, 5, seed=4)
-        assert np.array_equal(projectively_real(z[:, :4], z[:, 4:], 1e-8), real)
+    def test_real_flags_match_the_closed_subsets(self):
+        # the audit's numeric flags against the combinatorial oracle, on
+        # every format with at most 1,000 start rows; the real rows are real
+        # to 1e-8 as well, 100 times below REALITY_TOL
+        formats = [(m, n) for m in range(3, 8) for n in range(m, 45) if math.comb(m + n - 2, m - 1) <= 1000]
+        assert len(formats) == 66
+        for m, n in formats:
+            z, _, real, subsets = start_solutions(m, n, seed=(4, m, n))
+            closed = polyfactor.conjugation_closed(m + n - 2, subsets)
+            assert np.array_equal(real, closed), (m, n)
+            assert np.array_equal(projectively_real(z[:, :m], z[:, m:], 1e-8), closed), (m, n)
+            assert real.sum() == polyfactor.alpha_closed(m, n), (m, n)
+
+    def test_colliding_start_rows_are_refused(self, monkeypatch):
+        # start rows that fail the endpoint audit are no start system
+        monkeypatch.setattr(solver, "DEDUP_TOL", 1e3)
+        with pytest.raises(DegenerateStartError, match=r"^start row 1: WARN_MULTIPLICITY, endpoint within 1000 of path 0$"):
+            start_solutions(3, 3)
 
     def test_mutating_a_start_solution_leaves_the_next_call(self):
         first = start_solutions(3, 4, seed=3)
@@ -143,7 +159,7 @@ class TestStartSolutions:
         # a start row is rescaled onto a_m = -1 by the constant coefficient
         # of its monic divisor of y^u + 1, a product of unit roots
         u = m + n - 2
-        subsets = solver._start_system(m, n)[4]
+        subsets = solver._start_system(m, n)[3]
         c0 = polyfactor.divisor_coefficients(u, subsets)[:, 0]
         assert np.max(np.abs(np.abs(c0) - 1.0)) < 1e-14
 
@@ -156,8 +172,9 @@ class TestStartSolutions:
 class TestTrackPath:
     def test_identity_path_returns_start(self):
         frame = tensorcore.make_start_frame(3, 3)
-        z0 = start_solutions(3, 3, seed=5)[0][0]
-        out = track_path(frame.Aprime, frame.Aprime, z0, 1.0 + 0.0j)
+        c = solver._chart_vector(3, np.random.default_rng(5))
+        z0 = start_solutions(3, 3, c=c)[0][0]
+        out = track_path(frame.Aprime, frame.Aprime, z0, 1.0 + 0.0j, c)
         assert np.max(np.abs(out[:3] - z0[:3])) < 1e-8
         assert np.max(np.abs(out[3:] - z0[3:])) < 1e-8
         assert endpoint_residual(frame.Aprime, out, 3) < 1e-10
@@ -176,18 +193,27 @@ class TestTrackPath:
     def test_shape_mismatch(self):
         frame = tensorcore.make_start_frame(3, 3)
         other = tensorcore.make_start_frame(3, 4)
-        z0 = start_solutions(3, 3, seed=1)[0][0]
+        c = solver._chart_vector(3, np.random.default_rng(1))
+        z0 = start_solutions(3, 3, c=c)[0][0]
         with pytest.raises(ValueError):
-            track_path(frame.Aprime, other.Aprime, z0, 1.0 + 0.0j)
+            track_path(frame.Aprime, other.Aprime, z0, 1.0 + 0.0j, c)
 
     def test_gamma_required(self):
         # gamma is a required argument, and the tracker refuses a zero one
         frame = tensorcore.make_start_frame(3, 3)
+        c = solver._chart_vector(3, np.random.default_rng(1))
+        z0 = start_solutions(3, 3, c=c)[0][0]
+        with pytest.raises(TypeError):
+            track_path(frame.Aprime, frame.Aprime, z0, c=c)
+        with pytest.raises(ValueError, match="gamma must be nonzero"):
+            track_path(frame.Aprime, frame.Aprime, z0, 0.0 + 0.0j, c)
+
+    def test_chart_required(self):
+        # the b chart is the caller's: no default is rebuilt from z0
+        frame = tensorcore.make_start_frame(3, 3)
         z0 = start_solutions(3, 3, seed=1)[0][0]
         with pytest.raises(TypeError):
-            track_path(frame.Aprime, frame.Aprime, z0)
-        with pytest.raises(ValueError, match="gamma must be nonzero"):
-            track_path(frame.Aprime, frame.Aprime, z0, 0.0 + 0.0j)
+            track_path(frame.Aprime, frame.Aprime, z0, 1.0 + 0.0j)
 
 
 class TestLockstep:
@@ -734,6 +760,66 @@ print("numpy.ma" in sys.modules)
             _, target = perturbed_target(3, 3, 1e-3, seed=seed)
             report = solve_all(target, seed=seed)
             assert abs(report.gamma.imag) > 0.1
+
+
+class TestFinish:
+    # the endpoint audit on hand-built rows, with no tracking: Gaussian
+    # points on a_m = -1, off any kernel pair of the (3,3) target A'
+    @staticmethod
+    def rows(P, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((P, 6)) + 1j * rng.standard_normal((P, 6))
+        z[:, 2] = -1.0
+        return tensorcore.make_start_frame(3, 3).Aprime, z
+
+    def test_collision_names_the_first_kept_path(self):
+        B, z = self.rows(6, 50)
+        z[3], z[4] = z[1], z[1]
+        z[3, 0] += 0.5 * solver.DEDUP_TOL
+        z[4, 0] += 1.1 * solver.DEDUP_TOL  # within reach of 3 only, which is not kept
+        z[5] = z[0]  # close to a failed path's row, which is not an endpoint
+        c = np.array([1.0, 0.0, 0.0])
+        errors = {0: (PATH_STALL, "step underflow")}
+        report = solver._finish(B, z, errors, 1.0 + 0.0j, c)
+        assert errors == {0: (PATH_STALL, "step underflow")}  # the caller's dict is left alone
+        assert report.path_index.tolist() == [1, 2, 4, 5]
+        assert [(f.index, f.reason, f.detail) for f in report.failures] == [
+            (0, PATH_STALL, "step underflow"),
+            (3, WARN_MULTIPLICITY, "endpoint within 1e-06 of path 1"),
+        ]
+        kept = z[report.path_index]
+        assert np.array_equal(report.solutions, kept)
+        assert np.array_equal(report.residuals, solver._residuals(B, kept[:, :3], kept[:, 3:]))
+        assert np.array_equal(report.real, projectively_real(kept[:, :3], kept[:, 3:], solver.REALITY_TOL))
+        assert (report.n_paths, report.m, report.n, report.gamma, report.chart_b) == (6, 3, 3, 1.0 + 0.0j, c)
+
+    def test_failed_rows_are_never_read(self):
+        B, z = self.rows(5, 51)
+        errors = {1: (AT_INFINITY, "x"), 3: (PATH_STALL, "y")}
+        reports = []
+        for fill in (np.nan, np.inf, z[0], z[2]):  # NaN, or a copy of a kept row
+            z[[1, 3]] = fill
+            reports.append(solver._finish(B, z, errors, 1.0 + 0.0j, np.ones(3)))
+        for report in reports:
+            assert report.path_index.tolist() == [0, 2, 4]
+            assert [f.index for f in report.failures] == [1, 3]
+            assert np.array_equal(report.solutions, reports[0].solutions)
+            assert np.array_equal(report.residuals, reports[0].residuals)
+
+    @pytest.mark.parametrize("index", [-1, 4, 9])
+    def test_failure_outside_the_paths_violates_conservation(self, index):
+        B, z = self.rows(4, 52)
+        with pytest.raises(RuntimeError, match=r"^path conservation violated: 4 paths, indices "):
+            solver._finish(B, z, {index: (PATH_STALL, "x")}, 1.0 + 0.0j, np.ones(3))
+
+    def test_every_solve_returns_through_it(self, monkeypatch):
+        calls = []
+        finish = solver._finish
+        monkeypatch.setattr(solver, "_finish", lambda *args: calls.append(len(args[1])) or finish(*args))
+        _, target = perturbed_target(3, 4, 1e-3, seed=53)
+        report = solve_all(target, seed=54)
+        start_solutions(3, 5)
+        assert calls == [report.n_paths, 15]
 
 
 def _eigen_endpoints(Y, c, rng):
