@@ -40,7 +40,7 @@ COMMANDS = [
     "solve --m 4 --n 5 --eps 1e-2 --seed 3",
     "solve --m 3 --n 3 --eps 1e-3 --seed 2 --format plain",
     "certify --input t55.json --seed 1",
-    "certify --input t33.json --seed 4 --tol 1e-6",
+    "certify --input t33.json --seed 4",
     "experiment global --m 3 --n 3 --trials 20 --seed 5",
     "experiment perturb --m 3 --n 5 --eps 0.01 --trials 10 --seed 2",
 ]

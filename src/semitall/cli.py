@@ -28,8 +28,8 @@ from .errors import ChartViolationError, DegenerateStartError, ResourceLimitErro
 # argparse settings of each flag that _COMMANDS (below) can name
 _ARGUMENTS = {
     "m": {"type": int}, "n": {"type": int}, "p": {"type": int}, "eps": {"type": float},
-    "trials": {"type": int}, "seed": {"type": int, "default": 0}, "tol": {"type": float},
-    "input": {"type": str}, "mode": {"choices": ["perturb", "global"]},
+    "trials": {"type": int}, "seed": {"type": int, "default": 0}, "input": {"type": str},
+    "mode": {"choices": ["perturb", "global"]},
 }
 
 
@@ -143,9 +143,7 @@ def _cmd_solve(args: argparse.Namespace):
 
 def _cmd_certify(args: argparse.Namespace):
     """rank-p certificate for an n x p x m tensor file"""
-    T = tensorcore.load_tensor(args.input)
-    span_tol = certifier.SPAN_TOL if args.tol is None else args.tol
-    cert = certifier.certify(T, seed=args.seed, span_tol=span_tol)
+    cert = certifier.certify(tensorcore.load_tensor(args.input), seed=args.seed)
     doc = {
         "verdict": cert.verdict,
         "m": cert.m, "n": cert.n, "p": cert.p,
@@ -163,14 +161,13 @@ def _cmd_certify(args: argparse.Namespace):
 def _cmd_experiment(args: argparse.Namespace):
     """seeded Monte Carlo certification experiments"""
     fmt = tensorcore.Format(args.m, args.n)
-    span_tol = certifier.SPAN_TOL if args.tol is None else args.tol
     if args.mode == "perturb":
         _require(args, "eps")
-        stats = certifier.perturb_experiment(fmt, args.eps, args.trials, seed=args.seed, span_tol=span_tol)
+        stats = certifier.perturb_experiment(fmt, args.eps, args.trials, seed=args.seed)
     elif args.eps is not None:
         raise ValueError("experiment global draws Gaussian tensors and takes no --eps")
     else:
-        stats = certifier.global_experiment(fmt, args.trials, seed=args.seed, span_tol=span_tol)
+        stats = certifier.global_experiment(fmt, args.trials, seed=args.seed)
     doc = {
         "mode": args.mode,
         "m": stats.m, "n": stats.n,
@@ -210,8 +207,8 @@ _COMMANDS = {
     "classify": (_cmd_classify, "m! n! p", "json plain"),
     "table": (_cmd_table, "m! n!", "json csv plain"),
     "solve": (_cmd_solve, "m n eps seed input", "json plain"),
-    "certify": (_cmd_certify, "seed tol input!", "json plain"),
-    "experiment": (_cmd_experiment, "m! n! eps trials! seed tol mode", "json plain"),
+    "certify": (_cmd_certify, "seed input!", "json plain"),
+    "experiment": (_cmd_experiment, "m! n! eps trials! seed mode", "json plain"),
     "selftest": (_cmd_selftest, "", "json plain"),
 }
 
@@ -231,30 +228,27 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         result, code = handler(args)
+        params = {k: getattr(args, k) for k in _flags(args.command)}
+        report = {
+            "command": args.command,
+            "params": {k: v for k, v in params.items() if v is not None},
+            "result": result,
+            "elapsed_s": time.perf_counter() - start,
+        }
+        if args.format == "csv":
+            text = jsonio.dump_csv(result["rows"])
+        elif args.format == "plain":
+            text = jsonio.dump_plain(report)
+        else:
+            text = jsonio.dumps(report)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+            text = ""
     except (ValueError, ResourceLimitError, OSError) as exc:
         return 1, f"error: {exc}\n"
     except (ChartViolationError, DegenerateStartError) as exc:
         return 2, f"error: {type(exc).__name__}: {exc}\n"
-    params = {k: getattr(args, k) for k in _flags(args.command)}
-    report = {
-        "command": args.command,
-        "params": {k: v for k, v in params.items() if v is not None},
-        "result": result,
-        "elapsed_s": time.perf_counter() - start,
-    }
-    if args.format == "csv":
-        text = jsonio.dump_csv(result["rows"])
-    elif args.format == "plain":
-        text = jsonio.dump_plain(report)
-    else:
-        text = jsonio.dumps(report)
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return 1, f"error: {exc}\n"
-        return code, ""
     return code, text
 
 

@@ -6,8 +6,10 @@ class ChartViolationError(RuntimeError):
 
 
 class DegenerateStartError(RuntimeError):
-    """The b chart's vector is nearly orthogonal to a start kernel, so that
-    start point has no image on the chart."""
+    """The start system is unusable: the b chart's vector is nearly
+    orthogonal to a start kernel, so that start point has no image on the
+    chart, or a start row fails the audit of the identity homotopy's
+    endpoints (``solver.start_solutions``)."""
 
 
 class ResourceLimitError(RuntimeError):

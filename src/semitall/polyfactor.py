@@ -76,6 +76,13 @@ def _leaf_order(k: int) -> np.ndarray:
     return order
 
 
+def _closed_count(u: int, d: int) -> int:
+    """Number of conjugation-closed d-subsets of the u root indices: d // 2
+    of the u // 2 conjugate pairs, plus the fixed point (u-1)/2 when d is
+    odd, which exists only for odd u."""
+    return math.comb(u // 2, d // 2) if u % 2 or d % 2 == 0 else 0
+
+
 def closed_selections(u: int, d: int) -> list[tuple[int, ...]]:
     """All conjugation-closed d-subsets of the root indices of y^u + 1, as
     sorted index tuples in lexicographic order.
@@ -89,7 +96,7 @@ def closed_selections(u: int, d: int) -> list[tuple[int, ...]]:
         raise ValueError("u must be a positive integer")
     if not 1 <= d <= u:
         raise ValueError(f"degree d={d} outside [1, {u}]")
-    count = math.comb(u // 2, d // 2) if u % 2 or d % 2 == 0 else 0
+    count = _closed_count(u, d)
     if count > DIVISOR_BUDGET:
         raise ResourceLimitError(f"{count} real divisors of degree {d} of y^{u} + 1 exceed the budget {DIVISOR_BUDGET}")
     pairs = [(k, u - 1 - k) for k in range(u // 2)]
@@ -147,20 +154,9 @@ def real_divisors(u: int, d: int) -> np.ndarray:
 
 
 def alpha_closed(m: int, n: int) -> int:
-    """Closed-form count of real monic degree-(m-1) divisors of y^(m+n-2) + 1.
-
-    Exact integer arithmetic; the four branches follow the parities of m
-    and n (the pairing on root indices has a fixed point exactly when
-    u = m+n-2 is odd, and closed subsets of odd size need one).
-    """
-    u = Format(m, n).u
-    if m % 2 == 1 and n % 2 == 1:
-        return math.comb(u // 2, (m - 1) // 2)
-    if m % 2 == 0 and n % 2 == 1:
-        return math.comb((u - 1) // 2, (m - 2) // 2)
-    if m % 2 == 1 and n % 2 == 0:
-        return math.comb((u - 1) // 2, (m - 1) // 2)
-    return 0
+    """Closed-form count of real monic degree-(m-1) divisors of y^(m+n-2) + 1,
+    in exact integer arithmetic."""
+    return _closed_count(Format(m, n).u, m - 1)
 
 
 def alpha_brute(m: int, n: int) -> int:

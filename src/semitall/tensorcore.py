@@ -124,19 +124,15 @@ def psi(a, b, fmt: Format) -> np.ndarray:
     return (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], fmt.m * fmt.n)[..., : fmt.p]
 
 
-def check_span_tol(tol: float) -> None:
-    """Refuse a span tolerance that is not positive and finite: NaN or inf
-    would count no singular value and read as a span of dimension 0."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"span_tol must be positive and finite, got {tol:g}")
-
-
 def span_dim(rows: np.ndarray, tol: float) -> int:
     """Numerical rank of the span of the rows of a (k, p) matrix.
 
-    Counts singular values above tol times the largest one.
+    Counts singular values above tol times the largest one.  Refuses a tol
+    that is not positive and finite: NaN or inf would count no singular
+    value and read as a span of dimension 0.
     """
-    check_span_tol(tol)
+    if not 0 < tol < np.inf:
+        raise ValueError(f"span_tol must be positive and finite, got {tol:g}")
     if not len(rows):
         return 0
     s = np.linalg.svd(rows.T, compute_uv=False)
@@ -293,7 +289,10 @@ def _number(x) -> float:
 
 def load_tensor(path) -> Tensor3:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("tensor file nests too deeply to parse") from None
     if not isinstance(doc, dict) or not {"shape", "data"} <= doc.keys():
         raise ValueError("tensor file must be a JSON object with keys 'shape' and 'data'")
     try:
