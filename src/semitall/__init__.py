@@ -23,7 +23,6 @@ from .classifier import Verdict, bit_disjoint, classify, theorem_table
 from .errors import (
     ChartViolationError,
     DegenerateStartError,
-    PathError,
     ResourceLimitError,
 )
 from .polyfactor import (
@@ -71,5 +70,5 @@ __all__ = [
     "certify", "perturb_experiment", "global_experiment",
     "RANK_P", "RANK_GT_P", "INCONCLUSIVE",
     "Verdict", "bit_disjoint", "classify", "theorem_table",
-    "ChartViolationError", "DegenerateStartError", "PathError", "ResourceLimitError",
+    "ChartViolationError", "DegenerateStartError", "ResourceLimitError",
 ]

@@ -196,14 +196,14 @@ def criterion_6_start_systems():
     details = []
     for m, n in CRITERION_6_FORMATS:
         u = tensorcore.Format(m, n).u
-        z, residuals, real, _ = solver.start_solutions(m, n, seed=(606, m, n))
+        report = solver.start_solutions(m, n, seed=(606, m, n))
         expected = math.comb(u, m - 1)
-        if len(z) != expected:
-            return False, f"({m},{n}): {len(z)} start solutions, expected {expected}"
-        worst = residuals.max()
+        if len(report.solutions) != expected:
+            return False, f"({m},{n}): {len(report.solutions)} start solutions, expected {expected}"
+        worst = report.residuals.max()
         if worst >= 1e-10:
             return False, f"({m},{n}): start residual {worst:.2e}"
-        n_real = int(real.sum())
+        n_real = report.real_count
         if n_real != polyfactor.alpha_closed(m, n):
             return False, f"({m},{n}): {n_real} real starts, expected {polyfactor.alpha_closed(m, n)}"
         details.append(f"({m},{n}):{expected} paths,res {worst:.1e}")

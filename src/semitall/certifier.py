@@ -72,7 +72,8 @@ def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
     """Certify whether the n x p x m tensor T has rank p or rank > p.
 
     Raises ChartViolationError when T sits outside the sigma chart, and
-    ValueError for a seed that ``solver.solve_all`` refuses.  A kernel of
+    ValueError for a non-finite entry of T or a seed that
+    ``solver.solve_all`` refuses.  A kernel of
     dimension >= 2 at any real solution poisons the span count and forces
     INCONCLUSIVE, as does any path failure or, in a complete solve, a
     broken conjugate closure or real-count parity (the notes of
@@ -80,6 +81,9 @@ def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
     """
     fmt = tensorcore.vspace_format(T)
     m, n = fmt.m, fmt.n
+    bad = np.count_nonzero(~np.isfinite(T.data))
+    if bad:
+        raise ValueError(f"tensor has {bad} non-finite entries")
     Y = tensorcore.mu(tensorcore.sigma(T), fmt)
     report = solver.solve_all(Y, seed=seed)
 

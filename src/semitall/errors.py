@@ -23,14 +23,3 @@ PATH_DIVERGE = "PATH_DIVERGE"
 AT_INFINITY = "AT_INFINITY"
 CHART_ESCAPE = "CHART_ESCAPE"
 WARN_MULTIPLICITY = "WARN_MULTIPLICITY"
-
-
-class PathError(RuntimeError):
-    """A continuation path could not be completed.
-
-    The ``reason`` attribute carries one of the module-level reason codes.
-    """
-
-    def __init__(self, reason: str, message: str = ""):
-        super().__init__(message or reason)
-        self.reason = reason

@@ -17,7 +17,8 @@ with gamma a random unit complex constant (detour away from the
 discriminant), an order-2 tangent predictor, a Newton corrector with a
 basin guard, and adaptive step control.  All paths of a tracking pass
 are tracked in lockstep as stacked arrays, each path with its own step
-control.
+control.  The start system, one tracked row and a full solve each come
+back as the SolveReport that ``_finish`` builds.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import (
     PATH_STALL,
     WARN_MULTIPLICITY,
     DegenerateStartError,
-    PathError,
     ResourceLimitError,
 )
 
@@ -205,21 +205,22 @@ def _on_chart(kernels: np.ndarray, c: np.ndarray, subsets) -> np.ndarray:
     return kernels / cb[:, None]
 
 
-def start_solutions(m: int, n: int, c: np.ndarray | None = None, seed: object = 0) -> tuple:
-    """All C(u, m-1) kernel pairs of the start tensor A' as (z, residuals,
-    real, subsets): rows z = (a, b) on the charts a_m = -1 and c . b = 1
-    (c drawn from ``seed`` when not given), their residuals at A', their
-    reality flags and the divisor index subset of each row.  ``_finish``
-    audits the rows as the endpoints of the identity homotopy on A'; a
-    failure of that audit raises DegenerateStartError naming the first."""
+def start_solutions(m: int, n: int, seed: object = 0) -> SolveReport:
+    """All C(u, m-1) kernel pairs of the start tensor A', as the report that
+    ``_finish`` builds for the endpoints of the identity homotopy on A'.
+    Row k is start path k, the k-th (m-1)-subset of the root indices in
+    ``itertools.combinations`` order, on the charts a_m = -1 and c . b = 1
+    for the chart vector c that ``solve_all`` draws first from the same
+    seed.  A failure of the audit raises DegenerateStartError naming the
+    first."""
     _seed_entropy(seed)
     frame, a_rows, kernels, subsets = _start_system(m, n)
-    c = _chart_vector(n, np.random.default_rng(seed)) if c is None else c
+    c = _chart_vector(n, np.random.default_rng(seed))
     z = np.concatenate([a_rows, _on_chart(kernels, c, subsets)], axis=1)
     report = _finish(frame.Aprime, z, {}, 1.0 + 0.0j, c)
     if report.failures:
         raise DegenerateStartError("start row {0.index}: {0.reason}, {0.detail}".format(report.failures[0]))
-    return report.solutions, report.residuals, report.real, subsets
+    return report
 
 
 def _solve_rows(A: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -430,21 +431,18 @@ def track_path(
     z0: np.ndarray,
     gamma: complex,
     c: np.ndarray,
-) -> np.ndarray:
+) -> SolveReport:
     """Continue one start row z0 = (a, b), on the charts a_m = -1 and
-    c . b = 1, from B_from to B_to along the detour constant gamma and
-    return the endpoint row.
-
-    Raises PathError with reason PATH_STALL (singular tangent, step
-    underflow or step budget) or AT_INFINITY (coordinate blowup).
+    c . b = 1, from B_from to B_to along the detour constant gamma, and
+    return the one-path report that ``_finish`` builds at B_to.  A failed
+    path is its one failure: PATH_STALL (singular tangent, step underflow
+    or step budget) or AT_INFINITY (coordinate blowup), with no retry.
     """
     u, n, m = B_from.shape
     if B_to.shape != (u, n, m):
         raise ValueError(f"target shape {B_to.shape} does not match start shape {(u, n, m)}")
     z, failed = _Lockstep(B_from.data, B_to.data, gamma, c).run(z0[None])
-    if failed:
-        raise PathError(*failed[0])
-    return z[0]
+    return _finish(B_to, z, failed, gamma, c)
 
 
 def _aligned(v: np.ndarray) -> np.ndarray:

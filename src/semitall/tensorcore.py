@@ -280,11 +280,13 @@ def save_tensor(T: Tensor3, path) -> None:
         fh.write(jsonio.dumps(doc))
 
 
-def _number(x) -> float:
-    # float() and int() would read JSON true as 1
-    if isinstance(x, bool):
-        raise ValueError("a boolean is not a number")
-    return float(x)
+def _numbers(x) -> list[float]:
+    # a JSON array of JSON numbers and of the strings "nan", "inf" and "-inf"
+    # that save_tensor writes for non-finite entries; float() would also read
+    # "1_000" as 1000, and float() and int() read JSON true (a bool) as 1
+    if not isinstance(x, list) or not all(type(v) in (int, float) or v in ("nan", "inf", "-inf") for v in x):
+        raise ValueError("not a JSON array of numbers")
+    return [float(v) for v in x]
 
 
 def load_tensor(path) -> Tensor3:
@@ -296,8 +298,8 @@ def load_tensor(path) -> Tensor3:
     if not isinstance(doc, dict) or not {"shape", "data"} <= doc.keys():
         raise ValueError("tensor file must be a JSON object with keys 'shape' and 'data'")
     try:
-        shape = tuple(_number(d) for d in doc["shape"])
-        data = np.array([_number(x) for x in doc["data"]])
+        shape = tuple(_numbers(doc["shape"]))
+        data = np.array(_numbers(doc["data"]))
         if not all(d.is_integer() for d in shape):  # int() would truncate 3.9
             raise ValueError("a shape entry is not an integer")
         shape = tuple(int(d) for d in shape)

@@ -55,6 +55,20 @@ class TestCertify:
         with pytest.raises(ChartViolationError):
             certify(T)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+    @pytest.mark.parametrize("entry", [(0, 0, 0), (2, 4, 2)], ids=["leading", "trailing"])
+    def test_non_finite_entry_refused_before_solving(self, entry, value, monkeypatch):
+        # (0, 0, 0) is in the leading p x p block of fl2, which sigma inverts,
+        # and (2, 4, 2) in the block below it; the count is T's own
+        monkeypatch.setattr(solver, "solve_all", _refuse_solving)
+        T = random_rank_sum(Format(3, 3), 5, np.random.default_rng(0))
+        T.data[entry] = value
+        with pytest.raises(ValueError, match=r"^tensor has 1 non-finite entries$"):
+            certify(T)
+        T.data[1, 1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^tensor has 2 non-finite entries$"):
+            certify(T)
+
     @pytest.mark.parametrize("span_tol", BAD_SPAN_TOLS)
     def test_span_tol_refused_before_solving(self, span_tol, monkeypatch):
         T = random_rank_sum(Format(3, 3), 5, np.random.default_rng(0))

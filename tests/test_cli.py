@@ -247,6 +247,10 @@ class TestMalformedInput:
         "infinite_shape": ('{"shape": [1e400, 1, 1], "data": [1.0]}', "list of integers"),
         "overflowing_data": ('{"shape": [1, 1, 1], "data": [1' + 400 * "0" + "]}", "flat list of numbers"),
         "deeply_nested": (200_000 * "[", "nests too deeply"),
+        # JSON strings where numbers belong, which float() would read
+        "string_shape_and_data": ('{"shape": "353", "data": "%s"}' % ("123456789" * 5), "list of integers"),
+        "string_shape_entries": ('{"shape": ["3", "5", " 3 "], "data": [%s]}' % ", ".join(["1.5"] * 45), "list of integers"),
+        "underscored_data": ('{"shape": [1, 1, 1], "data": ["1_000"]}', "flat list of numbers"),
     }
 
     @pytest.mark.parametrize("command", ["certify", "solve"])
@@ -260,7 +264,7 @@ class TestMalformedInput:
             path.write_text(contents)
         code, text = dispatch([command, "--input", str(path)])
         assert code == 1
-        assert text.startswith("error: ") and words in text
+        assert text.startswith("error: ") and words in text and text.count("\n") == 1
 
 
 class TestExperiment:

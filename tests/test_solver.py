@@ -15,7 +15,6 @@ from semitall.errors import (
     PATH_STALL,
     WARN_MULTIPLICITY,
     DegenerateStartError,
-    PathError,
     ResourceLimitError,
 )
 from semitall.solver import SolveReport, projectively_real, solve_all, start_solutions, track_path
@@ -51,25 +50,31 @@ def full_system(B_from, B_to, gamma, c, z, t):
     return J, F, dF
 
 
+def start_rows(m, n, c):
+    # the start rows on the b chart c . b = 1, as solve_all builds them
+    _, a_rows, kernels, subsets = solver._start_system(m, n)
+    return np.concatenate([a_rows, solver._on_chart(kernels, c, subsets)], axis=1)
+
+
 class TestStartSolutions:
     @pytest.mark.parametrize("m,n,paths,nreal", [(3, 3, 6, 2), (3, 4, 10, 2), (4, 4, 20, 0)])
     def test_counts_and_reality(self, m, n, paths, nreal):
-        z, _, real, _ = start_solutions(m, n, seed=(1, m, n))
-        assert len(z) == paths
-        assert real.sum() == nreal
+        report = start_solutions(m, n, seed=(1, m, n))
+        assert len(report.solutions) == report.n_paths == paths
+        assert report.real_count == nreal
         assert nreal == polyfactor.alpha_closed(m, n)
 
     def test_residuals_tiny(self):
         for m, n in [(3, 3), (3, 5), (4, 5)]:
-            _, residuals, _, _ = start_solutions(m, n, seed=2)
-            assert residuals.max() < 1e-10
+            assert start_solutions(m, n, seed=2).residuals.max() < 1e-10
 
     @pytest.mark.parametrize("m,n", acceptance.CRITERION_6_FORMATS)
     def test_real_rows_are_the_divisor_table(self, m, n):
         # the real start rows are the real divisor points, slice-reordered
         # and scaled onto a_m = -1, in closed_selections order
         u = m + n - 2
-        z, _, real, subsets = start_solutions(m, n, seed=(8, m, n))
+        report = start_solutions(m, n, seed=(8, m, n))
+        z, real, subsets = report.solutions, report.real, solver._start_system(m, n)[3]
         x = polyfactor.divisor_points(polyfactor.real_divisors(u, m - 1))
         xprime = np.stack([sign * x[:, src] for src, sign in tensorcore.slice_reorder(m)], axis=1)
         expected = xprime / -xprime[:, -1:]
@@ -83,7 +88,7 @@ class TestStartSolutions:
         # before it was stacked; the arithmetic is the same, so are the bits
         u = m + n - 2
         _, a_rows, _, subsets = solver._start_system(m, n)
-        real = start_solutions(m, n)[2]
+        real = start_solutions(m, n).real
         roots = polyfactor.neg_roots(u)
         for idx, subset in enumerate(subsets):
             coeffs = polyfactor._expand_from_roots(roots[list(subset)])
@@ -107,11 +112,27 @@ class TestStartSolutions:
         # the kernel is one-dimensional, with room to spare
         assert (svals[:, -2] / svals[:, 0]).min() >= 1e-3
 
-    def test_chart_orthogonal_to_a_kernel_names_its_subset(self):
+    def test_chart_orthogonal_to_a_kernel_names_its_subset(self, monkeypatch):
         kernels = solver._start_system(3, 3)[2]
         c = np.array([kernels[0, 1], -kernels[0, 0], 0.0])  # kernels[0] @ c == 0
+        monkeypatch.setattr(solver, "_chart_vector", lambda n, rng: c)
         with pytest.raises(DegenerateStartError, match=r"^chart vector nearly orthogonal to the kernel at \(0, 1\)$"):
-            start_solutions(3, 3, c=c)
+            start_solutions(3, 3)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 5)])
+    @pytest.mark.parametrize("seed", [7, (2, 9)], ids=repr)
+    def test_rows_are_the_starts_solve_all_tracks(self, m, n, seed, monkeypatch):
+        # the chart is the one solve_all draws first from the same seed, and
+        # row k is the row solve_all tracks as path k
+        tracked = []
+        run = solver._Lockstep.run
+        monkeypatch.setattr(solver._Lockstep, "run", lambda self, z0: tracked.append(z0.copy()) or run(self, z0))
+        _, target = perturbed_target(m, n, 1e-3, seed=(60, m, n))
+        report = solve_all(target, seed=seed)
+        start = start_solutions(m, n, seed=seed)
+        assert np.array_equal(start.chart_b, report.chart_b)
+        assert start.n_paths == report.n_paths and start.path_index.tolist() == list(range(start.n_paths))
+        assert start.solutions.tobytes() == tracked[0].tobytes()
 
     @pytest.mark.parametrize("seed", [None, 1.5, "x"], ids=repr)
     def test_seed_outside_documented_types_refused(self, seed):
@@ -120,7 +141,7 @@ class TestStartSolutions:
             start_solutions(3, 3, seed=seed)
 
     def test_chart_conventions(self):
-        z, _, _, subsets = start_solutions(3, 4, seed=3)
+        z, subsets = start_solutions(3, 4, seed=3).solutions, solver._start_system(3, 4)[3]
         assert len(subsets) == len(z)
         for row, subset in zip(z, subsets):
             assert row[2] == -1.0 + 0.0j
@@ -133,7 +154,8 @@ class TestStartSolutions:
         formats = [(m, n) for m in range(3, 8) for n in range(m, 45) if math.comb(m + n - 2, m - 1) <= 1000]
         assert len(formats) == 66
         for m, n in formats:
-            z, _, real, subsets = start_solutions(m, n, seed=(4, m, n))
+            report = start_solutions(m, n, seed=(4, m, n))
+            z, real, subsets = report.solutions, report.real, solver._start_system(m, n)[3]
             closed = polyfactor.conjugation_closed(m + n - 2, subsets)
             assert np.array_equal(real, closed), (m, n)
             assert np.array_equal(projectively_real(z[:, :m], z[:, m:], 1e-8), closed), (m, n)
@@ -146,13 +168,14 @@ class TestStartSolutions:
             start_solutions(3, 3)
 
     def test_mutating_a_start_solution_leaves_the_next_call(self):
+        fields = ("solutions", "residuals", "real", "path_index", "chart_b")
         first = start_solutions(3, 4, seed=3)
-        kept = [arr.copy() for arr in first[:3]]
-        for arr in first[:3]:
-            arr[0] = 7.0
+        kept = [getattr(first, name).copy() for name in fields]
+        for name in fields:
+            getattr(first, name)[0] = 7
         again = start_solutions(3, 4, seed=3)
-        for arr, before in zip(again[:3], kept):
-            assert np.array_equal(arr, before)
+        for name, before in zip(fields, kept):
+            assert np.array_equal(getattr(again, name), before), name
 
     @pytest.mark.parametrize("m,n", [(3, 3), (5, 5), (4, 20), (6, 10)])
     def test_start_rows_rescale_by_a_unit_coefficient(self, m, n):
@@ -172,20 +195,19 @@ class TestStartSolutions:
 class TestTrackPath:
     def test_identity_path_returns_start(self):
         frame = tensorcore.make_start_frame(3, 3)
-        c = solver._chart_vector(3, np.random.default_rng(5))
-        z0 = start_solutions(3, 3, c=c)[0][0]
-        out = track_path(frame.Aprime, frame.Aprime, z0, 1.0 + 0.0j, c)
+        start = start_solutions(3, 3, seed=5)
+        z0, c = start.solutions[0], start.chart_b
+        out = track_path(frame.Aprime, frame.Aprime, z0, 1.0 + 0.0j, c).solutions[0]
         assert np.max(np.abs(out[:3] - z0[:3])) < 1e-8
         assert np.max(np.abs(out[3:] - z0[3:])) < 1e-8
         assert endpoint_residual(frame.Aprime, out, 3) < 1e-10
 
     def test_small_perturbation_endpoints(self):
         frame, target = perturbed_target(3, 3, 1e-3, seed=6)
-        rng = np.random.default_rng(6)
-        c = rng.standard_normal(3)
-        c /= np.linalg.norm(c)
-        for z0 in start_solutions(3, 3, c=c)[0]:
-            out = track_path(frame.Aprime, target, z0, complex(0.28, 0.96), c=c)
+        start = start_solutions(3, 3, seed=6)
+        c = start.chart_b
+        for z0 in start.solutions:
+            out = track_path(frame.Aprime, target, z0, complex(0.28, 0.96), c=c).solutions[0]
             assert endpoint_residual(target, out, 3) < 1e-9
             # endpoint stays near its start for a small perturbation
             assert np.max(np.abs(out[:3] - z0[:3])) < 0.1
@@ -193,16 +215,16 @@ class TestTrackPath:
     def test_shape_mismatch(self):
         frame = tensorcore.make_start_frame(3, 3)
         other = tensorcore.make_start_frame(3, 4)
-        c = solver._chart_vector(3, np.random.default_rng(1))
-        z0 = start_solutions(3, 3, c=c)[0][0]
+        start = start_solutions(3, 3, seed=1)
+        z0, c = start.solutions[0], start.chart_b
         with pytest.raises(ValueError):
             track_path(frame.Aprime, other.Aprime, z0, 1.0 + 0.0j, c)
 
     def test_gamma_required(self):
         # gamma is a required argument, and the tracker refuses a zero one
         frame = tensorcore.make_start_frame(3, 3)
-        c = solver._chart_vector(3, np.random.default_rng(1))
-        z0 = start_solutions(3, 3, c=c)[0][0]
+        start = start_solutions(3, 3, seed=1)
+        z0, c = start.solutions[0], start.chart_b
         with pytest.raises(TypeError):
             track_path(frame.Aprime, frame.Aprime, z0, c=c)
         with pytest.raises(ValueError, match="gamma must be nonzero"):
@@ -211,7 +233,7 @@ class TestTrackPath:
     def test_chart_required(self):
         # the b chart is the caller's: no default is rebuilt from z0
         frame = tensorcore.make_start_frame(3, 3)
-        z0 = start_solutions(3, 3, seed=1)[0][0]
+        z0 = start_solutions(3, 3, seed=1).solutions[0]
         with pytest.raises(TypeError):
             track_path(frame.Aprime, frame.Aprime, z0, 1.0 + 0.0j)
 
@@ -257,7 +279,7 @@ class TestLockstep:
         m, n = 3, 4
         frame, target = perturbed_target(m, n, 1e-2, seed=28)
         c = solver._chart_vector(n, np.random.default_rng(28))
-        z0 = start_solutions(m, n, c=c)[0]
+        z0 = start_rows(m, n, c)
         z0_bad = np.insert(z0, 3, 0.0, axis=0)
 
         tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), c)
@@ -284,7 +306,7 @@ class TestLockstep:
         m, n = 3, 4
         _, _, tracker, c = self._tracker(m, n, seed=37)
         rng = np.random.default_rng(37)
-        starts = start_solutions(m, n, c=c)[0]
+        starts = start_rows(m, n, c)
         start = starts[0]
         near = starts[1] + 1e-6 * (rng.standard_normal(m + n) + 1j * rng.standard_normal(m + n))
         near[m - 1] = -1.0  # stay on both charts, so only the top rows are off
@@ -327,7 +349,7 @@ class TestLockstep:
         # prediction, they keep a_m = -1
         _, _, tracker, c = TestLockstep._tracker(m, n, seed)
         rng = np.random.default_rng(seed)
-        starts = start_solutions(m, n, c=c)[0][:, tracker.order]
+        starts = start_rows(m, n, c)[:, tracker.order]
         rows = []
         for eps in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1):
             for start in starts[:4]:
@@ -422,7 +444,7 @@ class TestLockstep:
         gamma = solver._sample_gamma(rng)
         B_from = tensorcore.make_start_frame(m, n).Aprime.data
         tracker = solver._Lockstep(B_from, B_to, gamma, c)
-        ends, failed = tracker.run(start_solutions(m, n, c=c)[0])
+        ends, failed = tracker.run(start_rows(m, n, c))
         ends = np.delete(ends, list(failed), axis=0)
         # the endpoints, and points 1e-3 off them with a_m kept, at t = 1
         noise = 1e-3 * (rng.standard_normal(ends.shape) + 1j * rng.standard_normal(ends.shape))
@@ -502,7 +524,7 @@ class TestLockstep:
             c = solver._chart_vector(n, rng)
             frame = tensorcore.make_start_frame(m, n)
             tracker = solver._Lockstep(frame.Aprime.data, target, solver._sample_gamma(rng), c)
-            z, failed = tracker.run(start_solutions(m, n, c=c)[0])
+            z, failed = tracker.run(start_rows(m, n, c))
             ends = np.setdiff1d(np.arange(len(z)), list(failed))
             assert ends.size, (m, n, seed)
             inf = np.full(ends.size, np.inf)
@@ -534,7 +556,7 @@ class TestSolveAll:
         assert report.n_paths == 6
         assert report.complete
         assert report.real_count == 2
-        subsets = set(start_solutions(3, 3)[3])
+        subsets = set(solver._start_system(3, 3)[3])
         assert len(report.solutions) == len(subsets)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4)])
@@ -592,9 +614,9 @@ class TestSolveAll:
             report = solve_all(target, seed=seed)
             assert report.complete
             frame = tensorcore.make_start_frame(m, n)
-            starts = start_solutions(m, n, c=report.chart_b)[0]
+            starts = start_solutions(m, n, seed=seed).solutions
             for z, idx in zip(report.solutions, report.path_index):
-                alone = track_path(frame.Aprime, target, starts[idx], report.gamma, c=report.chart_b)
+                alone = track_path(frame.Aprime, target, starts[idx], report.gamma, c=report.chart_b).solutions[0]
                 assert np.max(np.abs(alone[:m] - z[:m])) < 1e-10
                 assert np.max(np.abs(alone[m:] - z[m:])) < 1e-10
 
@@ -658,13 +680,15 @@ class TestSolveAll:
 
         # the path that reaches infinity when tracked alone on a_m = -1
         frame = tensorcore.make_start_frame(m, n)
-        starts = start_solutions(m, n, c=report.chart_b)[0]
+        starts = start_solutions(m, n, seed=1).solutions
         retried = []
         for idx, z0 in enumerate(starts):
-            try:
-                track_path(frame.Aprime, target, z0, report.gamma, c=report.chart_b)
-            except PathError as exc:
-                assert exc.reason == AT_INFINITY
+            alone = track_path(frame.Aprime, target, z0, report.gamma, c=report.chart_b)
+            assert alone.n_paths == 1
+            if not alone.complete:
+                # a failed path is its one-path report's failure; nothing is raised
+                assert len(alone.solutions) == len(alone.path_index) == 0
+                assert [(f.index, f.reason) for f in alone.failures] == [(0, AT_INFINITY)]
                 retried.append(idx)
         assert len(retried) == 1
 
@@ -816,10 +840,12 @@ class TestFinish:
         calls = []
         finish = solver._finish
         monkeypatch.setattr(solver, "_finish", lambda *args: calls.append(len(args[1])) or finish(*args))
-        _, target = perturbed_target(3, 4, 1e-3, seed=53)
+        frame, target = perturbed_target(3, 4, 1e-3, seed=53)
         report = solve_all(target, seed=54)
         start_solutions(3, 5)
-        assert calls == [report.n_paths, 15]
+        z0 = start_rows(3, 4, report.chart_b)[0]
+        track_path(frame.Aprime, target, z0, report.gamma, report.chart_b)
+        assert calls == [report.n_paths, 15, 1]
 
 
 def _eigen_endpoints(Y, c, rng):
@@ -959,12 +985,12 @@ def _align(v):
 
 class TestRealFilter:
     def test_start_solutions_3_3(self):
-        z = start_solutions(3, 3, seed=16)[0]
+        z = start_solutions(3, 3, seed=16).solutions
         assert np.count_nonzero(projectively_real(z[:, :3], z[:, 3:], 1e-8)) == 2
 
     def test_conjugate_pair_symmetric(self):
-        z, _, real, _ = start_solutions(3, 3, seed=17)
-        complexes = z[~real]
+        report = start_solutions(3, 3, seed=17)
+        complexes = report.solutions[~report.real]
         # pair each complex solution with its conjugate partner
         for s in complexes:
             partner = [
