@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from . import acceptance, certifier, classifier, jsonio, polyfactor, solver, tensorcore
+from . import certifier, classifier, jsonio, polyfactor, solver, tensorcore
 from .errors import ChartViolationError, DegenerateStartError, ResourceLimitError
 
 
@@ -133,7 +133,7 @@ def _cmd_solve(args: argparse.Namespace):
         "gamma": report.gamma,
         "chart_b": report.chart_b,
         "solutions": [
-            {"a": z[:m], "b": z[m:], "residual": residual, "is_real": real, "source": "TRACKED", "path_index": index}
+            {"a": z[:m], "b": z[m:], "residual": residual, "is_real": real, "source": report.route, "path_index": index}
             for z, residual, real, index in zip(report.solutions, report.residuals, report.real, report.path_index)
         ],
         "failures": [{"index": f.index, "reason": f.reason, "detail": f.detail} for f in report.failures],
@@ -182,6 +182,9 @@ def _cmd_experiment(args: argparse.Namespace):
 
 def _cmd_selftest(args: argparse.Namespace):
     """run the acceptance criteria and report pass/fail per criterion"""
+    # only selftest reads the criteria, so no other command imports them
+    from . import acceptance
+
     results = acceptance.run_acceptance()
     for r in results:
         print(r.line(), flush=True)

@@ -7,7 +7,7 @@ lines; the same checks back the ``semitall-rank selftest`` subcommand.
 import numpy as np
 import pytest
 
-from semitall import acceptance, solver, tensorcore
+from semitall import acceptance, polyfactor, solver, tensorcore
 
 
 def _run(index):
@@ -105,6 +105,26 @@ class TestHarness:
         assert not passed
         assert detail.startswith("(3,3) trial 0: path ")
         assert detail.count("no conjugate endpoint within 1e-06") == 2
+
+    @pytest.mark.parametrize("m,n", acceptance.CRITERION_7_FORMATS)
+    def test_criterion_7_targets_also_track(self, m, n):
+        # solve_all takes the Newton route on criterion 7's targets, so the
+        # first target per format is also tracked: the tracked endpoints pass
+        # the criterion's checks and are the route's endpoints
+        frame = tensorcore.make_start_frame(m, n)
+        rng = np.random.default_rng((707, m, n, 0))
+        target = tensorcore.Tensor3(frame.Aprime.data + 1e-3 * rng.standard_normal(frame.Aprime.shape))
+        report = solver.solve_all(target, seed=(707, m, n, 0))
+        assert report.route == solver.NEWTON
+        _, a_rows, kernels, subsets = solver._start_system(m, n)
+        z0 = np.concatenate([a_rows, solver._on_chart(kernels, report.chart_b, subsets)], axis=1)
+        z, failed = solver._Lockstep(frame.Aprime.data, target.data, report.gamma, report.chart_b).run(z0)
+        tracked = solver._finish(target, z, failed, report.gamma, report.chart_b)
+        assert tracked.complete and not tracked.closure
+        assert len(tracked.solutions) == report.n_paths
+        assert tracked.real_count == polyfactor.alpha_closed(m, n)
+        i, j = solver.close_pairs(report.solutions, tracked.solutions)
+        assert sorted(i.tolist()) == sorted(j.tolist()) == list(range(report.n_paths))
 
     def test_failing_criterion_is_named_by_its_index(self, monkeypatch):
         # a failing criterion is reported under its own index and name, with

@@ -180,6 +180,36 @@ class TestSolve:
         assert code == 1
         assert text == f"error: solve --input reads the target from the file and takes no {named}\n"
 
+    @pytest.mark.parametrize("eps,source", [(1e-3, "NEWTON"), (1.0, "TRACKED")])
+    def test_source_names_the_route(self, eps, source):
+        # near the start frame Newton from the start rows solves the target;
+        # far from it the pre-test declines and every path is tracked
+        code, doc = run_json(["solve", "--m", "3", "--n", "5", "--eps", str(eps), "--seed", "3"])
+        assert code == 0
+        assert {s["source"] for s in doc["result"]["solutions"]} == {source}
+
+    @pytest.mark.parametrize("scale", [1e4, 1e-4])
+    def test_input_far_from_unit_scale(self, tmp_path, scale):
+        # the Gaussian (4,5) target at seed (92, 4, 5, 0): scaled by 1e4
+        # every tracked path used to stall
+        fmt = Format(4, 5)
+        data = np.random.default_rng((92, 4, 5, 0)).standard_normal((fmt.u, 5, 4))
+        real = []
+        for s in (1.0, scale):
+            path = tmp_path / f"target-{s:g}.json"
+            save_tensor(tensorcore.Tensor3(s * data), path)
+            code, doc = run_json(["solve", "--input", str(path)])
+            assert code == 0 and doc["result"]["failures"] == []
+            real.append(doc["result"]["real_count"])
+        assert real[1] == real[0]
+
+    def test_eps_far_beyond_unit_scale(self):
+        # A' + 1e300 R: the target is solved at a power-of-two multiple near
+        # unit scale, and its residuals are reported at the target itself
+        code, doc = run_json(["solve", "--m", "3", "--n", "3", "--eps", "1e300"])
+        assert code == 0 and doc["result"]["failures"] == []
+        assert all(0 < s["residual"] < 1e300 for s in doc["result"]["solutions"])
+
     def test_reproducible_bytes(self):
         _, t1 = dispatch(["solve", "--m", "3", "--n", "3", "--eps", "1e-2", "--seed", "9"])
         _, t2 = dispatch(["solve", "--m", "3", "--n", "3", "--eps", "1e-2", "--seed", "9"])

@@ -56,6 +56,17 @@ def start_rows(m, n, c):
     return np.concatenate([a_rows, solver._on_chart(kernels, c, subsets)], axis=1)
 
 
+def tracked_solve(frame, target, seed):
+    # every start path of solve_all's seed tracked to the target in one
+    # pass, whichever route solve_all takes, and audited by _finish
+    _, n, m = target.shape
+    rng = np.random.default_rng(seed)
+    c = solver._chart_vector(n, rng)
+    gamma = solver._sample_gamma(rng)
+    z, failed = solver._Lockstep(frame.Aprime.data, target.data, gamma, c).run(start_rows(m, n, c))
+    return solver._finish(target, z, failed, gamma, c)
+
+
 class TestStartSolutions:
     @pytest.mark.parametrize("m,n,paths,nreal", [(3, 3, 6, 2), (3, 4, 10, 2), (4, 4, 20, 0)])
     def test_counts_and_reality(self, m, n, paths, nreal):
@@ -123,16 +134,28 @@ class TestStartSolutions:
     @pytest.mark.parametrize("seed", [7, (2, 9)], ids=repr)
     def test_rows_are_the_starts_solve_all_tracks(self, m, n, seed, monkeypatch):
         # the chart is the one solve_all draws first from the same seed, and
-        # row k is the row solve_all tracks as path k
+        # row k is the row solve_all tracks as path k; at eps 1 the Newton
+        # route's pre-test declines, so the rows are tracked
         tracked = []
         run = solver._Lockstep.run
         monkeypatch.setattr(solver._Lockstep, "run", lambda self, z0: tracked.append(z0.copy()) or run(self, z0))
-        _, target = perturbed_target(m, n, 1e-3, seed=(60, m, n))
+        _, target = perturbed_target(m, n, 1.0, seed=(60, m, n))
         report = solve_all(target, seed=seed)
         start = start_solutions(m, n, seed=seed)
+        assert report.route == solver.TRACKED
         assert np.array_equal(start.chart_b, report.chart_b)
         assert start.n_paths == report.n_paths and start.path_index.tolist() == list(range(start.n_paths))
         assert start.solutions.tobytes() == tracked[0].tobytes()
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 5)])
+    def test_rows_are_the_starts_the_newton_route_takes(self, m, n, monkeypatch):
+        started = []
+        newton = solver._Lockstep.newton
+        monkeypatch.setattr(solver._Lockstep, "newton", lambda self, z0: started.append(z0.copy()) or newton(self, z0))
+        _, target = perturbed_target(m, n, 1e-3, seed=(60, m, n))
+        report = solve_all(target, seed=7)
+        assert report.route == solver.NEWTON
+        assert start_solutions(m, n, seed=7).solutions.tobytes() == started[0].tobytes()
 
     @pytest.mark.parametrize("seed", [None, 1.5, "x"], ids=repr)
     def test_seed_outside_documented_types_refused(self, seed):
@@ -631,10 +654,11 @@ class TestSolveAll:
     def test_easy_paths_take_long_steps(self, monkeypatch):
         # near the start frame the paths are almost straight: once an easy
         # step doubles the next one, a few steps reach t = 1, where a fixed
-        # ceiling of INITIAL_STEP would need 1 / INITIAL_STEP = 20
-        _, target = perturbed_target(3, 5, 1e-3, seed=33)
+        # ceiling of INITIAL_STEP would need 1 / INITIAL_STEP = 20.  solve_all
+        # takes the Newton route there, so the paths are tracked directly.
+        frame, target = perturbed_target(3, 5, 1e-3, seed=33)
         monkeypatch.setattr(solver, "MAX_STEPS", 15)
-        report = solve_all(target, seed=34)
+        report = tracked_solve(frame, target, seed=34)
         assert report.complete
         assert report.real_count == polyfactor.alpha_closed(3, 5)
 
@@ -647,7 +671,8 @@ class TestSolveAll:
         assert np.array_equal(again.solutions, ends)
 
     def test_step_budget_fails_every_path(self, monkeypatch):
-        _, target = perturbed_target(3, 4, 1e-2, seed=23)
+        # at eps 1 the Newton route's pre-test declines, so every path is tracked
+        _, target = perturbed_target(3, 4, 1.0, seed=23)
         monkeypatch.setattr(solver, "MAX_STEPS", 2)
         report = solve_all(target, seed=24)
         assert len(report.solutions) == len(report.path_index) == 0
@@ -846,6 +871,143 @@ class TestFinish:
         z0 = start_rows(3, 4, report.chart_b)[0]
         track_path(frame.Aprime, target, z0, report.gamma, report.chart_b)
         assert calls == [report.n_paths, 15, 1]
+
+
+def tracker_only(monkeypatch, target, seed):
+    # solve_all with the Newton route switched off: the tracker alone
+    with monkeypatch.context() as patch:
+        patch.setattr(solver._Lockstep, "newton", lambda self, z0: None)
+        return solve_all(target, seed=seed)
+
+
+def same_report(r1, r2):
+    return (
+        r1.solutions.tobytes() == r2.solutions.tobytes()
+        and r1.residuals.tobytes() == r2.residuals.tobytes()
+        and r1.real.tolist() == r2.real.tolist()
+        and r1.path_index.tolist() == r2.path_index.tolist()
+        and [(f.index, f.reason, f.detail) for f in r1.failures] == [(f.index, f.reason, f.detail) for f in r2.failures]
+        and (r1.gamma, r1.route) == (r2.gamma, r2.route)
+    )
+
+
+class TestNewtonRoute:
+    @pytest.mark.parametrize("m,n", [(3, 5), (5, 5), (4, 8)])
+    def test_near_start_targets_take_it(self, m, n):
+        for trial in range(3):
+            _, target = perturbed_target(m, n, 1e-3, seed=(71, m, n, trial))
+            report = solve_all(target, seed=(72, m, n, trial))
+            assert report.route == solver.NEWTON
+            assert report.complete and not report.closure
+            # one row per start row, each named by the start it began from
+            assert report.path_index.tolist() == list(range(report.n_paths))
+            bound = math.sqrt(m + n - 2) * solver.CORRECTOR_TOL * np.maximum(1, np.abs(report.solutions).max(axis=1))
+            assert np.all(report.residuals < bound)
+
+    @pytest.mark.parametrize("m,n", [(3, 5), (5, 5), (4, 8)])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    def test_reaches_the_tracked_endpoints(self, m, n, eps, monkeypatch):
+        # the endpoint set (matched by close_pairs) and the real count of
+        # tracking; the pre-test declines most targets at eps 1e-2, so it is
+        # switched off there to compare Newton from the start rows itself
+        frame, target = perturbed_target(m, n, eps, seed=(73, m, n))
+        tracked = tracked_solve(frame, target, seed=(74, m, n))
+        assert tracked.complete
+        if eps > 1e-3:
+            monkeypatch.setattr(solver, "BASIN", np.inf)
+        report = solve_all(target, seed=(74, m, n))
+        assert report.route == solver.NEWTON
+        i, j = solver.close_pairs(report.solutions, tracked.solutions)
+        assert sorted(i.tolist()) == sorted(j.tolist()) == list(range(report.n_paths))
+        assert report.real_count == tracked.real_count
+
+    def test_declined_pre_test_tracks(self, monkeypatch):
+        # A' + R: some row's first Newton step passes BASIN * max(1, |z|inf),
+        # so the attempt stops before the corrector runs
+        frame, target = perturbed_target(3, 5, 1.0, seed=75)
+        rng = np.random.default_rng(76)
+        c = solver._chart_vector(5, rng)
+
+        def no_corrector(*args):
+            raise AssertionError("the corrector ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver._Lockstep, "_correct", no_corrector)
+            assert solver._Lockstep(target.data, target.data, 1.0, c).newton(start_rows(3, 5, c)) is None
+        report = solve_all(target, seed=76)
+        assert report.route == solver.TRACKED
+        assert same_report(report, tracker_only(monkeypatch, target, 76))
+
+    def test_collision_tracks(self, monkeypatch):
+        # every row converges, but with DEDUP_TOL large the endpoints collide,
+        # so the solve falls back to tracking, which reports the collisions
+        _, target = perturbed_target(3, 5, 1e-3, seed=77)
+        rows = []
+        newton = solver._Lockstep.newton
+        monkeypatch.setattr(solver._Lockstep, "newton", lambda self, z0: rows.append(newton(self, z0)) or rows[-1])
+        monkeypatch.setattr(solver, "DEDUP_TOL", 10.0)
+        report = solve_all(target, seed=78)
+        assert rows[0] is not None
+        assert report.route == solver.TRACKED
+        assert {f.reason for f in report.failures} == {WARN_MULTIPLICITY}
+        assert same_report(report, tracker_only(monkeypatch, target, 78))
+
+    def test_closure_break_tracks(self, monkeypatch):
+        # complete rows whose closure audit fails are not kept either
+        _, target = perturbed_target(3, 5, 1e-3, seed=85)
+        closure = solver.SolveReport.closure.fget
+        broken = property(lambda self: ["broken"] if self.route == solver.NEWTON else closure(self))
+        monkeypatch.setattr(solver.SolveReport, "closure", broken)
+        report = solve_all(target, seed=86)
+        assert report.route == solver.TRACKED and report.complete
+        assert same_report(report, tracker_only(monkeypatch, target, 86))
+
+    def test_batches_of_whole_rows_match_one_batch(self, monkeypatch):
+        _, target = perturbed_target(4, 5, 1e-3, seed=79)
+        one = solve_all(target, seed=80)
+        monkeypatch.setattr(solver, "STACK_ENTRIES", 3 * 8**2)  # 3 rows a batch
+        split = solve_all(target, seed=80)
+        assert one.route == split.route == solver.NEWTON
+        assert split.path_index.tolist() == one.path_index.tolist()
+        assert np.max(np.abs(one.solutions - split.solutions)) < 1e-10
+
+    def test_one_failed_batch_declines_the_target(self, monkeypatch):
+        # the last batch's rows start from far: the rows of the earlier
+        # batches are not handed out
+        _, target = perturbed_target(3, 5, 1e-3, seed=81)
+        c = solver._chart_vector(5, np.random.default_rng(82))
+        z0 = start_rows(3, 5, c)
+        monkeypatch.setattr(solver, "STACK_ENTRIES", 4 * 7**2)  # 4 rows a batch
+        tracker = solver._Lockstep(target.data, target.data, 1.0, c)
+        assert tracker.newton(z0) is not None
+        z0[-1, 0] += 10.0
+        assert tracker.newton(z0) is None
+
+
+class TestScale:
+    @pytest.mark.parametrize("m,n,eps", [(3, 3, 1.0), (4, 5, 1.0), (3, 5, 1e-3)])
+    def test_power_of_two_multiples_solve_alike(self, m, n, eps):
+        # B has largest entry 1, so every multiple 2^j B beyond the band is
+        # solved at B itself, and the solve is B's to the bit
+        _, target = perturbed_target(m, n, eps, seed=(83, m, n))
+        B = tensorcore.Tensor3(target.data / np.abs(target.data).max())
+        base = solve_all(B, seed=84)
+        assert base.complete
+        for j in (-500, -40, -12, -8, -2, 2, 8, 12, 40, 500):
+            report = solve_all(tensorcore.Tensor3(np.ldexp(B.data, j)), seed=84)
+            assert (report.complete, report.real_count, report.route) == (True, base.real_count, base.route), j
+            if abs(j) > solver.SCALE_BAND:
+                assert report.solutions.tobytes() == base.solutions.tobytes()
+                assert np.array_equal(report.residuals, np.ldexp(base.residuals, j))
+
+    def test_band_edges(self):
+        # the shift brings the largest entry nearest 1, and only beyond the band
+        k = solver.SCALE_BAND
+        assert solver._unit_shift(np.full((2, 2, 2), 2.0**k)) == 0
+        assert solver._unit_shift(np.full((2, 2, 2), 2.0**-k)) == 0
+        assert solver._unit_shift(np.full((2, 2, 2), -(2.0 ** (k + 1)))) == -(k + 1)
+        assert solver._unit_shift(np.full((2, 2, 2), 3 * 2.0**-40)) == 38
+        assert solver._unit_shift(np.zeros((2, 2, 2))) == 0
 
 
 def _eigen_endpoints(Y, c, rng):
