@@ -7,7 +7,8 @@ directory, then runs
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 from the root of each tree, N pairs per workload and seed, the parent first
-in odd pairs and the working tree first in even pairs.  The runs, and per
+in odd pairs and the working tree first in even pairs.  T is the run length
+the benchmark fixes, ``run_seconds`` in BENCHMARK.json.  The runs, and per
 end-to-end metric of BENCHMARK.json each side's median and quartiles, the
 change's wins and losses and its relative worsening, go to a benchmark
 record (``BENCH_*.json``, the shape ``tests/test_bench_records.py`` pins),
@@ -55,11 +56,11 @@ def export(rev: str, into: str) -> str:
     return commit
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
-    """One untraced benchmark run from the root of ``tree``: its closing JSON
-    object and its environment line."""
+def run_once(tree: str, workload: str, seed: int, seconds: int) -> tuple[dict, str]:
+    """One untraced benchmark run of ``seconds`` from the root of ``tree``:
+    its closing JSON object and its environment line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -91,7 +92,7 @@ def summary(runs: dict, better: str, bound: float) -> dict:
     }
 
 
-def measure(trees: dict, workload: str, seed: int, pairs: int, seconds: float, metrics: list) -> tuple[dict, str]:
+def measure(trees: dict, workload: str, seed: int, pairs: int, seconds: int, metrics: list) -> tuple[dict, str]:
     """``pairs`` alternating pairs of runs of one workload and seed."""
     runs = {side: [] for side in SIDES}
     host = ""
@@ -127,13 +128,13 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seed", type=int, action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=35.0)
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        ap.error("--pairs must be >= 1 and --seconds > 0")
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
+        protocol = json.load(fh)
+    seconds, metrics = protocol["run_seconds"], protocol["end_to_end"]
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -151,12 +152,12 @@ def main(argv=None) -> int:
         host = doc.get("host", "")
         for workload in args.workload:
             for seed in args.seed:
-                entry, env = measure(trees, workload, seed, args.pairs, args.seconds, metrics)
+                entry, env = measure(trees, workload, seed, args.pairs, seconds, metrics)
                 workloads.setdefault(workload, {})[str(seed)] = entry
                 host = host or env
         doc.update({
             "change": args.change or doc["change"],
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, "
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0, "
                        "run from the root of each tree",
             "parent": parent,
             "host": host,

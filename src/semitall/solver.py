@@ -78,8 +78,10 @@ BASIN = 0.25
 # widest of them, a Gaussian (3,3) transfer target, sits at 2^-11.
 SCALE_BAND = 11
 
-# The names of the two routes to a solve's endpoints (``SolveReport.route``).
-NEWTON, TRACKED = "NEWTON", "TRACKED"
+# The names of the routes to a report's rows (``SolveReport.route``): the
+# start system's closed-form roots, Newton from the start rows at the
+# target, and tracked paths.
+START, NEWTON, TRACKED = "START", "NEWTON", "TRACKED"
 
 # Endpoints closer than this in max-norm chart coordinates collide.
 DEDUP_TOL = 1e-6
@@ -122,7 +124,9 @@ class SolveReport:
     sqrt(u) * CORRECTOR_TOL * max(1, |z|inf)), ``real`` the reality flags
     and ``path_index`` the start index each row was tracked or, on the
     Newton route, began its Newton run from.  ``route`` names the route
-    that produced the rows: NEWTON or TRACKED.
+    that produced the rows: START for the start system's roots
+    (``start_solutions``), NEWTON or TRACKED for a solve (``solve_all``,
+    ``track_path``).
 
     Path conservation: len(solutions) + len(failures) equals n_paths.
     ``complete`` is True only when no path failed, which is what the
@@ -139,7 +143,7 @@ class SolveReport:
     failures: list[PathFailureInfo]
     gamma: complex
     chart_b: np.ndarray
-    route: str = TRACKED
+    route: str
 
     @property
     def complete(self) -> bool:
@@ -233,7 +237,8 @@ def _on_chart(kernels: np.ndarray, c: np.ndarray, subsets) -> np.ndarray:
 
 def start_solutions(m: int, n: int, seed: object = 0) -> SolveReport:
     """All C(u, m-1) kernel pairs of the start tensor A', as the report that
-    ``_finish`` builds for the endpoints of the identity homotopy on A'.
+    ``_finish`` builds for the endpoints of the identity homotopy on A',
+    with route START.
     Row k is start path k, the k-th (m-1)-subset of the root indices in
     ``itertools.combinations`` order, on the charts a_m = -1 and c . b = 1
     for the chart vector c that ``solve_all`` draws first from the same
@@ -243,7 +248,7 @@ def start_solutions(m: int, n: int, seed: object = 0) -> SolveReport:
     frame, a_rows, kernels, subsets = _start_system(m, n)
     c = _chart_vector(n, np.random.default_rng(seed))
     z = np.concatenate([a_rows, _on_chart(kernels, c, subsets)], axis=1)
-    report = _finish(frame.Aprime, z, {}, 1.0 + 0.0j, c)
+    report = _finish(frame.Aprime, z, {}, 1.0 + 0.0j, c, START)
     if report.failures:
         raise DegenerateStartError("start row {0.index}: {0.reason}, {0.detail}".format(report.failures[0]))
     return report
@@ -513,7 +518,7 @@ def track_path(
     if B_to.shape != (u, n, m):
         raise ValueError(f"target shape {B_to.shape} does not match start shape {(u, n, m)}")
     z, failed = _Lockstep(B_from.data, B_to.data, gamma, c).run(z0[None])
-    return _finish(B_to, z, failed, gamma, c)
+    return _finish(B_to, z, failed, gamma, c, TRACKED)
 
 
 def _aligned(v: np.ndarray) -> np.ndarray:
@@ -640,15 +645,15 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
         z[back] = np.concatenate([-a / a[:, -1:], b / (b @ c)[:, None]], axis=1)
         z[back, m - 1] = -1.0
 
-    return _finish(B, z, errors, gamma, c)
+    return _finish(B, z, errors, gamma, c, TRACKED)
 
 
 def _finish(
-    B: tensorcore.Tensor3, z: np.ndarray, errors: dict, gamma: complex, c: np.ndarray, route: str = TRACKED
+    B: tensorcore.Tensor3, z: np.ndarray, errors: dict, gamma: complex, c: np.ndarray, route: str
 ) -> SolveReport:
     """The audit of one solve of B from one row (a, b) per path on the charts
     a_m = -1 and c . b = 1 and the (reason, detail) ``errors`` of the failed
-    paths, whose rows it never reads.  A row within ``DEDUP_TOL`` of an earlier
+    paths, whose rows it never reads, that ``route`` produced.  A row within ``DEDUP_TOL`` of an earlier
     kept one is a WARN_MULTIPLICITY naming it; path conservation is checked;
     each kept row gets its residual at B and its ``projectively_real`` flag."""
     m, n_paths = B.shape[2], len(z)

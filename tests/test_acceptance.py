@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from semitall import acceptance, polyfactor, solver, tensorcore
+from solver_helpers import tracked_solve
 
 
 def _run(index):
@@ -116,10 +117,7 @@ class TestHarness:
         target = tensorcore.Tensor3(frame.Aprime.data + 1e-3 * rng.standard_normal(frame.Aprime.shape))
         report = solver.solve_all(target, seed=(707, m, n, 0))
         assert report.route == solver.NEWTON
-        _, a_rows, kernels, subsets = solver._start_system(m, n)
-        z0 = np.concatenate([a_rows, solver._on_chart(kernels, report.chart_b, subsets)], axis=1)
-        z, failed = solver._Lockstep(frame.Aprime.data, target.data, report.gamma, report.chart_b).run(z0)
-        tracked = solver._finish(target, z, failed, report.gamma, report.chart_b)
+        tracked = tracked_solve(frame, target, seed=(707, m, n, 0))
         assert tracked.complete and not tracked.closure
         assert len(tracked.solutions) == report.n_paths
         assert tracked.real_count == polyfactor.alpha_closed(m, n)

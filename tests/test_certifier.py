@@ -326,7 +326,7 @@ def _report(Z, real, index, n_paths, failures=()):
     # a report holding these endpoint arrays, complete unless failures are given
     return solver.SolveReport(
         m=0, n=Z.shape[1], n_paths=n_paths, solutions=Z, residuals=np.zeros(len(Z)), real=real,
-        path_index=index, failures=list(failures), gamma=1j, chart_b=np.ones(Z.shape[1]),
+        path_index=index, failures=list(failures), gamma=1j, chart_b=np.ones(Z.shape[1]), route=solver.TRACKED,
     )
 
 

@@ -18,6 +18,7 @@ from semitall.errors import (
     ResourceLimitError,
 )
 from semitall.solver import SolveReport, projectively_real, solve_all, start_solutions, track_path
+from solver_helpers import start_rows, tracked_solve
 
 
 def perturbed_target(m, n, eps, seed):
@@ -48,23 +49,6 @@ def full_system(B_from, B_to, gamma, c, z, t):
     F = np.concatenate([np.einsum("pijk,pj,pk->pi", Bt, b, a), a[:, -1:] + 1, b @ c[:, None] - 1], axis=1)
     dF = np.concatenate([np.einsum("ijk,pj,pk->pi", dB, b, a), np.zeros((P, 2))], axis=1)
     return J, F, dF
-
-
-def start_rows(m, n, c):
-    # the start rows on the b chart c . b = 1, as solve_all builds them
-    _, a_rows, kernels, subsets = solver._start_system(m, n)
-    return np.concatenate([a_rows, solver._on_chart(kernels, c, subsets)], axis=1)
-
-
-def tracked_solve(frame, target, seed):
-    # every start path of solve_all's seed tracked to the target in one
-    # pass, whichever route solve_all takes, and audited by _finish
-    _, n, m = target.shape
-    rng = np.random.default_rng(seed)
-    c = solver._chart_vector(n, rng)
-    gamma = solver._sample_gamma(rng)
-    z, failed = solver._Lockstep(frame.Aprime.data, target.data, gamma, c).run(start_rows(m, n, c))
-    return solver._finish(target, z, failed, gamma, c)
 
 
 class TestStartSolutions:
@@ -142,7 +126,7 @@ class TestStartSolutions:
         _, target = perturbed_target(m, n, 1.0, seed=(60, m, n))
         report = solve_all(target, seed=seed)
         start = start_solutions(m, n, seed=seed)
-        assert report.route == solver.TRACKED
+        assert (report.route, start.route) == (solver.TRACKED, solver.START)
         assert np.array_equal(start.chart_b, report.chart_b)
         assert start.n_paths == report.n_paths and start.path_index.tolist() == list(range(start.n_paths))
         assert start.solutions.tobytes() == tracked[0].tobytes()
@@ -829,7 +813,7 @@ class TestFinish:
         z[5] = z[0]  # close to a failed path's row, which is not an endpoint
         c = np.array([1.0, 0.0, 0.0])
         errors = {0: (PATH_STALL, "step underflow")}
-        report = solver._finish(B, z, errors, 1.0 + 0.0j, c)
+        report = solver._finish(B, z, errors, 1.0 + 0.0j, c, solver.TRACKED)
         assert errors == {0: (PATH_STALL, "step underflow")}  # the caller's dict is left alone
         assert report.path_index.tolist() == [1, 2, 4, 5]
         assert [(f.index, f.reason, f.detail) for f in report.failures] == [
@@ -848,7 +832,7 @@ class TestFinish:
         reports = []
         for fill in (np.nan, np.inf, z[0], z[2]):  # NaN, or a copy of a kept row
             z[[1, 3]] = fill
-            reports.append(solver._finish(B, z, errors, 1.0 + 0.0j, np.ones(3)))
+            reports.append(solver._finish(B, z, errors, 1.0 + 0.0j, np.ones(3), solver.TRACKED))
         for report in reports:
             assert report.path_index.tolist() == [0, 2, 4]
             assert [f.index for f in report.failures] == [1, 3]
@@ -859,7 +843,7 @@ class TestFinish:
     def test_failure_outside_the_paths_violates_conservation(self, index):
         B, z = self.rows(4, 52)
         with pytest.raises(RuntimeError, match=r"^path conservation violated: 4 paths, indices "):
-            solver._finish(B, z, {index: (PATH_STALL, "x")}, 1.0 + 0.0j, np.ones(3))
+            solver._finish(B, z, {index: (PATH_STALL, "x")}, 1.0 + 0.0j, np.ones(3), solver.TRACKED)
 
     def test_every_solve_returns_through_it(self, monkeypatch):
         calls = []
