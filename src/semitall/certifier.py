@@ -71,7 +71,8 @@ class ExperimentStats:
 def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
     """Certify whether the n x p x m tensor T has rank p or rank > p.
 
-    Raises ChartViolationError when T sits outside the sigma chart, and
+    Raises ResourceLimitError for a format over ``solver.PATH_BUDGET``,
+    ChartViolationError when T sits outside the sigma chart, and
     ValueError for a non-finite entry of T or a seed that
     ``solver.solve_all`` refuses.  A kernel of
     dimension >= 2 at any real solution poisons the span count and forces
@@ -84,6 +85,7 @@ def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
     bad = np.count_nonzero(~np.isfinite(T.data))
     if bad:
         raise ValueError(f"tensor has {bad} non-finite entries")
+    solver._start_system(m, n)  # the path budget, before the chart map
     Y = tensorcore.mu(tensorcore.sigma(T), fmt)
     report = solver.solve_all(Y, seed=seed)
 
@@ -145,7 +147,7 @@ def perturb_experiment(
     """
     if not 0 <= eps < np.inf:
         raise ValueError(f"eps must be nonnegative and finite, got {eps:g}")
-    W0 = tensorcore.make_start_frame(fmt.m, fmt.n).W0
+    W0 = solver._start_system(fmt.m, fmt.n)[0].W0
 
     def draw(rng):
         return tensorcore.tau(W0 + eps * rng.standard_normal((fmt.u, fmt.p)), fmt)
@@ -179,6 +181,7 @@ def _trials(fmt, draw, tag, eps, trials, seed, collect) -> ExperimentStats:
     INCONCLUSIVE and stays out of the mean dim U."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    solver._start_system(fmt.m, fmt.n)  # the path budget, before the first draw
     entropy = solver._seed_entropy(seed)
     counts = {RANK_P: 0, RANK_GT_P: 0, INCONCLUSIVE: 0}
     dims = []

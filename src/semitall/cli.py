@@ -118,7 +118,7 @@ def _cmd_solve(args: argparse.Namespace):
         target = tensorcore.load_tensor(args.input)
     else:
         _require(args, "m", "n")
-        frame = tensorcore.make_start_frame(args.m, args.n)
+        frame = solver._start_system(args.m, args.n)[0]
         if args.eps:
             rng = np.random.default_rng(args.seed)
             target = tensorcore.Tensor3(frame.Aprime.data + args.eps * rng.standard_normal(frame.Aprime.shape))

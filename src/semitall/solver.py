@@ -172,26 +172,23 @@ class SolveReport:
         return notes
 
 
-def _sample_gamma(rng: np.random.Generator) -> complex:
-    # unit modulus, bounded away from +-1 so the detour stays off the
-    # real axis crossings
+def _draws(n: int, rng: np.random.Generator) -> tuple[np.ndarray, complex]:
+    """The seed's first two draws: the b-chart vector c, a real unit vector,
+    then gamma, of unit modulus and bounded away from +-1 so the detour
+    stays off the real axis crossings."""
+    v = rng.standard_normal(n)
     theta = rng.uniform(0.1 * np.pi, 0.9 * np.pi)
     if rng.random() < 0.5:
         theta = -theta
-    return complex(np.cos(theta), np.sin(theta))
-
-
-def _chart_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+    return v / np.linalg.norm(v), complex(np.cos(theta), np.sin(theta))
 
 
 @functools.lru_cache(maxsize=16)
 def _start_system(m: int, n: int):
     """The start frame of format (m, n) and its C(u, m-1) start points,
-    built once per process: (frame, a rows, kernel vectors b with unit
-    2-norm, divisor index subsets).  The arrays are read-only; callers
-    copy what they hand out.
+    built once per process after the budget check: (frame, a rows, kernel
+    vectors b with unit 2-norm, divisor index subsets).  The arrays, the
+    frame's A' and W0 too, are read-only; callers copy what they hand out.
 
     For each (m-1)-subset of the roots of y^u + 1, the coefficient point of
     the corresponding monic divisor g is remapped through the slice reorder
@@ -221,18 +218,20 @@ def _start_system(m: int, n: int):
     outside[np.arange(n_paths)[:, None], subsets] = False
     kernels = polyfactor.divisor_coefficients(u, np.nonzero(outside)[1].reshape(n_paths, n - 1))
     kernels /= np.linalg.norm(kernels, axis=1, keepdims=True)
-    for arr in (a_rows, kernels):
+    for arr in (frame.Aprime.data, frame.W0, a_rows, kernels):
         arr.flags.writeable = False
     return frame, a_rows, kernels, subsets
 
 
-def _on_chart(kernels: np.ndarray, c: np.ndarray, subsets) -> np.ndarray:
-    """Kernel vectors rescaled onto the b chart c . b = 1."""
+def _start_rows(m: int, n: int, c: np.ndarray) -> np.ndarray:
+    """The start rows (a, b), one per start path, with b rescaled onto the
+    chart c . b = 1; a new array."""
+    _, a_rows, kernels, subsets = _start_system(m, n)
     cb = kernels @ c
     flat = np.flatnonzero(np.abs(cb) < 1e-10)
     if flat.size:
         raise DegenerateStartError(f"chart vector nearly orthogonal to the kernel at {subsets[flat[0]]}")
-    return kernels / cb[:, None]
+    return np.concatenate([a_rows, kernels / cb[:, None]], axis=1)
 
 
 def start_solutions(m: int, n: int, seed: object = 0) -> SolveReport:
@@ -245,10 +244,9 @@ def start_solutions(m: int, n: int, seed: object = 0) -> SolveReport:
     seed.  A failure of the audit raises DegenerateStartError naming the
     first."""
     _seed_entropy(seed)
-    frame, a_rows, kernels, subsets = _start_system(m, n)
-    c = _chart_vector(n, np.random.default_rng(seed))
-    z = np.concatenate([a_rows, _on_chart(kernels, c, subsets)], axis=1)
-    report = _finish(frame.Aprime, z, {}, 1.0 + 0.0j, c, START)
+    frame = _start_system(m, n)[0]
+    c = _draws(n, np.random.default_rng(seed))[0]
+    report = _finish(frame.Aprime, _start_rows(m, n, c), {}, 1.0 + 0.0j, c, START)
     if report.failures:
         raise DegenerateStartError("start row {0.index}: {0.reason}, {0.detail}".format(report.failures[0]))
     return report
@@ -602,12 +600,9 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     if bad:
         raise ValueError(f"target tensor has {bad} non-finite entries")
     rng = np.random.default_rng(seed)
-    c = _chart_vector(n, rng)
-    gamma = _sample_gamma(rng)
-
-    frame, a0, kernels, subsets = _start_system(m, n)
-    b0 = _on_chart(kernels, c, subsets)
-    z0 = np.concatenate([a0, b0], axis=1)
+    c, gamma = _draws(n, rng)
+    frame = _start_system(m, n)[0]
+    z0 = _start_rows(m, n, c)
     target = np.ldexp(B.data, _unit_shift(B.data))
 
     # the Newton route: C(u, m-1) distinct converged roots are all of them
@@ -627,11 +622,11 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     retry = np.array(sorted(set(failed) - set(errors)), dtype=int)
     if retry.size:
         R = _rotation(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        a_r = a0[retry] @ R.T
+        a_r = z0[retry, :m] @ R.T
         a_r /= -a_r[:, -1:]
         a_r[:, -1] = -1.0
         tracker = _Lockstep(frame.Aprime.data @ R.conj().T, target @ R.conj().T, gamma, c)
-        z_r, failed_r = tracker.run(np.concatenate([a_r, b0[retry]], axis=1))
+        z_r, failed_r = tracker.run(np.concatenate([a_r, z0[retry, m:]], axis=1))
         for row, (reason, detail) in failed_r.items():
             errors[int(retry[row])] = (reason, "retry chart: " + detail)
         landed = np.ones(len(retry), dtype=bool)

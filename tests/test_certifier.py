@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from semitall import solver
+from semitall import certifier, solver, tensorcore
 from semitall.certifier import (
     INCONCLUSIVE,
     RANK_GT_P,
@@ -12,7 +12,7 @@ from semitall.certifier import (
     global_experiment,
     perturb_experiment,
 )
-from semitall.errors import ChartViolationError
+from semitall.errors import ChartViolationError, ResourceLimitError
 from semitall.tensorcore import Format, Tensor3, make_start_frame, random_rank_sum, tau
 
 # seeds outside the documented types: a nonnegative integer, or a tuple or
@@ -26,6 +26,10 @@ BAD_SPAN_TOLS = [np.nan, np.inf, -np.inf, 0.0]
 
 def _refuse_solving(*args, **kwargs):
     raise AssertionError("solve_all called")
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("work began before the path budget check")
 
 
 class TestCertify:
@@ -68,6 +72,26 @@ class TestCertify:
         T.data[1, 1, 1] = np.nan
         with pytest.raises(ValueError, match=r"^tensor has 2 non-finite entries$"):
             certify(T)
+
+    def test_over_budget_format_refused_before_the_chart_map(self, monkeypatch):
+        # (3,142) is the smallest format with m = 3 over the path budget
+        for name in ("make_start_frame", "sigma", "tau"):
+            monkeypatch.setattr(tensorcore, name, _refuse_work)
+        with pytest.raises(ResourceLimitError, match=r"^C\(143,2\) = 10153 paths exceeds the budget 10000$"):
+            certify(Tensor3(np.zeros((142, 283, 3))))
+
+    def test_degenerate_kernel_forces_inconclusive(self, monkeypatch):
+        # a gap tolerance of 2 reads every real endpoint's pencil as having
+        # a kernel of dimension >= 2: none enters the span
+        T = random_rank_sum(Format(3, 3), 5, np.random.default_rng(0))
+        cert = certify(T, seed=0)
+        assert (cert.verdict, cert.dim_u) == (RANK_P, 5)
+        monkeypatch.setattr(certifier, "DEGENERATE_KERNEL_TOL", 2.0)
+        cert = certify(T, seed=0)
+        assert (cert.verdict, cert.dim_u, cert.real_points, cert.paths_failed) == (INCONCLUSIVE, 0, 6, 0)
+        assert cert.psi_matrix.shape == (5, 0)
+        assert cert.notes == [f"path {k}: kernel dimension >= 2 at a real solution" for k in range(6)]
+        assert cert.tolerances["degenerate_tol"] == 2.0
 
     @pytest.mark.parametrize("span_tol", BAD_SPAN_TOLS)
     def test_span_tol_refused_before_solving(self, span_tol, monkeypatch):

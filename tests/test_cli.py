@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from semitall import acceptance, certifier, cli, tensorcore
+from semitall import acceptance, certifier, cli, solver, tensorcore
 from semitall.cli import dispatch
 from semitall.tensorcore import Format, make_start_frame, save_tensor, tau
 
@@ -218,6 +218,34 @@ class TestSolve:
         s1 = re.sub(r'"elapsed_s": [^\n]+', "", t1)
         s2 = re.sub(r'"elapsed_s": [^\n]+', "", t2)
         assert s1 == s2
+
+
+class TestStartSystem:
+    # solve --m --n and both experiments read the solver's start system
+
+    @pytest.mark.parametrize("argv", [
+        "solve --m 3 --n 142",
+        "experiment perturb --m 3 --n 142 --eps 1e-3 --trials 1",
+        "experiment global --m 3 --n 142 --trials 1",
+    ])
+    def test_over_budget_format_refused_before_any_work(self, argv, monkeypatch):
+        # (3,142) is the smallest format with m = 3 over the path budget: no
+        # frame is built and no tensor goes through tau or sigma
+        def refuse(*args, **kwargs):
+            raise AssertionError("work began before the path budget check")
+
+        for name in ("make_start_frame", "sigma", "tau"):
+            monkeypatch.setattr(tensorcore, name, refuse)
+        assert dispatch(argv.split()) == (1, "error: C(143,2) = 10153 paths exceeds the budget 10000\n")
+
+    def test_one_frame_per_format(self, monkeypatch):
+        calls = []
+        make = tensorcore.make_start_frame
+        monkeypatch.setattr(tensorcore, "make_start_frame", lambda m, n: calls.append((m, n)) or make(m, n))
+        solver._start_system.cache_clear()
+        assert dispatch(["solve", "--m", "3", "--n", "4", "--eps", "1e-3"])[0] == 0
+        certifier.perturb_experiment(Format(3, 4), 1e-3, 2)
+        assert calls == [(3, 4)]
 
 
 class TestCertify:

@@ -1,18 +1,33 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and every top-level
+function and class of the package is read.
 
-No linter runs on this repository, so an import left behind by a refactor
-is caught here.  A name counts as used when the module reads it anywhere
-(annotations included) or lists it in ``__all__``, which covers the
-package's re-exports in ``__init__.py``; ``from __future__`` imports bind
-no name and are skipped.
+No linter runs on this repository, so an import or a helper left behind by
+a refactor is caught here.  An import counts as used when its module reads
+it anywhere (annotations included) or lists it in ``__all__``, which covers
+the package's re-exports in ``__init__.py``; ``from __future__`` imports
+bind no name and are skipped.  A function or class counts as read when a
+statement of ``src/``, ``tests/``, ``scripts/`` or ``perfbench/`` other than
+its own definition reads its name, or its module lists it in ``__all__``.
 """
 
 import ast
+import collections
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "semitall"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "semitall"
+READERS = ("src", "tests", "scripts", "perfbench")
+
+
+def exported(tree: ast.Module) -> set[str]:
+    # the names the module lists in __all__
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names |= {elt.value for elt in node.value.elts}
+    return names
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,10 +40,7 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 bound[name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= {elt.value for elt in node.value.elts}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
     return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
 
 
@@ -40,3 +52,39 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "from __future__ import annotations\nimport itertools\nimport numpy as np\nfrom . import a, b\nx = np.zeros(1)\n__all__ = ['a']\n"
     assert unused_imports(source) == ["line 2: itertools", "line 4: b"]
+
+
+def unread_definitions(defining: list[str], sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes of the ``defining`` files that no
+    top-level statement of ``sources`` (path -> text, the defining files
+    among them) other than their own definition reads by name, as a name or
+    an attribute, and that their module's ``__all__`` does not list."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    readers = collections.defaultdict(set)  # name -> (path, line) of each statement reading it
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers[node.id].add((path, stmt.lineno))
+                elif isinstance(node, ast.Attribute):
+                    readers[node.attr].add((path, stmt.lineno))
+    unread = []
+    for path in defining:
+        listed = exported(trees[path])
+        for stmt in trees[path].body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and stmt.name not in listed:
+                if not readers[stmt.name] - {(path, stmt.lineno)}:
+                    unread.append(f"{path}: {stmt.name}")
+    return unread
+
+
+def test_every_definition_is_read():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for top in READERS for p in sorted((ROOT / top).rglob("*.py"))}
+    defining = [str(p.relative_to(ROOT)) for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_definitions(defining, sources) == []
+
+
+def test_the_check_sees_an_unread_definition():
+    module = "def used():\n    pass\n\n\ndef dead(k):\n    return dead(k - 1)\n\n\nclass Listed:\n    pass\n\n\n__all__ = ['Listed']\n"
+    user = "import mod\n\nmod.used()\n"
+    assert unread_definitions(["mod.py"], {"mod.py": module, "user.py": user}) == ["mod.py: dead"]

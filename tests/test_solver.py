@@ -18,7 +18,7 @@ from semitall.errors import (
     ResourceLimitError,
 )
 from semitall.solver import SolveReport, projectively_real, solve_all, start_solutions, track_path
-from solver_helpers import start_rows, tracked_solve
+from solver_helpers import tracked_solve
 
 
 def perturbed_target(m, n, eps, seed):
@@ -107,10 +107,17 @@ class TestStartSolutions:
         # the kernel is one-dimensional, with room to spare
         assert (svals[:, -2] / svals[:, 0]).min() >= 1e-3
 
+    def test_cached_frame_is_read_only(self):
+        # callers outside the solver share the cached frame
+        frame = solver._start_system(3, 3)[0]
+        for arr in (frame.Aprime.data, frame.W0):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+
     def test_chart_orthogonal_to_a_kernel_names_its_subset(self, monkeypatch):
         kernels = solver._start_system(3, 3)[2]
         c = np.array([kernels[0, 1], -kernels[0, 0], 0.0])  # kernels[0] @ c == 0
-        monkeypatch.setattr(solver, "_chart_vector", lambda n, rng: c)
+        monkeypatch.setattr(solver, "_draws", lambda n, rng: (c, 1.0 + 0.0j))
         with pytest.raises(DegenerateStartError, match=r"^chart vector nearly orthogonal to the kernel at \(0, 1\)$"):
             start_solutions(3, 3)
 
@@ -285,8 +292,8 @@ class TestLockstep:
         # row of the stack may fail, and the other rows must not move
         m, n = 3, 4
         frame, target = perturbed_target(m, n, 1e-2, seed=28)
-        c = solver._chart_vector(n, np.random.default_rng(28))
-        z0 = start_rows(m, n, c)
+        c = solver._draws(n, np.random.default_rng(28))[0]
+        z0 = solver._start_rows(m, n, c)
         z0_bad = np.insert(z0, 3, 0.0, axis=0)
 
         tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), c)
@@ -302,7 +309,7 @@ class TestLockstep:
     @staticmethod
     def _tracker(m, n, seed):
         frame, target = perturbed_target(m, n, 1e-1, seed=seed)
-        c = solver._chart_vector(n, np.random.default_rng(seed))
+        c = solver._draws(n, np.random.default_rng(seed))[0]
         tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), c)
         return frame, target, tracker, c
 
@@ -313,7 +320,7 @@ class TestLockstep:
         m, n = 3, 4
         _, _, tracker, c = self._tracker(m, n, seed=37)
         rng = np.random.default_rng(37)
-        starts = start_rows(m, n, c)
+        starts = solver._start_rows(m, n, c)
         start = starts[0]
         near = starts[1] + 1e-6 * (rng.standard_normal(m + n) + 1j * rng.standard_normal(m + n))
         near[m - 1] = -1.0  # stay on both charts, so only the top rows are off
@@ -356,7 +363,7 @@ class TestLockstep:
         # prediction, they keep a_m = -1
         _, _, tracker, c = TestLockstep._tracker(m, n, seed)
         rng = np.random.default_rng(seed)
-        starts = start_rows(m, n, c)[:, tracker.order]
+        starts = solver._start_rows(m, n, c)[:, tracker.order]
         rows = []
         for eps in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1):
             for start in starts[:4]:
@@ -447,11 +454,10 @@ class TestLockstep:
         u = m + n - 2
         rng = np.random.default_rng((42, m, n))
         B_to = rng.standard_normal((u, n, m))
-        c = solver._chart_vector(n, rng)
-        gamma = solver._sample_gamma(rng)
+        c, gamma = solver._draws(n, rng)
         B_from = tensorcore.make_start_frame(m, n).Aprime.data
         tracker = solver._Lockstep(B_from, B_to, gamma, c)
-        ends, failed = tracker.run(start_rows(m, n, c))
+        ends, failed = tracker.run(solver._start_rows(m, n, c))
         ends = np.delete(ends, list(failed), axis=0)
         # the endpoints, and points 1e-3 off them with a_m kept, at t = 1
         noise = 1e-3 * (rng.standard_normal(ends.shape) + 1j * rng.standard_normal(ends.shape))
@@ -528,10 +534,10 @@ class TestLockstep:
         for seed in range(3):
             rng = np.random.default_rng((seed, m, n))
             target = rng.standard_normal((u, n, m))
-            c = solver._chart_vector(n, rng)
+            c, gamma = solver._draws(n, rng)
             frame = tensorcore.make_start_frame(m, n)
-            tracker = solver._Lockstep(frame.Aprime.data, target, solver._sample_gamma(rng), c)
-            z, failed = tracker.run(start_rows(m, n, c))
+            tracker = solver._Lockstep(frame.Aprime.data, target, gamma, c)
+            z, failed = tracker.run(solver._start_rows(m, n, c))
             ends = np.setdiff1d(np.arange(len(z)), list(failed))
             assert ends.size, (m, n, seed)
             inf = np.full(ends.size, np.inf)
@@ -553,9 +559,9 @@ class TestSolveAll:
     def test_documented_seeds_reach_the_generator_unchanged(self, seed):
         _, target = perturbed_target(3, 3, 1e-2, seed=10)
         report = solve_all(target, seed=seed)
-        rng = np.random.default_rng(seed)
-        assert np.array_equal(report.chart_b, solver._chart_vector(3, rng))
-        assert report.gamma == solver._sample_gamma(rng)
+        c, gamma = solver._draws(3, np.random.default_rng(seed))
+        assert np.array_equal(report.chart_b, c)
+        assert report.gamma == gamma
 
     def test_recovers_start_system(self):
         frame = tensorcore.make_start_frame(3, 3)
@@ -852,7 +858,7 @@ class TestFinish:
         frame, target = perturbed_target(3, 4, 1e-3, seed=53)
         report = solve_all(target, seed=54)
         start_solutions(3, 5)
-        z0 = start_rows(3, 4, report.chart_b)[0]
+        z0 = solver._start_rows(3, 4, report.chart_b)[0]
         track_path(frame.Aprime, target, z0, report.gamma, report.chart_b)
         assert calls == [report.n_paths, 15, 1]
 
@@ -909,15 +915,14 @@ class TestNewtonRoute:
         # A' + R: some row's first Newton step passes BASIN * max(1, |z|inf),
         # so the attempt stops before the corrector runs
         frame, target = perturbed_target(3, 5, 1.0, seed=75)
-        rng = np.random.default_rng(76)
-        c = solver._chart_vector(5, rng)
+        c = solver._draws(5, np.random.default_rng(76))[0]
 
         def no_corrector(*args):
             raise AssertionError("the corrector ran")
 
         with monkeypatch.context() as patch:
             patch.setattr(solver._Lockstep, "_correct", no_corrector)
-            assert solver._Lockstep(target.data, target.data, 1.0, c).newton(start_rows(3, 5, c)) is None
+            assert solver._Lockstep(target.data, target.data, 1.0, c).newton(solver._start_rows(3, 5, c)) is None
         report = solve_all(target, seed=76)
         assert report.route == solver.TRACKED
         assert same_report(report, tracker_only(monkeypatch, target, 76))
@@ -959,8 +964,8 @@ class TestNewtonRoute:
         # the last batch's rows start from far: the rows of the earlier
         # batches are not handed out
         _, target = perturbed_target(3, 5, 1e-3, seed=81)
-        c = solver._chart_vector(5, np.random.default_rng(82))
-        z0 = start_rows(3, 5, c)
+        c = solver._draws(5, np.random.default_rng(82))[0]
+        z0 = solver._start_rows(3, 5, c)
         monkeypatch.setattr(solver, "STACK_ENTRIES", 4 * 7**2)  # 4 rows a batch
         tracker = solver._Lockstep(target.data, target.data, 1.0, c)
         assert tracker.newton(z0) is not None
