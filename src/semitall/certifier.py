@@ -92,7 +92,7 @@ def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
     Z, real, index = report.solutions, report.real, report.path_index
     a_real = np.real(solver._aligned(Z[real, :m]))
     b_real = np.real(solver._aligned(Z[real, m:]))
-    svals = np.linalg.svd(tensorcore.pencil_eval(a_real, Y), compute_uv=False)
+    svals = tensorcore._singular_values(tensorcore.pencil_eval(a_real, Y))
     degenerate = svals[:, -2] < DEGENERATE_KERNEL_TOL * svals[:, 0]
     notes = [f"path {i}: kernel dimension >= 2 at a real solution" for i in index[real][degenerate].tolist()]
     psi_rows = tensorcore.psi(a_real[~degenerate], b_real[~degenerate], fmt)

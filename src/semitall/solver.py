@@ -113,7 +113,7 @@ class PathFailureInfo:
     detail: str = ""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """All endpoints of one continuation run plus bookkeeping.
 
@@ -131,6 +131,10 @@ class SolveReport:
     Path conservation: len(solutions) + len(failures) equals n_paths.
     ``complete`` is True only when no path failed, which is what the
     rank certificate requires before trusting the real count.
+
+    A report is frozen and holds its arrays as read-only views, so the
+    audit ``closure``, computed on first read and cached, stays the audit
+    of the report's endpoints.
     """
 
     m: int
@@ -145,6 +149,12 @@ class SolveReport:
     chart_b: np.ndarray
     route: str
 
+    def __post_init__(self):
+        for name in ("solutions", "residuals", "real", "path_index", "chart_b"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
     @property
     def complete(self) -> bool:
         return not self.failures
@@ -153,13 +163,13 @@ class SolveReport:
     def real_count(self) -> int:
         return int(self.real.sum())
 
-    @property
+    @functools.cached_property
     def closure(self) -> list[str]:
         """Notes on every way the endpoints of a complete solve of a real
         target break conjugate closure: a non-real endpoint whose conjugate
         lies within ``DEDUP_TOL`` (max-norm; the charts are real) of no other
         non-real endpoint, and a real count of the wrong parity.  Empty when
-        paths failed, as the failures say why; read from the arrays anew."""
+        paths failed, as the failures say why.  Computed once per report."""
         if self.failures:
             return []
         Z, index = self.solutions[~self.real], self.path_index[~self.real]
@@ -221,6 +231,21 @@ def _start_system(m: int, n: int):
     for arr in (frame.Aprime.data, frame.W0, a_rows, kernels):
         arr.flags.writeable = False
     return frame, a_rows, kernels, subsets
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(m: int, n: int):
+    """The index arrays of the tracker's layout z = (a_1..a_(m-1), b, a_m)
+    for format (m, n), built once per process and read-only: the entries
+    of z that hold a, the (a, b) index of each entry of z, and the entry
+    of z that holds each (a, b) index."""
+    N, K = m + n, m + n - 1
+    a_entries = np.r_[: m - 1, K]
+    order = np.r_[: m - 1, m:N, m - 1]
+    inverse = np.argsort(order)
+    for arr in (a_entries, order, inverse):
+        arr.flags.writeable = False
+    return a_entries, order, inverse
 
 
 def _start_rows(m: int, n: int, c: np.ndarray) -> np.ndarray:
@@ -294,15 +319,15 @@ class _Lockstep:
         B0 = gamma * B_from
         S = np.stack([B0, B_to - B0]).transpose(0, 3, 1, 2)  # (2, m, u, n)
         N, K = m + n, m + n - 1
+        a_entries, self.order, self.inverse = _layout(m, n)
         # rows (s, x) over all of z and columns (i, y) over the unknowns, so that [z, t z] @ L is J_top
         L = np.zeros((2, N, u, K), dtype=complex)
-        L[:, np.r_[: m - 1, K], :, m - 1 :] = S  # d(M b)_i / d b_j = sum_k B_ijk a_k
+        L[:, a_entries, :, m - 1 :] = S  # d(M b)_i / d b_j = sum_k B_ijk a_k
         L[:, m - 1 : K, :, : m - 1] = S[:, : m - 1].transpose(0, 3, 2, 1)  # d(M b)_i / d a_k = sum_j B_ijk b_j
         self.L = L.reshape(2 * N, u * K)
         self.L1 = self.L[N:]
         self.chart = np.append(np.zeros(m - 1), c)
         self.m, self.u, self.K = m, u, K
-        self.order = np.r_[: m - 1, m:N, m - 1]  # the (a, b) index of each entry of z
 
     def _stack(self, P: int):
         """A Jacobian buffer for P paths, chart row written."""
@@ -392,7 +417,7 @@ class _Lockstep:
             with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
                 batch = self._run(z[lo : lo + size])
             failed.update((lo + p, error) for p, error in batch.items())
-        return z[:, np.argsort(self.order)], failed
+        return z[:, self.inverse], failed
 
     def newton(self, z0: np.ndarray) -> np.ndarray | None:
         """Newton at t = 1 from every row (a, b) of z0, which lies on the
@@ -416,7 +441,7 @@ class _Lockstep:
             if not ok.all():
                 return None
             batch[:] = rows
-        return z[:, np.argsort(self.order)]
+        return z[:, self.inverse]
 
     def _run(self, z):
         # tracks one batch in place and returns its failures; every path

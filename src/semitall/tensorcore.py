@@ -27,6 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The LAPACK gufuncs behind np.linalg.solve and np.linalg.svd(compute_uv=False).
+# On the chart blocks and the span's few rows their Python wrappers cost about
+# as much as the LAPACK calls.
+from numpy.linalg._umath_linalg import solve as _lapack_solve, svd as _lapack_svd
+
 from . import jsonio
 from .errors import ChartViolationError
 
@@ -124,6 +129,19 @@ def psi(a, b, fmt: Format) -> np.ndarray:
     return (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], fmt.m * fmt.n)[..., : fmt.p]
 
 
+def _nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """The singular values of each real matrix of the stack a, in
+    descending order, as np.linalg.svd(a, compute_uv=False) gives them,
+    without its Python wrapper.  Raises LinAlgError where it does: on a NaN
+    entry, or when the SVD does not converge."""
+    with np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _lapack_svd(a, signature="d->d")
+
+
 def span_dim(rows: np.ndarray, tol: float) -> int:
     """Numerical rank of the span of the rows of a (k, p) matrix.
 
@@ -135,7 +153,7 @@ def span_dim(rows: np.ndarray, tol: float) -> int:
         raise ValueError(f"span_tol must be positive and finite, got {tol:g}")
     if not len(rows):
         return 0
-    s = np.linalg.svd(rows.T, compute_uv=False)
+    s = _singular_values(rows.T)
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
@@ -164,10 +182,16 @@ def kernel_format(Y: Tensor3) -> Format:
 
 
 def _guarded_solve(block: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(block)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    # the 2-norm condition number as np.linalg.cond gives it
+    s = _singular_values(block)
+    with np.errstate(all="ignore"):
+        cond = s[0] / s[-1]
+    if np.isnan(cond):  # 0/0 on a zero block, which np.linalg.cond reads as inf
+        cond = np.inf
+    if cond > COND_LIMIT:
         raise ChartViolationError(f"{what} block has condition number {cond:.3e} beyond {COND_LIMIT:.1e}")
-    return np.linalg.solve(block, rhs)
+    # the bound above leaves no singular block, on which gesv would return NaN
+    return _lapack_solve(block, rhs, signature="dd->d")
 
 
 def sigma(T: Tensor3) -> np.ndarray:

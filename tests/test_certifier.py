@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -269,28 +270,34 @@ class TestSoundness:
             assert cert.verdict != RANK_GT_P, f"unsound verdict at trial {trial}"
 
     @staticmethod
-    def _near_frame_with(monkeypatch, edit):
-        # a complete (3,5) solve near the start frame (3 real endpoints of
-        # 15) whose report ``edit`` damages before certify reads it
+    def _near_frame():
+        # a (3,5) tensor near the start frame, whose solve is complete with
+        # 3 real endpoints of 15
         fmt = Format(3, 5)
         rng = np.random.default_rng(43)
-        T = tau(make_start_frame(3, 5).W0 + 1e-3 * rng.standard_normal((fmt.u, fmt.p)), fmt)
+        return tau(make_start_frame(3, 5).W0 + 1e-3 * rng.standard_normal((fmt.u, fmt.p)), fmt)
+
+    @classmethod
+    def _near_frame_with(cls, monkeypatch, edit):
+        # certify the near-frame tensor with the report that ``edit`` builds
+        # from its solve, a damaged copy, in place of the solve's report
         solve_all = solver.solve_all
 
         def damaged(*args, **kwargs):
             report = solve_all(*args, **kwargs)
             assert report.complete and report.real_count == 3
-            edit(report)
-            return report
+            return edit(report)
 
         monkeypatch.setattr(solver, "solve_all", damaged)
-        return certify(T, seed=43)
+        return certify(cls._near_frame(), seed=43)
 
     @staticmethod
     def _drop_row(report, k):
-        # delete endpoint row k from every endpoint array of the report
-        for name in ("solutions", "residuals", "real", "path_index"):
-            setattr(report, name, np.delete(getattr(report, name), k, axis=0))
+        # the report without endpoint row k in any of its endpoint arrays
+        return dataclasses.replace(report, **{
+            name: np.delete(getattr(report, name), k, axis=0)
+            for name in ("solutions", "residuals", "real", "path_index")
+        })
 
     def test_missing_conjugate_forces_inconclusive(self, monkeypatch):
         seen = {}
@@ -298,19 +305,30 @@ class TestSoundness:
         def drop_one_conjugate(report):
             k = int(np.flatnonzero(~report.real)[0])
             z = report.solutions[k].conj()
-            self._drop_row(report, k)
+            report = self._drop_row(report, k)
             near = np.max(np.abs(report.solutions - z), axis=1) < solver.DEDUP_TOL
             partner = report.path_index[near].tolist()
             assert len(partner) == 1
             seen["partner"] = partner[0]
+            return report
 
         cert = self._near_frame_with(monkeypatch, drop_one_conjugate)
         assert cert.verdict == INCONCLUSIVE
         assert cert.notes == [f"path {seen['partner']}: no conjugate endpoint within 1e-06"]
 
+    def test_certify_audits_the_solve_once(self, monkeypatch):
+        # close_pairs runs twice: the dedup inside _finish and the closure
+        # audit, which the Newton route's check and certify share
+        calls = []
+        close_pairs = solver.close_pairs
+        monkeypatch.setattr(solver, "close_pairs", lambda z, w: calls.append(len(z)) or close_pairs(z, w))
+        cert = certify(self._near_frame(), seed=43)
+        assert cert.verdict == RANK_GT_P and cert.paths_failed == 0
+        assert len(calls) == 2
+
     def test_real_count_parity_forces_inconclusive(self, monkeypatch):
         def drop_one_real(report):
-            self._drop_row(report, int(np.flatnonzero(report.real)[0]))
+            return self._drop_row(report, int(np.flatnonzero(report.real)[0]))
 
         cert = self._near_frame_with(monkeypatch, drop_one_real)
         assert cert.verdict == INCONCLUSIVE

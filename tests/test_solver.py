@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from semitall import acceptance, polyfactor, solver, tensorcore
+from semitall import acceptance, certifier, polyfactor, solver, tensorcore
 from semitall.errors import (
     AT_INFINITY,
     CHART_ESCAPE,
@@ -186,7 +187,8 @@ class TestStartSolutions:
         first = start_solutions(3, 4, seed=3)
         kept = [getattr(first, name).copy() for name in fields]
         for name in fields:
-            getattr(first, name)[0] = 7
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(first, name)[0] = 7
         again = start_solutions(3, 4, seed=3)
         for name, before in zip(fields, kept):
             assert np.array_equal(getattr(again, name), before), name
@@ -253,6 +255,21 @@ class TestTrackPath:
 
 
 class TestLockstep:
+    def test_one_layout_per_format(self):
+        # trackers of one format share its index arrays, built once and read-only
+        frame, target = perturbed_target(3, 5, 1e-3, seed=85)
+        c = np.full(5, 1 / np.sqrt(5))
+        one = solver._Lockstep(frame.Aprime.data, target.data, 1j, c)
+        two = solver._Lockstep(target.data, target.data, 1.0, c)
+        assert one.order is two.order and one.inverse is two.inverse
+        layout = solver._layout(3, 5)
+        assert layout[1] is one.order and layout[2] is one.inverse
+        assert all(x is y for x, y in zip(layout, solver._layout(3, 5)))
+        assert not any(arr.flags.writeable for arr in layout)
+        assert layout[0].tolist() == [0, 1, 7]  # a_1, a_2, a_3 within z
+        assert one.order.tolist() == [0, 1, 3, 4, 5, 6, 7, 2]
+        assert one.inverse.tolist() == np.argsort(one.order).tolist()
+
     def test_singular_row_fails_alone(self):
         rng = np.random.default_rng(27)
         A = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
@@ -656,7 +673,8 @@ class TestSolveAll:
         _, target = perturbed_target(3, 4, 1e-2, seed=35)
         first = solve_all(target, seed=36)
         ends = first.solutions.copy()
-        first.solutions[:] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            first.solutions[:] = 7.0
         again = solve_all(target, seed=36)
         assert np.array_equal(again.solutions, ends)
 
@@ -801,6 +819,40 @@ print("numpy.ma" in sys.modules)
             assert abs(report.gamma.imag) > 0.1
 
 
+class TestReport:
+    # a report is frozen with read-only arrays, and its closure audit is
+    # computed once
+    def test_reports_are_frozen_with_read_only_arrays(self):
+        frame, near = perturbed_target(3, 5, 1e-3, seed=85)
+        _, far = perturbed_target(3, 5, 1.0, seed=75)
+        start = start_solutions(3, 5, seed=86)
+        reports = [
+            start,
+            solve_all(near, seed=86),
+            solve_all(far, seed=76),
+            track_path(frame.Aprime, near, start.solutions[0], complex(0.6, -0.8), start.chart_b),
+        ]
+        assert [r.route for r in reports] == [solver.START, solver.NEWTON, solver.TRACKED, solver.TRACKED]
+        for report in reports:
+            arrays = [f.name for f in dataclasses.fields(report) if isinstance(getattr(report, f.name), np.ndarray)]
+            assert arrays == ["solutions", "residuals", "real", "path_index", "chart_b"]
+            assert not any(getattr(report, name).flags.writeable for name in arrays)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                report.solutions = report.solutions.copy()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                report.route = solver.NEWTON
+
+    def test_closure_is_computed_once(self, monkeypatch):
+        frame, target = perturbed_target(3, 5, 1e-3, seed=85)
+        report = tracked_solve(frame, target, seed=86)
+        calls = []
+        close_pairs = solver.close_pairs
+        monkeypatch.setattr(solver, "close_pairs", lambda z, w: calls.append(len(z)) or close_pairs(z, w))
+        first = report.closure
+        assert first == [] and len(calls) == 1
+        assert report.closure is first and len(calls) == 1
+
+
 class TestFinish:
     # the endpoint audit on hand-built rows, with no tracking: Gaussian
     # points on a_m = -1, off any kernel pair of the (3,3) target A'
@@ -830,7 +882,8 @@ class TestFinish:
         assert np.array_equal(report.solutions, kept)
         assert np.array_equal(report.residuals, solver._residuals(B, kept[:, :3], kept[:, 3:]))
         assert np.array_equal(report.real, projectively_real(kept[:, :3], kept[:, 3:], solver.REALITY_TOL))
-        assert (report.n_paths, report.m, report.n, report.gamma, report.chart_b) == (6, 3, 3, 1.0 + 0.0j, c)
+        assert (report.n_paths, report.m, report.n, report.gamma) == (6, 3, 3, 1.0 + 0.0j)
+        assert np.array_equal(report.chart_b, c)
 
     def test_failed_rows_are_never_read(self):
         B, z = self.rows(5, 51)
@@ -944,12 +997,47 @@ class TestNewtonRoute:
     def test_closure_break_tracks(self, monkeypatch):
         # complete rows whose closure audit fails are not kept either
         _, target = perturbed_target(3, 5, 1e-3, seed=85)
-        closure = solver.SolveReport.closure.fget
-        broken = property(lambda self: ["broken"] if self.route == solver.NEWTON else closure(self))
-        monkeypatch.setattr(solver.SolveReport, "closure", broken)
+        closure = solver.SolveReport.closure.func
+
+        def broken(report):
+            return ["broken"] if report.route == solver.NEWTON else closure(report)
+
+        monkeypatch.setattr(solver.SolveReport.closure, "func", broken)
         report = solve_all(target, seed=86)
         assert report.route == solver.TRACKED and report.complete
         assert same_report(report, tracker_only(monkeypatch, target, 86))
+
+    def test_work_and_routes_on_the_perturb_pool(self, monkeypatch):
+        # the 300 mc-perturb-3x5 inputs at seed 777, drawn as the benchmark's
+        # perturb_experiment draws them: five leave the route at its
+        # pre-test and are tracked, and every other solve makes 4 stacked
+        # evaluations and 3 stacked solves
+        counts = dict.fromkeys(("evaluate", "solve"), 0)
+        routes, work = [], []
+        evaluate, solve_rows, solve = solver._Lockstep._evaluate, solver._solve_rows, solver.solve_all
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+
+            return call
+
+        def solve_counted(*args, **kwargs):
+            counts.update(evaluate=0, solve=0)
+            report = solve(*args, **kwargs)
+            routes.append(report.route)
+            work.append((counts["evaluate"], counts["solve"]))
+            return report
+
+        monkeypatch.setattr(solver._Lockstep, "_evaluate", counted("evaluate", evaluate))
+        monkeypatch.setattr(solver, "_solve_rows", counted("solve", solve_rows))
+        monkeypatch.setattr(solver, "solve_all", solve_counted)
+        certifier.perturb_experiment(tensorcore.Format(3, 5), 1e-3, 300, seed=777)
+        assert len(routes) == 300
+        tracked = [k for k, route in enumerate(routes) if route == solver.TRACKED]
+        assert tracked == [137, 210, 212, 228, 278]
+        assert {work[k] for k in range(300) if k not in tracked} == {(4, 3)}
 
     def test_batches_of_whole_rows_match_one_batch(self, monkeypatch):
         _, target = perturbed_target(4, 5, 1e-3, seed=79)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -189,6 +191,27 @@ class TestTransferMaps:
         Y.data[:, 1:, 2] = 0.0  # the trailing u x u block of fl1 has rank 1
         with pytest.raises(ChartViolationError):
             nu(Y)
+
+    def test_lapack_calls_match_numpy_linalg(self):
+        # the chart map, the span and certify's degeneracy test call the
+        # LAPACK gufuncs directly: bit for bit np.linalg.solve and
+        # np.linalg.svd, and np.linalg.cond's refusals
+        rng = np.random.default_rng(61)
+        stack = rng.standard_normal((4, 6, 5))
+        assert np.array_equal(tensorcore._singular_values(stack), np.linalg.svd(stack, compute_uv=False))
+        block, rhs = rng.standard_normal((7, 7)), rng.standard_normal((7, 3))
+        assert np.array_equal(tensorcore._guarded_solve(block.T, rhs, "x"), np.linalg.solve(block.T, rhs))
+        singular = np.diag([1.0, 1.0, 1e-13])
+        for bad, cond in ((singular, "1.000e+13"), (np.zeros((3, 3)), "inf")):
+            assert f"{np.linalg.cond(bad):.3e}" == cond
+            message = f"x block has condition number {cond} beyond 1.0e+12"
+            with pytest.raises(ChartViolationError, match=f"^{re.escape(message)}$"):
+                tensorcore._guarded_solve(bad, np.ones((3, 1)), "x")
+        nan = np.full((3, 3), np.nan)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            np.linalg.cond(nan)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            tensorcore._guarded_solve(nan, np.ones((3, 1)), "x")
 
     def test_shape_guards(self):
         fmt = Format(3, 3)
