@@ -106,7 +106,7 @@ STACK_ENTRIES = 2**20
 CORRECTOR_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathFailureInfo:
     index: int
     reason: str
@@ -130,11 +130,12 @@ class SolveReport:
 
     Path conservation: len(solutions) + len(failures) equals n_paths.
     ``complete`` is True only when no path failed, which is what the
-    rank certificate requires before trusting the real count.
+    rank certificate requires before trusting the real count.  Both routes
+    of a solve run in one batch loop and report their failed rows alike.
 
-    A report is frozen and holds its arrays as read-only views, so the
-    audit ``closure``, computed on first read and cached, stays the audit
-    of the report's endpoints.
+    A report is frozen: its arrays are read-only views and its failures a
+    tuple of frozen PathFailureInfo, so the audit ``closure``, computed on
+    first read and cached, stays the audit of the report's endpoints.
     """
 
     m: int
@@ -144,12 +145,13 @@ class SolveReport:
     residuals: np.ndarray
     real: np.ndarray
     path_index: np.ndarray
-    failures: list[PathFailureInfo]
+    failures: tuple[PathFailureInfo, ...]
     gamma: complex
     chart_b: np.ndarray
     route: str
 
     def __post_init__(self):
+        object.__setattr__(self, "failures", tuple(self.failures))
         for name in ("solutions", "residuals", "real", "path_index", "chart_b"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
@@ -277,11 +279,11 @@ def start_solutions(m: int, n: int, seed: object = 0) -> SolveReport:
     return report
 
 
-def _solve_rows(A: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _solve_rows(A: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Solve the stacked systems A[p] x[p] = rhs[p] with LAPACK's gesv, as
-    np.linalg.solve does, into ``out`` when given.  A singular row comes
-    back NaN and raises the invalid flag (the tracker runs each batch with
-    the flags off); every other row is solved exactly as alone."""
+    np.linalg.solve does, into ``out``.  A singular row comes back NaN and
+    raises the invalid flag (the tracker runs its batches with the flags
+    off); every other row is solved exactly as alone."""
     return _lapack_solve(A, rhs, signature="DD->D", out=out)
 
 
@@ -404,44 +406,42 @@ class _Lockstep:
             ml = ml + np.maximum.reduce(np.abs(dz), axis=1)
         return out, ok, moved
 
-    def run(self, z0: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
-        """Track every row (a, b) of z0, which lies on the charts, from t = 0
-        to 1.  Returns the endpoints (a, b) and the (reason, detail) of each
-        failed row; failed rows of the endpoint array are meaningless."""
+    def _batches(self, z0: np.ndarray, step) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
+        """The rows (a, b) of z0 after ``step`` and the (reason, detail) of each failed
+        row, whose row is meaningless.  ``step`` runs in the tracker's layout on
+        consecutive batches of whole rows, updating each in place, and returns its failures."""
         z = np.asarray(z0, dtype=complex)[:, self.order]
         failed: dict[int, tuple[str, str]] = {}
         size = max(1, STACK_ENTRIES // self.K**2)
-        for lo in range(0, len(z), size):
-            # singular rows come back NaN and breaking-down rows may
-            # overflow; the tracker reads both off the values
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-                batch = self._run(z[lo : lo + size])
-            failed.update((lo + p, error) for p, error in batch.items())
+        # singular rows come back NaN and breakdowns may overflow; the passes read both off the values
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+            for lo in range(0, len(z), size):
+                failed.update((lo + p, error) for p, error in step(z[lo : lo + size]).items())
         return z[:, self.inverse], failed
 
-    def newton(self, z0: np.ndarray) -> np.ndarray | None:
+    def run(self, z0: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
+        """Track every row (a, b) of z0, which lies on the charts, from t = 0
+        to 1; returns the endpoints and the failures as ``_batches`` does."""
+        return self._batches(z0, self._run)
+
+    def newton(self, z0: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
         """Newton at t = 1 from every row (a, b) of z0, which lies on the
-        charts, in the batches ``run`` tracks.  Returns the rows it converged
-        to, or None as soon as a batch fails: once a row's first step passes
-        BASIN * max(1, |z|inf) (the pre-test, one stacked solve), or once a
-        row does not converge within MAX_NEWTON steps in all."""
-        z = np.asarray(z0, dtype=complex)[:, self.order]
-        size = max(1, STACK_ENTRIES // self.K**2)
-        for lo in range(0, len(z), size):
-            batch = z[lo : lo + size]
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-                J, t = self._stack(len(batch)), np.ones(len(batch))
-                dz = np.zeros(batch.shape, dtype=complex)
-                _solve_rows(J, self._evaluate(J, batch, t), dz[:, : self.K])
-                step = np.maximum.reduce(np.abs(dz), axis=1)
-                # False for a NaN step as well
-                if not np.all(step < BASIN * np.fmax(1.0, np.maximum.reduce(np.abs(batch), axis=1))):
-                    return None
-                rows, ok, _ = self._correct(J, batch - dz, t, np.full(len(batch), np.inf), MAX_NEWTON - 1)
-            if not ok.all():
-                return None
-            batch[:] = rows
-        return z[:, self.inverse]
+        charts, in ``_batches``.  Every row of a batch fails once one row's
+        first step passes BASIN * max(1, |z|inf) (the pre-test, one stacked
+        solve), and a row fails that does not converge in MAX_NEWTON steps."""
+        return self._batches(z0, self._newton)
+
+    def _newton(self, z):
+        # Newton on one batch in place, returning its failures
+        P = len(z)
+        J, t, dz = self._stack(P), np.ones(P), np.zeros(z.shape, dtype=complex)
+        _solve_rows(J, self._evaluate(J, z, t), dz[:, : self.K])
+        step = np.maximum.reduce(np.abs(dz), axis=1)
+        # the pre-test, False for a NaN step as well
+        if not np.all(step < BASIN * np.fmax(1.0, np.maximum.reduce(np.abs(z), axis=1))):
+            return dict.fromkeys(range(P), (PATH_STALL, "pre-test: a first Newton step passes the basin"))
+        z[:], ok, _ = self._correct(J, z - dz, t, np.full(P, np.inf), MAX_NEWTON - 1)
+        return dict.fromkeys(np.flatnonzero(~ok).tolist(), (PATH_STALL, f"no convergence in {MAX_NEWTON} Newton steps"))
 
     def _run(self, z):
         # tracks one batch in place and returns its failures; every path
@@ -602,18 +602,17 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     """Every kernel pair of the target tensor B (shape u x n x m), one per
     start path.
 
-    B is solved at the power of two ``_unit_shift`` names, which has the
-    kernel pairs of B; the report reads its residuals at B.  The Newton
-    route comes first: Newton at B from every start row (``_Lockstep.newton``,
-    its pre-test included), kept only when ``_finish`` finds the C(u, m-1)
+    B is solved at the power of two ``_unit_shift`` names, which has the kernel
+    pairs of B; the report reads its residuals at B.  The Newton route comes
+    first: Newton at B from every start row (``_Lockstep.newton``, its pre-test
+    included), kept only when no row failed and ``_finish`` finds the C(u, m-1)
     rows pairwise distinct and conjugation-closed (``closure`` empty), the
-    generic root count and hence every root.  Otherwise every path is
-    tracked in lockstep, each with its own step control, from the same rows,
-    chart and gamma, as if the route had not been tried.  Paths hitting
-    infinity are retried once, together, in one more pass on one random
-    complex chart d . a = -1, drawn after c and gamma; a retried endpoint
-    that is off a_m = -1 is a CHART_ESCAPE.  ``_finish`` audits the
-    endpoints.
+    generic root count and hence every root.  Otherwise every path is tracked
+    in lockstep, each with its own step control, from the same rows, chart and
+    gamma, as if the route had not been tried.  Paths hitting infinity are
+    retried once, together, in one more pass on one random complex chart
+    d . a = -1, drawn after c and gamma; a retried endpoint that is off
+    a_m = -1 is a CHART_ESCAPE.  ``_finish`` audits the endpoints.
     Determinism: the seed fixes gamma and the charts, and with them every
     path; it is a nonnegative integer or a tuple or list of them
     (``_seed_entropy``).
@@ -631,9 +630,9 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     target = np.ldexp(B.data, _unit_shift(B.data))
 
     # the Newton route: C(u, m-1) distinct converged roots are all of them
-    z = _Lockstep(target, target, 1.0, c).newton(z0)
-    if z is not None:
-        report = _finish(B, z, {}, gamma, c, NEWTON)
+    z, failed = _Lockstep(target, target, 1.0, c).newton(z0)
+    if not failed:
+        report = _finish(B, z, failed, gamma, c, NEWTON)
         if report.complete and not report.closure:
             return report
 
@@ -671,11 +670,11 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
 def _finish(
     B: tensorcore.Tensor3, z: np.ndarray, errors: dict, gamma: complex, c: np.ndarray, route: str
 ) -> SolveReport:
-    """The audit of one solve of B from one row (a, b) per path on the charts
-    a_m = -1 and c . b = 1 and the (reason, detail) ``errors`` of the failed
-    paths, whose rows it never reads, that ``route`` produced.  A row within ``DEDUP_TOL`` of an earlier
-    kept one is a WARN_MULTIPLICITY naming it; path conservation is checked;
-    each kept row gets its residual at B and its ``projectively_real`` flag."""
+    """The audit of one ``route`` solve of B from one row (a, b) per path on the
+    charts a_m = -1 and c . b = 1 and the (reason, detail) ``errors`` of the failed
+    paths, whose rows it never reads.  A row within ``DEDUP_TOL`` of an earlier kept
+    one is a WARN_MULTIPLICITY naming it; path conservation is checked; each kept
+    row gets its residual at B and its ``projectively_real`` flag."""
     m, n_paths = B.shape[2], len(z)
     errors = dict(errors)
     ends = np.array([idx for idx in range(n_paths) if idx not in errors], dtype=int)

@@ -14,7 +14,9 @@ from solver_helpers import tracked_solve
 
 
 def _run(index):
-    results = acceptance.run_acceptance(indices={index})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acceptance, "CRITERIA", [c for c in acceptance.CRITERIA if c[0] == index])
+        results = acceptance.run_acceptance()
     assert len(results) == 1
     r = results[0]
     print(r.line())
@@ -138,9 +140,9 @@ class TestHarness:
             return False, "broken on purpose"
 
         criteria = [(index, name, budget, failing if index == 9 else passing)
-                    for index, name, budget, _ in acceptance.CRITERIA]
+                    for index, name, budget, _ in acceptance.CRITERIA if index in (8, 9)]
         monkeypatch.setattr(acceptance, "CRITERIA", criteria)
-        results = acceptance.run_acceptance(indices={8, 9})
+        results = acceptance.run_acceptance()
         assert [(r.index, r.name, r.passed) for r in results] == [
             (8, "certifier-negative-control", True),
             (9, "certifier-positive-control", False),

@@ -8,10 +8,12 @@ the package's re-exports in ``__init__.py``; ``from __future__`` imports
 bind no name and are skipped.  A function or class counts as read when a
 statement of ``src/``, ``tests/``, ``scripts/`` or ``perfbench/`` other than
 its own definition reads its name, or its module lists it in ``__all__``.
+The package names the benchmark reaches by string or import exist.
 """
 
 import ast
 import collections
+import importlib
 import pathlib
 
 import pytest
@@ -88,3 +90,35 @@ def test_the_check_sees_an_unread_definition():
     module = "def used():\n    pass\n\n\ndef dead(k):\n    return dead(k - 1)\n\n\nclass Listed:\n    pass\n\n\n__all__ = ['Listed']\n"
     user = "import mod\n\nmod.used()\n"
     assert unread_definitions(["mod.py"], {"mod.py": module, "user.py": user}) == ["mod.py: dead"]
+
+
+def missing_bench_names(source: str) -> list[str]:
+    """The names a benchmark script ``source`` reaches in the package that
+    the package lacks: each (module, "attr") pair of its ``SPANS``, whose
+    functions the tracer wraps by ``getattr``, and each name it imports from
+    ``semitall.errors``."""
+    tree = ast.parse(source)
+    modules, wanted = {}, []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "semitall":
+            modules.update((alias.asname or alias.name, f"semitall.{alias.name}") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "semitall.errors":
+            wanted += [("semitall.errors", alias.name) for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets):
+            wanted += [(modules[pair.elts[0].id], pair.elts[1].value) for pair in node.value.elts]
+    return [f"{module}.{name}" for module, name in wanted if not hasattr(importlib.import_module(module), name)]
+
+
+def test_the_names_the_benchmark_reaches_exist():
+    source = (ROOT / "perfbench" / "bench.py").read_text()
+    assert "SPANS = (" in source and "from semitall.errors import" in source
+    assert missing_bench_names(source) == []
+
+
+def test_the_check_sees_a_missing_bench_name():
+    source = (
+        "from semitall import solver as s, tensorcore\n"
+        "from semitall.errors import PATH_STALL, GONE\n"
+        "SPANS = ((s, 'solve_all'), (s, 'gone'), (tensorcore, 'sigma'))\n"
+    )
+    assert missing_bench_names(source) == ["semitall.errors.GONE", "semitall.solver.gone"]

@@ -276,7 +276,7 @@ class TestLockstep:
         A[2] = 0.0
         rhs = rng.standard_normal((4, 5)) + 0j
         with np.errstate(invalid="ignore"):
-            x = solver._solve_rows(A, rhs)
+            x = solver._solve_rows(A, rhs, np.empty_like(rhs))
         assert np.isnan(x).all(axis=1).tolist() == [False, False, True, False]
         for p in (0, 1, 3):
             assert np.array_equal(x[p], np.linalg.solve(A[p], rhs[p]))
@@ -297,7 +297,7 @@ class TestLockstep:
         rhs[17, 0] = np.nan
         bad = {3, 7, 11, 13, 17}
         with np.errstate(invalid="ignore"):
-            x = solver._solve_rows(A, rhs)
+            x = solver._solve_rows(A, rhs, np.empty_like(rhs))
         for p in range(P):
             if p in bad:
                 assert np.isnan(x[p]).all(), p
@@ -842,6 +842,24 @@ class TestReport:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 report.route = solver.NEWTON
 
+    def test_failures_are_a_frozen_tuple(self):
+        # no caller can add, remove or edit the failures of a report whose
+        # closure audit has run, and a replaced list comes back a tuple
+        report = solve_all(tensorcore.Tensor3(np.random.default_rng(87).standard_normal((4, 3, 3))), seed=87)
+        assert report.complete and report.closure == [] and report.failures == ()
+        failure = solver.PathFailureInfo(0, PATH_STALL, "x")
+        with pytest.raises(AttributeError):
+            report.failures.append(failure)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            failure.reason = AT_INFINITY
+        replaced = dataclasses.replace(report, failures=[failure])
+        assert replaced.failures == (failure,) and not replaced.complete
+        with pytest.raises(TypeError):
+            replaced.failures[0] = solver.PathFailureInfo(1, PATH_STALL, "y")
+        with pytest.raises(AttributeError):
+            replaced.failures.clear()
+        assert report.failures == () and replaced.failures == (failure,)
+
     def test_closure_is_computed_once(self, monkeypatch):
         frame, target = perturbed_target(3, 5, 1e-3, seed=85)
         report = tracked_solve(frame, target, seed=86)
@@ -917,9 +935,10 @@ class TestFinish:
 
 
 def tracker_only(monkeypatch, target, seed):
-    # solve_all with the Newton route switched off: the tracker alone
+    # solve_all with the Newton route switched off, its first row failed
+    # and so the route declined: the tracker alone
     with monkeypatch.context() as patch:
-        patch.setattr(solver._Lockstep, "newton", lambda self, z0: None)
+        patch.setattr(solver._Lockstep, "newton", lambda self, z0: (z0, {0: (PATH_STALL, "switched off")}))
         return solve_all(target, seed=seed)
 
 
@@ -966,7 +985,7 @@ class TestNewtonRoute:
 
     def test_declined_pre_test_tracks(self, monkeypatch):
         # A' + R: some row's first Newton step passes BASIN * max(1, |z|inf),
-        # so the attempt stops before the corrector runs
+        # so the attempt stops before the corrector runs and fails every row
         frame, target = perturbed_target(3, 5, 1.0, seed=75)
         c = solver._draws(5, np.random.default_rng(76))[0]
 
@@ -975,7 +994,9 @@ class TestNewtonRoute:
 
         with monkeypatch.context() as patch:
             patch.setattr(solver._Lockstep, "_correct", no_corrector)
-            assert solver._Lockstep(target.data, target.data, 1.0, c).newton(solver._start_rows(3, 5, c)) is None
+            _, failed = solver._Lockstep(target.data, target.data, 1.0, c).newton(solver._start_rows(3, 5, c))
+        assert sorted(failed) == list(range(15))
+        assert set(failed.values()) == {(PATH_STALL, "pre-test: a first Newton step passes the basin")}
         report = solve_all(target, seed=76)
         assert report.route == solver.TRACKED
         assert same_report(report, tracker_only(monkeypatch, target, 76))
@@ -989,7 +1010,7 @@ class TestNewtonRoute:
         monkeypatch.setattr(solver._Lockstep, "newton", lambda self, z0: rows.append(newton(self, z0)) or rows[-1])
         monkeypatch.setattr(solver, "DEDUP_TOL", 10.0)
         report = solve_all(target, seed=78)
-        assert rows[0] is not None
+        assert rows[0][1] == {}
         assert report.route == solver.TRACKED
         assert {f.reason for f in report.failures} == {WARN_MULTIPLICITY}
         assert same_report(report, tracker_only(monkeypatch, target, 78))
@@ -1049,16 +1070,30 @@ class TestNewtonRoute:
         assert np.max(np.abs(one.solutions - split.solutions)) < 1e-10
 
     def test_one_failed_batch_declines_the_target(self, monkeypatch):
-        # the last batch's rows start from far: the rows of the earlier
-        # batches are not handed out
+        # the last batch's rows start from far: the earlier batches converge
+        # as before, and the last one's failures, by row of z0, decline the
+        # target
         _, target = perturbed_target(3, 5, 1e-3, seed=81)
         c = solver._draws(5, np.random.default_rng(82))[0]
         z0 = solver._start_rows(3, 5, c)
         monkeypatch.setattr(solver, "STACK_ENTRIES", 4 * 7**2)  # 4 rows a batch
         tracker = solver._Lockstep(target.data, target.data, 1.0, c)
-        assert tracker.newton(z0) is not None
+        first, failed = tracker.newton(z0)
+        assert failed == {}
         z0[-1, 0] += 10.0
-        assert tracker.newton(z0) is None
+        rows, failed = tracker.newton(z0)
+        assert sorted(failed) == [12, 13, 14]
+        assert rows[:12].tobytes() == first[:12].tobytes()
+        assert {reason for reason, _ in failed.values()} == {PATH_STALL}
+
+    def test_unconverged_rows_fail(self, monkeypatch):
+        # one Newton step in all passes the pre-test but converges no row
+        _, target = perturbed_target(3, 5, 1e-3, seed=81)
+        c = solver._draws(5, np.random.default_rng(82))[0]
+        monkeypatch.setattr(solver, "MAX_NEWTON", 1)
+        _, failed = solver._Lockstep(target.data, target.data, 1.0, c).newton(solver._start_rows(3, 5, c))
+        assert sorted(failed) == list(range(15))
+        assert set(failed.values()) == {(PATH_STALL, "no convergence in 1 Newton steps")}
 
 
 class TestScale:
