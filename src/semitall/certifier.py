@@ -89,9 +89,10 @@ def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
     Y = tensorcore.mu(tensorcore.sigma(T), fmt)
     report = solver.solve_all(Y, seed=seed)
 
-    Z, real, index = report.solutions, report.real, report.path_index
-    a_real = np.real(solver._aligned(Z[real, :m]))
-    b_real = np.real(solver._aligned(Z[real, m:]))
+    real, index = report.real, report.path_index
+    Z = report.solutions[real]
+    a_real = np.real(solver._aligned(Z[:, :m]))
+    b_real = np.real(solver._aligned(Z[:, m:]))
     svals = tensorcore._singular_values(tensorcore.pencil_eval(a_real, Y))
     degenerate = svals[:, -2] < DEGENERATE_KERNEL_TOL * svals[:, 0]
     notes = [f"path {i}: kernel dimension >= 2 at a real solution" for i in index[real][degenerate].tolist()]

@@ -110,7 +110,7 @@ def _cmd_table(args: argparse.Namespace):
 
 
 def _cmd_solve(args: argparse.Namespace):
-    """track all start paths to a target tensor (file, or a seeded perturbation)"""
+    """every kernel pair of a target tensor (file, or a seeded perturbation), by Newton or by tracking"""
     if args.input:
         mixed = [f"--{x}" for x in ("m", "n", "eps") if getattr(args, x) is not None]
         if mixed:

@@ -20,8 +20,9 @@ are tracked in lockstep as stacked arrays, each path with its own step
 control.
 
 A solve first tries the Newton route: Newton straight at the target from
-the start rows, declined at once when some row's first step leaves the
-basin.  C(u, m-1) is the generic root count, so that many converged,
+the start rows, declined when some row's first step leaves the basin and
+a second step does not shrink every row's step by the basin fraction.
+C(u, m-1) is the generic root count, so that many converged,
 pairwise distinct and conjugation-closed roots are all of them; any other
 outcome tracks every path instead, from the same rows, chart and gamma.
 The start system, one tracked row and a full solve each come back as the
@@ -66,9 +67,10 @@ MAX_NEWTON = 10
 MAX_STEPS = 20000
 
 # The basin fraction.  The tracker rejects a step once a row's summed Newton
-# corrections pass this share of the step's prediction (max-norms), and the
+# corrections pass this share of the step's prediction (max-norms).  The
 # Newton route declines a target once a row's first Newton step passes this
-# share of max(1, |z|inf).
+# share of max(1, |z|inf), unless every row's second step is below this
+# share of its first.
 BASIN = 0.25
 
 # A target whose largest entry lies outside [2^-SCALE_BAND, 2^SCALE_BAND] is
@@ -273,7 +275,8 @@ def start_solutions(m: int, n: int, seed: object = 0) -> SolveReport:
     _seed_entropy(seed)
     frame = _start_system(m, n)[0]
     c = _draws(n, np.random.default_rng(seed))[0]
-    report = _finish(frame.Aprime, _start_rows(m, n, c), {}, 1.0 + 0.0j, c, START)
+    # A' has largest entry 1, so its unit shift is 0
+    report = _finish(frame.Aprime, _start_rows(m, n, c), {}, 1.0 + 0.0j, c, START, 0)
     if report.failures:
         raise DegenerateStartError("start row {0.index}: {0.reason}, {0.detail}".format(report.failures[0]))
     return report
@@ -319,7 +322,10 @@ class _Lockstep:
             raise ValueError("gamma must be nonzero")
         u, n, m = B_from.shape
         B0 = gamma * B_from
-        S = np.stack([B0, B_to - B0]).transpose(0, 3, 1, 2)  # (2, m, u, n)
+        S = np.empty((2, u, n, m), dtype=complex)
+        S[0] = B0
+        np.subtract(B_to, B0, out=S[1])
+        S = S.transpose(0, 3, 1, 2)  # (2, m, u, n)
         N, K = m + n, m + n - 1
         a_entries, self.order, self.inverse = _layout(m, n)
         # rows (s, x) over all of z and columns (i, y) over the unknowns, so that [z, t z] @ L is J_top
@@ -328,7 +334,8 @@ class _Lockstep:
         L[:, m - 1 : K, :, : m - 1] = S[:, : m - 1].transpose(0, 3, 2, 1)  # d(M b)_i / d a_k = sum_j B_ijk b_j
         self.L = L.reshape(2 * N, u * K)
         self.L1 = self.L[N:]
-        self.chart = np.append(np.zeros(m - 1), c)
+        self.chart = np.zeros(K)
+        self.chart[m - 1 :] = c
         self.m, self.u, self.K = m, u, K
 
     def _stack(self, P: int):
@@ -426,21 +433,30 @@ class _Lockstep:
 
     def newton(self, z0: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
         """Newton at t = 1 from every row (a, b) of z0, which lies on the
-        charts, in ``_batches``.  Every row of a batch fails once one row's
-        first step passes BASIN * max(1, |z|inf) (the pre-test, one stacked
-        solve), and a row fails that does not converge in MAX_NEWTON steps."""
+        charts, in ``_batches``.  The pre-test is one stacked step: when one
+        row's step passes BASIN * max(1, |z|inf), its second chance takes one
+        more, and every row of the batch fails unless each row's second step
+        is below BASIN times its first.  A row fails that does not converge
+        in MAX_NEWTON steps, the pre-test's included."""
         return self._batches(z0, self._newton)
 
     def _newton(self, z):
         # Newton on one batch in place, returning its failures
         P = len(z)
-        J, t, dz = self._stack(P), np.ones(P), np.zeros(z.shape, dtype=complex)
-        _solve_rows(J, self._evaluate(J, z, t), dz[:, : self.K])
-        step = np.maximum.reduce(np.abs(dz), axis=1)
-        # the pre-test, False for a NaN step as well
-        if not np.all(step < BASIN * np.fmax(1.0, np.maximum.reduce(np.abs(z), axis=1))):
+        J, t, zk = self._stack(P), np.ones(P), z
+        # the bound on each row's first step (the pre-test), then on its
+        # second (the second chance): BASIN times the row's first
+        bound = BASIN * np.fmax(1.0, np.maximum.reduce(np.abs(z), axis=1))
+        for taken in range(1, min(2, MAX_NEWTON) + 1):
+            dz = np.zeros(z.shape, dtype=complex)
+            _solve_rows(J, self._evaluate(J, zk, t), dz[:, : self.K])
+            zk, step = zk - dz, np.maximum.reduce(np.abs(dz), axis=1)
+            if np.all(step < bound):  # False for a NaN step as well
+                break
+            bound = BASIN * step
+        else:
             return dict.fromkeys(range(P), (PATH_STALL, "pre-test: a first Newton step passes the basin"))
-        z[:], ok, _ = self._correct(J, z - dz, t, np.full(P, np.inf), MAX_NEWTON - 1)
+        z[:], ok, _ = self._correct(J, zk, t, np.full(P, np.inf), MAX_NEWTON - taken)
         return dict.fromkeys(np.flatnonzero(~ok).tolist(), (PATH_STALL, f"no convergence in {MAX_NEWTON} Newton steps"))
 
     def _run(self, z):
@@ -514,11 +530,11 @@ def _unit_shift(data: np.ndarray) -> int:
     return shift if abs(shift) > SCALE_BAND else 0
 
 
-def _residuals(B: tensorcore.Tensor3, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _residuals(B: tensorcore.Tensor3, a: np.ndarray, b: np.ndarray, shift: int) -> np.ndarray:
     """2-norms of M(a_p, B) b_p for stacked rows a (P, m) and b (P, n),
-    evaluated at the target ``solve_all`` solves and scaled back exactly,
-    so that a target far from unit scale overflows no square."""
-    shift = _unit_shift(B.data)
+    evaluated at 2^shift B and scaled back exactly.  Callers pass
+    ``_unit_shift(B.data)``, the scale ``solve_all`` solves B at, so that a
+    target far from unit scale overflows no square."""
     # contract b first: the (P, u, m) intermediate is the smaller, m <= n
     Bb = np.einsum("ijk,pj->pik", np.ldexp(B.data, shift).astype(complex), b)
     return np.ldexp(np.linalg.norm(np.einsum("pik,pk->pi", Bb, a), axis=1), -shift)
@@ -541,14 +557,13 @@ def track_path(
     if B_to.shape != (u, n, m):
         raise ValueError(f"target shape {B_to.shape} does not match start shape {(u, n, m)}")
     z, failed = _Lockstep(B_from.data, B_to.data, gamma, c).run(z0[None])
-    return _finish(B_to, z, failed, gamma, c, TRACKED)
+    return _finish(B_to, z, failed, gamma, c, TRACKED, _unit_shift(B_to.data))
 
 
 def _aligned(v: np.ndarray) -> np.ndarray:
     # divide each row by its entry of largest modulus; a projective point
     # is real iff the result is entrywise real
-    top = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
-    return v / top
+    return v / v[np.arange(len(v)), np.abs(v).argmax(axis=1), None]
 
 
 def projectively_real(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -559,7 +574,9 @@ def projectively_real(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     alignment); conjugate pairs are accepted or rejected together by
     symmetry.
     """
-    imag = np.maximum(np.abs(_aligned(a).imag).max(axis=-1), np.abs(_aligned(b).imag).max(axis=-1))
+    imag = np.maximum(
+        np.maximum.reduce(np.abs(_aligned(a).imag), axis=1), np.maximum.reduce(np.abs(_aligned(b).imag), axis=1)
+    )
     return imag < tol
 
 
@@ -570,13 +587,14 @@ def close_pairs(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     key, within twice the tolerance of its key (rounding at the bounds cannot
     drop a pair); the max-norm test confirms them.
     """
-    order = np.argsort(z[:, 0].real, kind="stable")
-    key, at = z[order, 0].real, w[:, 0].real
-    lo, hi = np.searchsorted(key, [at - 2 * DEDUP_TOL, at + 2 * DEDUP_TOL])
+    key, at = z[:, 0].real, w[:, 0].real
+    order = key.argsort(kind="stable")
+    key = key[order]
+    lo, hi = key.searchsorted(at - 2 * DEDUP_TOL), key.searchsorted(at + 2 * DEDUP_TOL)
     count = hi - lo
-    j = np.repeat(np.arange(len(w)), count)
-    i = order[np.arange(len(j)) + np.repeat(hi - np.cumsum(count), count)]
-    hit = np.abs(z[i] - w[j]).max(axis=1) < DEDUP_TOL
+    j = np.arange(len(w)).repeat(count)
+    i = order[np.arange(len(j)) + (hi - count.cumsum()).repeat(count)]
+    hit = np.maximum.reduce(np.abs(z[i] - w[j]), axis=1) < DEDUP_TOL
     return i[hit], j[hit]
 
 
@@ -586,7 +604,8 @@ def _first_kept(z: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
     mapped to the first such row.  Returns the kept mask and that map.
     """
     i, j = close_pairs(z, z)
-    later, earlier = i[i > j], j[i > j]
+    pair = i > j
+    later, earlier = i[pair], j[pair]
     order = np.lexsort((earlier, later))
     kept = np.ones(len(z), dtype=bool)
     named: dict[int, int] = {}
@@ -605,9 +624,9 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     B is solved at the power of two ``_unit_shift`` names, which has the kernel
     pairs of B; the report reads its residuals at B.  The Newton route comes
     first: Newton at B from every start row (``_Lockstep.newton``, its pre-test
-    included), kept only when no row failed and ``_finish`` finds the C(u, m-1)
-    rows pairwise distinct and conjugation-closed (``closure`` empty), the
-    generic root count and hence every root.  Otherwise every path is tracked
+    and second chance included), kept only when no row failed and ``_finish``
+    finds the C(u, m-1) rows pairwise distinct and conjugation-closed
+    (``closure`` empty), the generic root count and hence every root.  Otherwise every path is tracked
     in lockstep, each with its own step control, from the same rows, chart and
     gamma, as if the route had not been tried.  Paths hitting infinity are
     retried once, together, in one more pass on one random complex chart
@@ -627,12 +646,13 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     c, gamma = _draws(n, rng)
     frame = _start_system(m, n)[0]
     z0 = _start_rows(m, n, c)
-    target = np.ldexp(B.data, _unit_shift(B.data))
+    shift = _unit_shift(B.data)
+    target = np.ldexp(B.data, shift)
 
     # the Newton route: C(u, m-1) distinct converged roots are all of them
     z, failed = _Lockstep(target, target, 1.0, c).newton(z0)
     if not failed:
-        report = _finish(B, z, failed, gamma, c, NEWTON)
+        report = _finish(B, z, failed, gamma, c, NEWTON, shift)
         if report.complete and not report.closure:
             return report
 
@@ -664,17 +684,18 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
         z[back] = np.concatenate([-a / a[:, -1:], b / (b @ c)[:, None]], axis=1)
         z[back, m - 1] = -1.0
 
-    return _finish(B, z, errors, gamma, c, TRACKED)
+    return _finish(B, z, errors, gamma, c, TRACKED, shift)
 
 
 def _finish(
-    B: tensorcore.Tensor3, z: np.ndarray, errors: dict, gamma: complex, c: np.ndarray, route: str
+    B: tensorcore.Tensor3, z: np.ndarray, errors: dict, gamma: complex, c: np.ndarray, route: str, shift: int
 ) -> SolveReport:
     """The audit of one ``route`` solve of B from one row (a, b) per path on the
     charts a_m = -1 and c . b = 1 and the (reason, detail) ``errors`` of the failed
     paths, whose rows it never reads.  A row within ``DEDUP_TOL`` of an earlier kept
     one is a WARN_MULTIPLICITY naming it; path conservation is checked; each kept
-    row gets its residual at B and its ``projectively_real`` flag."""
+    row gets its residual at B, evaluated at 2^shift B (``_residuals``), and its
+    ``projectively_real`` flag."""
     m, n_paths = B.shape[2], len(z)
     errors = dict(errors)
     ends = np.array([idx for idx in range(n_paths) if idx not in errors], dtype=int)
@@ -696,7 +717,7 @@ def _finish(
         n=B.shape[1],
         n_paths=n_paths,
         solutions=z,
-        residuals=_residuals(B, a_k, b_k),
+        residuals=_residuals(B, a_k, b_k, shift),
         real=projectively_real(a_k, b_k, REALITY_TOL),
         path_index=keep,
         failures=failures,

@@ -11,4 +11,4 @@ def tracked_solve(frame, target, seed):
     _, n, m = target.shape
     c, gamma = solver._draws(n, np.random.default_rng(seed))
     z, failed = solver._Lockstep(frame.Aprime.data, target.data, gamma, c).run(solver._start_rows(m, n, c))
-    return solver._finish(target, z, failed, gamma, c, solver.TRACKED)
+    return solver._finish(target, z, failed, gamma, c, solver.TRACKED, solver._unit_shift(target.data))
