@@ -1,37 +1,41 @@
 #!/usr/bin/env python3
 """Digest of the CLI output on a fixed command list.
 
-Writes two Gaussian tensor files (t55.json, t33.json) into the output
-directory, runs eleven subcommands through ``cli.dispatch`` from there,
-drops the ``elapsed_s`` lines and prints the first 16 hex digits of the
-sha256 of each output.  The outputs are kept in the directory (one
-numbered ``.out`` file per command), so a later run can be compared with
-this one:
+Writes the input tensor files into the output directory, runs every
+command of ``COMMANDS`` (eleven recorded commands, and one ``solve`` of
+each of 92 Gaussian and near-start targets) through ``cli.dispatch`` from
+there, keeps each output without its ``elapsed_s`` lines as a numbered
+``.out`` file and prints the first 16 hex digits of its sha256.  ``solve``
+prints every float at 17 significant digits, and the route, gamma, real
+flags, path indices and failures, so identical text is an identical report.
 
-    python scripts/output_digest.py --out before
-    python scripts/output_digest.py --out after --against before
+With ``--against REV`` it runs the list on commit REV's package (exported
+by ``git archive``) and on the working tree's, each in a new process with
+BLAS at one thread, and reports each output as identical to REV's, or with
+its largest numeric difference, relative to max(|x|, |y|, 1), and its first
+non-numeric difference.  Numbers are compared by value, since the report
+writer prints 1.0 as ``1``.  The exit code is 1 unless all are identical.
 
-With ``--against DIR`` each command is reported as identical to the saved
-run, or with its largest numeric difference, relative to
-max(|x|, |y|, 1), and its first non-numeric difference.  Numbers are
-compared by value, since the report writer prints 1.0 as ``1``.  The
-script then exits 1 unless every command is identical.
+    PYTHONPATH=src python scripts/output_digest.py --against HEAD
 
-Run from the repository root with ``PYTHONPATH=src``.
+Run from the repository root.
 """
 
 import argparse
 import hashlib
 import os
+import pathlib
 import re
+import subprocess
 import sys
 import tempfile
 
 import numpy as np
 
+from bench_pairs import ROOT, export
 from semitall import cli, tensorcore
 
-COMMANDS = [
+RECORDED = [
     "alpha --m 5 --n 27",
     "divisors --m 3 --n 3",
     "classify --m 7 --n 16",
@@ -44,8 +48,25 @@ COMMANDS = [
     "experiment global --m 3 --n 3 --trials 20 --seed 5",
     "experiment perturb --m 3 --n 5 --eps 0.01 --trials 10 --seed 2",
 ]
+GAUSSIAN = ((3, 3), (3, 4), (4, 4), (3, 5), (4, 5), (5, 5))
+NEAR_START = ((3, 5), (4, 5))
+# (kind, m, n, k) of every solve target, 12 Gaussian and 10 A' + 1e-3 R per format
+TARGETS = [("gauss", m, n, k) for m, n in GAUSSIAN for k in range(12)]
+TARGETS += [("near", m, n, k) for m, n in NEAR_START for k in range(10)]
+SEED = {"gauss": 3200, "near": 3400}
+COMMANDS = RECORDED + [
+    f"solve --input {kind}-{m}x{n}-{k}.json --seed {SEED[kind] + 100 * m + 10 * n + k}" for kind, m, n, k in TARGETS
+]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def target(kind: str, m: int, n: int, k: int) -> tensorcore.Tensor3:
+    """Solve target k of its kind and format: Gaussian, or A' + 1e-3 R."""
+    if kind == "gauss":
+        return tensorcore.Tensor3(np.random.default_rng((31, m, n, k)).standard_normal((m + n - 2, n, m)))
+    Aprime = tensorcore.make_start_frame(m, n).Aprime.data
+    return tensorcore.Tensor3(Aprime + 1e-3 * np.random.default_rng((33, m, n, k)).standard_normal(Aprime.shape))
 
 
 def output(command: str) -> str:
@@ -68,15 +89,29 @@ def run_all(out: str) -> list[str]:
     try:
         tensorcore.save_tensor(tensorcore.Tensor3(np.random.default_rng(5).standard_normal((5, 17, 5))), "t55.json")
         tensorcore.save_tensor(tensorcore.Tensor3(np.random.default_rng(3).standard_normal((3, 5, 3))), "t33.json")
+        for kind, m, n, k in TARGETS:
+            tensorcore.save_tensor(target(kind, m, n, k), f"{kind}-{m}x{n}-{k}.json")
         texts = []
         for k, command in enumerate(COMMANDS):
             text = output(command)
-            with open(f"{k:02d}.out", "w") as fh:
+            with open(f"{k:03d}.out", "w") as fh:
                 fh.write(text)
             texts.append(text)
         return texts
     finally:
         os.chdir(here)
+
+
+def run_in(tree: str, out: str) -> list[str]:
+    """The outputs of this script run into ``out`` in a new process on
+    ``tree``'s package, with BLAS at one thread."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    cmd = [sys.executable, os.path.abspath(__file__), "--out", out]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{' '.join(cmd)} on {tree} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return [pathlib.Path(out, f"{k:03d}.out").read_text() for k in range(len(COMMANDS))]
 
 
 def compare(old: str, new: str) -> str:
@@ -102,23 +137,29 @@ def compare(old: str, new: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     """Run every command and print its digest; with ``--against``, return 1
-    unless every output is identical to the saved run's."""
+    unless every output is identical to REV's."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="directory for the inputs and outputs (default: a new temporary one)")
-    parser.add_argument("--against", help="directory of a saved run to compare with")
+    parser.add_argument("--against", help="the commit REV whose outputs the working tree's are compared with")
     args = parser.parse_args(argv)
     out = os.path.abspath(args.out or tempfile.mkdtemp(prefix="digest-"))
-    texts = run_all(out)
+    if args.against:
+        with tempfile.TemporaryDirectory(prefix="digest-against-") as tmp:
+            commit = export(args.against, tmp)
+            old, texts = run_in(tmp, os.path.join(tmp, "digest-out")), run_in(ROOT, out)
+    else:
+        texts = run_all(out)
     print(f"# outputs in {out}")
     differ = 0
     for k, (command, text) in enumerate(zip(COMMANDS, texts)):
         line = f"{digest(text)}  {command}"
         if args.against:
-            with open(os.path.join(args.against, f"{k:02d}.out")) as fh:
-                verdict = compare(fh.read(), text)
+            verdict = compare(old[k], text)
             differ += verdict != "identical"
             line += f"  [{verdict}]"
         print(line)
+    if args.against:
+        print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} outputs identical to {commit[:12]}")
     return 1 if differ else 0
 
 

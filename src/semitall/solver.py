@@ -530,6 +530,14 @@ def _unit_shift(data: np.ndarray) -> int:
     return shift if abs(shift) > SCALE_BAND else 0
 
 
+def _require_finite(B: tensorcore.Tensor3) -> None:
+    """Refuse a target with a NaN or infinite entry, counting them: no path
+    reaches it, and ``_unit_shift`` cannot scale it."""
+    bad = np.count_nonzero(~np.isfinite(B.data))
+    if bad:
+        raise ValueError(f"target tensor has {bad} non-finite entries")
+
+
 def _residuals(B: tensorcore.Tensor3, a: np.ndarray, b: np.ndarray, shift: int) -> np.ndarray:
     """2-norms of M(a_p, B) b_p for stacked rows a (P, m) and b (P, n),
     evaluated at 2^shift B and scaled back exactly.  Callers pass
@@ -556,6 +564,7 @@ def track_path(
     u, n, m = B_from.shape
     if B_to.shape != (u, n, m):
         raise ValueError(f"target shape {B_to.shape} does not match start shape {(u, n, m)}")
+    _require_finite(B_to)
     z, failed = _Lockstep(B_from.data, B_to.data, gamma, c).run(z0[None])
     return _finish(B_to, z, failed, gamma, c, TRACKED, _unit_shift(B_to.data))
 
@@ -639,9 +648,7 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     _seed_entropy(seed)
     fmt = tensorcore.kernel_format(B)
     m, n = fmt.m, fmt.n
-    bad = np.count_nonzero(~np.isfinite(B.data))
-    if bad:
-        raise ValueError(f"target tensor has {bad} non-finite entries")
+    _require_finite(B)
     rng = np.random.default_rng(seed)
     c, gamma = _draws(n, rng)
     frame = _start_system(m, n)[0]

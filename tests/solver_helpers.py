@@ -1,14 +1,12 @@
 """A tracked solve shared by the solver and acceptance tests."""
 
-import numpy as np
-
 from semitall import solver
+from semitall.errors import PATH_STALL
 
 
-def tracked_solve(frame, target, seed):
-    # every start path of solve_all's seed tracked to the target in one
-    # pass, whichever route solve_all takes, and audited by _finish
-    _, n, m = target.shape
-    c, gamma = solver._draws(n, np.random.default_rng(seed))
-    z, failed = solver._Lockstep(frame.Aprime.data, target.data, gamma, c).run(solver._start_rows(m, n, c))
-    return solver._finish(target, z, failed, gamma, c, solver.TRACKED, solver._unit_shift(target.data))
+def tracker_only(monkeypatch, target, seed):
+    # solve_all with the Newton route switched off, its first row failed
+    # and so the route declined: the tracker alone
+    with monkeypatch.context() as patch:
+        patch.setattr(solver._Lockstep, "newton", lambda self, z0: (z0, {0: (PATH_STALL, "switched off")}))
+        return solver.solve_all(target, seed=seed)

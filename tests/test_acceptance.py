@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from semitall import acceptance, polyfactor, solver, tensorcore
-from solver_helpers import tracked_solve
+from solver_helpers import tracker_only
 
 
 def _run(index):
@@ -114,7 +114,7 @@ class TestHarness:
         assert detail.count("no conjugate endpoint within 1e-06") == 2
 
     @pytest.mark.parametrize("m,n", acceptance.CRITERION_7_FORMATS)
-    def test_criterion_7_targets_also_track(self, m, n):
+    def test_criterion_7_targets_also_track(self, m, n, monkeypatch):
         # solve_all takes the Newton route on criterion 7's targets, so the
         # first target per format is also tracked: the tracked endpoints pass
         # the criterion's checks and are the route's endpoints
@@ -123,7 +123,7 @@ class TestHarness:
         target = tensorcore.Tensor3(frame.Aprime.data + 1e-3 * rng.standard_normal(frame.Aprime.shape))
         report = solver.solve_all(target, seed=(707, m, n, 0))
         assert report.route == solver.NEWTON
-        tracked = tracked_solve(frame, target, seed=(707, m, n, 0))
+        tracked = tracker_only(monkeypatch, target, (707, m, n, 0))
         assert tracked.complete and not tracked.closure
         assert len(tracked.solutions) == report.n_paths
         assert tracked.real_count == polyfactor.alpha_closed(m, n)

@@ -1,5 +1,5 @@
-"""Every module-level import in the package is used, and every top-level
-function and class of the package is read.
+"""Every module-level import in the package and the scripts is used, and
+every top-level function and class of the package is read.
 
 No linter runs on this repository, so an import or a helper left behind by
 a refactor is caught here.  An import counts as used when its module reads
@@ -46,7 +46,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")),
+                         ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -19,7 +19,7 @@ from semitall.errors import (
     ResourceLimitError,
 )
 from semitall.solver import SolveReport, projectively_real, solve_all, start_solutions, track_path
-from solver_helpers import tracked_solve
+from solver_helpers import tracker_only
 
 
 def perturbed_target(m, n, eps, seed):
@@ -235,6 +235,21 @@ class TestTrackPath:
         z0, c = start.solutions[0], start.chart_b
         with pytest.raises(ValueError):
             track_path(frame.Aprime, other.Aprime, z0, 1.0 + 0.0j, c)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=repr)
+    def test_non_finite_target_refused(self, value, monkeypatch):
+        # solve_all and track_path share one check, made before any path runs
+        frame = tensorcore.make_start_frame(3, 3)
+        data = frame.Aprime.data.copy()
+        data[1, 2, 0] = value
+        target = tensorcore.Tensor3(data)
+        start = start_solutions(3, 3, seed=1)
+        monkeypatch.setattr(solver._Lockstep, "_batches", lambda *args: pytest.fail("a path ran"))
+        refused = r"^target tensor has 1 non-finite entries$"
+        with pytest.raises(ValueError, match=refused):
+            solve_all(target, seed=1)
+        with pytest.raises(ValueError, match=refused):
+            track_path(frame.Aprime, target, start.solutions[0], start.gamma, start.chart_b)
 
     def test_gamma_required(self):
         # gamma is a required argument, and the tracker refuses a zero one
@@ -663,10 +678,10 @@ class TestSolveAll:
         # near the start frame the paths are almost straight: once an easy
         # step doubles the next one, a few steps reach t = 1, where a fixed
         # ceiling of INITIAL_STEP would need 1 / INITIAL_STEP = 20.  solve_all
-        # takes the Newton route there, so the paths are tracked directly.
-        frame, target = perturbed_target(3, 5, 1e-3, seed=33)
+        # takes the Newton route there, so the route is switched off.
+        _, target = perturbed_target(3, 5, 1e-3, seed=33)
         monkeypatch.setattr(solver, "MAX_STEPS", 15)
-        report = tracked_solve(frame, target, seed=34)
+        report = tracker_only(monkeypatch, target, 34)
         assert report.complete
         assert report.real_count == polyfactor.alpha_closed(3, 5)
 
@@ -862,8 +877,8 @@ class TestReport:
         assert report.failures == () and replaced.failures == (failure,)
 
     def test_closure_is_computed_once(self, monkeypatch):
-        frame, target = perturbed_target(3, 5, 1e-3, seed=85)
-        report = tracked_solve(frame, target, seed=86)
+        _, target = perturbed_target(3, 5, 1e-3, seed=85)
+        report = tracker_only(monkeypatch, target, 86)
         calls = []
         close_pairs = solver.close_pairs
         monkeypatch.setattr(solver, "close_pairs", lambda z, w: calls.append(len(z)) or close_pairs(z, w))
@@ -935,14 +950,6 @@ class TestFinish:
         assert calls == [report.n_paths, 15, 1]
 
 
-def tracker_only(monkeypatch, target, seed):
-    # solve_all with the Newton route switched off, its first row failed
-    # and so the route declined: the tracker alone
-    with monkeypatch.context() as patch:
-        patch.setattr(solver._Lockstep, "newton", lambda self, z0: (z0, {0: (PATH_STALL, "switched off")}))
-        return solve_all(target, seed=seed)
-
-
 def same_report(r1, r2):
     return (
         r1.solutions.tobytes() == r2.solutions.tobytes()
@@ -974,8 +981,8 @@ class TestNewtonRoute:
         # tracking; the pre-test and its second chance decline the (4,8)
         # target at eps 1e-2, so they are switched off there to compare
         # Newton from the start rows itself
-        frame, target = perturbed_target(m, n, eps, seed=(73, m, n))
-        tracked = tracked_solve(frame, target, seed=(74, m, n))
+        _, target = perturbed_target(m, n, eps, seed=(73, m, n))
+        tracked = tracker_only(monkeypatch, target, (74, m, n))
         assert tracked.complete
         if (m, n, eps) == (4, 8, 1e-2):
             monkeypatch.setattr(solver, "BASIN", np.inf)
