@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Digest of the CLI output on a fixed command list.
 
-Writes the input tensor files into the output directory, runs every
+Writes the input tensor files into the output directory (``--out``, or a
+temporary one removed on exit), runs every
 command of ``COMMANDS`` (eleven recorded commands, and one ``solve`` of
 each of 92 Gaussian and near-start targets) through ``cli.dispatch`` from
 there, keeps each output without its ``elapsed_s`` lines as a numbered
@@ -139,17 +140,20 @@ def main(argv: list[str] | None = None) -> int:
     """Run every command and print its digest; with ``--against``, return 1
     unless every output is identical to REV's."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", help="directory for the inputs and outputs (default: a new temporary one)")
+    parser.add_argument("--out", help="directory for the inputs and outputs (default: a temporary one, "
+                                      "removed on exit)")
     parser.add_argument("--against", help="the commit REV whose outputs the working tree's are compared with")
     args = parser.parse_args(argv)
-    out = os.path.abspath(args.out or tempfile.mkdtemp(prefix="digest-"))
-    if args.against:
-        with tempfile.TemporaryDirectory(prefix="digest-against-") as tmp:
-            commit = export(args.against, tmp)
-            old, texts = run_in(tmp, os.path.join(tmp, "digest-out")), run_in(ROOT, out)
-    else:
-        texts = run_all(out)
-    print(f"# outputs in {out}")
+    with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
+        out = os.path.abspath(args.out or os.path.join(tmp, "out"))
+        if args.against:
+            rev = os.path.join(tmp, "rev")
+            commit = export(args.against, rev)
+            old, texts = run_in(rev, os.path.join(rev, "digest-out")), run_in(ROOT, out)
+        else:
+            texts = run_all(out)
+    if args.out:
+        print(f"# outputs in {out}")
     differ = 0
     for k, (command, text) in enumerate(zip(COMMANDS, texts)):
         line = f"{digest(text)}  {command}"

@@ -82,9 +82,7 @@ def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
     """
     fmt = tensorcore.vspace_format(T)
     m, n = fmt.m, fmt.n
-    bad = np.count_nonzero(~np.isfinite(T.data))
-    if bad:
-        raise ValueError(f"tensor has {bad} non-finite entries")
+    solver._require_finite(T, "tensor")
     solver._start_system(m, n)  # the path budget, before the chart map
     Y = tensorcore.mu(tensorcore.sigma(T), fmt)
     report = solver.solve_all(Y, seed=seed)

@@ -22,11 +22,15 @@ control.
 A solve first tries the Newton route: Newton straight at the target from
 the start rows, declined when some row's first step leaves the basin and
 a second step does not shrink every row's step by the basin fraction.
-C(u, m-1) is the generic root count, so that many converged,
-pairwise distinct and conjugation-closed roots are all of them; any other
-outcome tracks every path instead, from the same rows, chart and gamma.
-The start system, one tracked row and a full solve each come back as the
-SolveReport that ``_finish`` builds.
+The target and the chart are real, so Newton runs only on the real part
+of each real start row and on one row of each conjugate pair, with the
+target's own t = 1 map; each partner row is the conjugate of its row's
+result, and the real rows stay exactly real.  C(u, m-1) is the generic
+root count, so that many converged, pairwise distinct and
+conjugation-closed roots are all of them; any other outcome tracks every
+path instead, from the start rows, chart and gamma.  The start system,
+one tracked row and a full solve each come back as the SolveReport that
+``_finish`` builds.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,12 +202,26 @@ def _draws(n: int, rng: np.random.Generator) -> tuple[np.ndarray, complex]:
     return v / np.linalg.norm(v), complex(np.cos(theta), np.sin(theta))
 
 
+class _StartSystem(NamedTuple):
+    frame: tensorcore.StartFrame
+    a_rows: np.ndarray
+    kernels: np.ndarray
+    subsets: tuple[tuple[int, ...], ...]
+    partner: np.ndarray
+    fixed: np.ndarray
+    rep: np.ndarray
+
+
 @functools.lru_cache(maxsize=16)
-def _start_system(m: int, n: int):
+def _start_system(m: int, n: int) -> _StartSystem:
     """The start frame of format (m, n) and its C(u, m-1) start points,
-    built once per process after the budget check: (frame, a rows, kernel
-    vectors b with unit 2-norm, divisor index subsets).  The arrays, the
-    frame's A' and W0 too, are read-only; callers copy what they hand out.
+    built once per process after the budget check: the frame, the a rows,
+    the kernel vectors b with unit 2-norm, the divisor index subsets, each
+    start index's conjugation partner, the starts that are their own
+    partner (``fixed``, the real starts) and the lower index of each
+    conjugate pair (``rep``).
+    The arrays, the frame's A' and W0 too, are read-only; callers copy what
+    they hand out.
 
     For each (m-1)-subset of the roots of y^u + 1, the coefficient point of
     the corresponding monic divisor g is remapped through the slice reorder
@@ -210,7 +229,9 @@ def _start_system(m: int, n: int):
     multiplies by g modulo y^u + 1, so its kernel is spanned by the
     coefficient row of the cofactor (y^u + 1) / g, the product over the
     complementary u - m + 1 roots; it is one-dimensional because y^u + 1
-    has distinct roots.
+    has distinct roots.  Conjugation maps root k to root u-1-k, so the
+    partner of a start is the start of the mirrored subset, and the starts
+    that are their own partner are the closed subsets, the real divisors.
     """
     fmt = tensorcore.Format(m, n)
     u = fmt.u
@@ -232,9 +253,14 @@ def _start_system(m: int, n: int):
     outside[np.arange(n_paths)[:, None], subsets] = False
     kernels = polyfactor.divisor_coefficients(u, np.nonzero(outside)[1].reshape(n_paths, n - 1))
     kernels /= np.linalg.norm(kernels, axis=1, keepdims=True)
-    for arr in (frame.Aprime.data, frame.W0, a_rows, kernels):
+
+    index = {subset: k for k, subset in enumerate(subsets)}
+    partner = np.array([index[tuple(u - 1 - i for i in reversed(subset))] for subset in subsets], dtype=int)
+    k = np.arange(n_paths)
+    fixed, rep = np.flatnonzero(partner == k), np.flatnonzero(partner > k)
+    for arr in (frame.Aprime.data, frame.W0, a_rows, kernels, partner, fixed, rep):
         arr.flags.writeable = False
-    return frame, a_rows, kernels, subsets
+    return _StartSystem(frame, a_rows, kernels, subsets, partner, fixed, rep)
 
 
 @functools.lru_cache(maxsize=16)
@@ -255,12 +281,12 @@ def _layout(m: int, n: int):
 def _start_rows(m: int, n: int, c: np.ndarray) -> np.ndarray:
     """The start rows (a, b), one per start path, with b rescaled onto the
     chart c . b = 1; a new array."""
-    _, a_rows, kernels, subsets = _start_system(m, n)
-    cb = kernels @ c
+    start = _start_system(m, n)
+    cb = start.kernels @ c
     flat = np.flatnonzero(np.abs(cb) < 1e-10)
     if flat.size:
-        raise DegenerateStartError(f"chart vector nearly orthogonal to the kernel at {subsets[flat[0]]}")
-    return np.concatenate([a_rows, kernels / cb[:, None]], axis=1)
+        raise DegenerateStartError(f"chart vector nearly orthogonal to the kernel at {start.subsets[flat[0]]}")
+    return np.concatenate([start.a_rows, start.kernels / cb[:, None]], axis=1)
 
 
 def start_solutions(m: int, n: int, seed: object = 0) -> SolveReport:
@@ -292,7 +318,8 @@ def _solve_rows(A: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 class _Lockstep:
     """Paths of the homotopy B(t) = gamma * B_from + t * (B_to - gamma * B_from),
-    tracked in lockstep on the charts a_m = -1 and c . b = 1.
+    tracked in lockstep on the charts a_m = -1 and c . b = 1; without
+    B_from, the system of B_to alone, for Newton at t = 1.
 
     A path is held as z = (a_1..a_(m-1), b, a_m), whose first K = m+n-1
     entries are its unknowns: a_m = -1 is no unknown and never moves.  Every
@@ -301,7 +328,8 @@ class _Lockstep:
     Jacobian are linear in z: J_top(z, t) = L0 z + t L1 z, built for every
     path by one matrix product [z, t z] @ [L0; L1].  The b-columns of J_top
     are M(a, B(t)), so the residual is those columns times b, and its
-    t-derivative the b-columns of L1 z times b.
+    t-derivative the b-columns of L1 z times b.  The system of B_to alone
+    has the one-tensor map L = L0 of B_to, and J_top = z @ L.
 
     Each path keeps its own t, step and status; every stage of the
     predictor-corrector makes one stacked evaluation and one stacked K x K
@@ -317,26 +345,30 @@ class _Lockstep:
     last bits from the same row of a product of fewer rows.
     """
 
-    def __init__(self, B_from, B_to, gamma: complex, c: np.ndarray):
+    def __init__(self, B_to, c: np.ndarray, B_from=None, gamma: complex = 1.0):
         if gamma == 0:
             raise ValueError("gamma must be nonzero")
-        u, n, m = B_from.shape
-        B0 = gamma * B_from
-        S = np.empty((2, u, n, m), dtype=complex)
-        S[0] = B0
-        np.subtract(B_to, B0, out=S[1])
-        S = S.transpose(0, 3, 1, 2)  # (2, m, u, n)
+        u, n, m = B_to.shape
+        if B_from is None:
+            S = np.asarray(B_to, dtype=complex)[None]
+        else:
+            B0 = gamma * B_from
+            S = np.empty((2, u, n, m), dtype=complex)
+            S[0] = B0
+            np.subtract(B_to, B0, out=S[1])
+        S = S.transpose(0, 3, 1, 2)  # (1 or 2, m, u, n)
         N, K = m + n, m + n - 1
         a_entries, self.order, self.inverse = _layout(m, n)
-        # rows (s, x) over all of z and columns (i, y) over the unknowns, so that [z, t z] @ L is J_top
-        L = np.zeros((2, N, u, K), dtype=complex)
+        # rows (s, x) over all of z and columns (i, y) over the unknowns, so that [z, t z] @ L
+        # (z @ L for one tensor) is J_top
+        L = np.zeros((len(S), N, u, K), dtype=complex)
         L[:, a_entries, :, m - 1 :] = S  # d(M b)_i / d b_j = sum_k B_ijk a_k
         L[:, m - 1 : K, :, : m - 1] = S[:, : m - 1].transpose(0, 3, 2, 1)  # d(M b)_i / d a_k = sum_j B_ijk b_j
-        self.L = L.reshape(2 * N, u * K)
+        self.L = L.reshape(len(S) * N, u * K)
         self.L1 = self.L[N:]
         self.chart = np.zeros(K)
         self.chart[m - 1 :] = c
-        self.m, self.u, self.K = m, u, K
+        self.m, self.N, self.u, self.K = m, N, u, K
 
     def _stack(self, P: int):
         """A Jacobian buffer for P paths, chart row written."""
@@ -347,7 +379,8 @@ class _Lockstep:
     def _build(self, J, z, t):
         """Write the top rows of the Jacobians of paths z at their own t into J."""
         P, u, K = len(z), self.u, self.K
-        np.matmul(np.concatenate([z, t[:, None] * z], axis=1), self.L, out=J[:, :u].reshape(P, u * K))
+        lift = z if len(self.L) == self.N else np.concatenate([z, t[:, None] * z], axis=1)
+        np.matmul(lift, self.L, out=J[:, :u].reshape(P, u * K))
 
     def _evaluate(self, J, z, t):
         """The values [M(a, B(t)) b ; c . b - 1] of the system at paths z at
@@ -433,7 +466,8 @@ class _Lockstep:
 
     def newton(self, z0: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
         """Newton at t = 1 from every row (a, b) of z0, which lies on the
-        charts, in ``_batches``.  The pre-test is one stacked step: when one
+        charts, in ``_batches``; a real row of z0 stays exactly real when
+        the map is real.  The pre-test is one stacked step: when one
         row's step passes BASIN * max(1, |z|inf), its second chance takes one
         more, and every row of the batch fails unless each row's second step
         is below BASIN times its first.  A row fails that does not converge
@@ -530,12 +564,13 @@ def _unit_shift(data: np.ndarray) -> int:
     return shift if abs(shift) > SCALE_BAND else 0
 
 
-def _require_finite(B: tensorcore.Tensor3) -> None:
-    """Refuse a target with a NaN or infinite entry, counting them: no path
-    reaches it, and ``_unit_shift`` cannot scale it."""
+def _require_finite(B: tensorcore.Tensor3, what: str = "target tensor") -> None:
+    """Refuse a tensor with a NaN or infinite entry, counting them, as
+    ``what`` in the message: no path reaches such a target, and
+    ``_unit_shift`` cannot scale it."""
     bad = np.count_nonzero(~np.isfinite(B.data))
     if bad:
-        raise ValueError(f"target tensor has {bad} non-finite entries")
+        raise ValueError(f"{what} has {bad} non-finite entries")
 
 
 def _residuals(B: tensorcore.Tensor3, a: np.ndarray, b: np.ndarray, shift: int) -> np.ndarray:
@@ -565,7 +600,7 @@ def track_path(
     if B_to.shape != (u, n, m):
         raise ValueError(f"target shape {B_to.shape} does not match start shape {(u, n, m)}")
     _require_finite(B_to)
-    z, failed = _Lockstep(B_from.data, B_to.data, gamma, c).run(z0[None])
+    z, failed = _Lockstep(B_to.data, c, B_from.data, gamma).run(z0[None])
     return _finish(B_to, z, failed, gamma, c, TRACKED, _unit_shift(B_to.data))
 
 
@@ -632,12 +667,18 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
 
     B is solved at the power of two ``_unit_shift`` names, which has the kernel
     pairs of B; the report reads its residuals at B.  The Newton route comes
-    first: Newton at B from every start row (``_Lockstep.newton``, its pre-test
-    and second chance included), kept only when no row failed and ``_finish``
-    finds the C(u, m-1) rows pairwise distinct and conjugation-closed
-    (``closure`` empty), the generic root count and hence every root.  Otherwise every path is tracked
-    in lockstep, each with its own step control, from the same rows, chart and
-    gamma, as if the route had not been tried.  Paths hitting infinity are
+    first: Newton at B with B's own t = 1 map (``_Lockstep.newton``, its
+    pre-test and second chance included) from the real part of each real
+    start row and from the lower-indexed row of each conjugate pair of start
+    rows, whose partner row is then the exact conjugate of its result.  B and
+    the chart are real, so a real row stays exactly real: the route's real
+    count is the number of real starts, alpha, unless a pair converges to
+    real roots, where the pair's rows collide.  The route is kept only when
+    no row failed and ``_finish`` finds the C(u, m-1) rows, in start order,
+    pairwise distinct and conjugation-closed (``closure`` empty), the
+    generic root count and hence every root.  Otherwise every path is
+    tracked in lockstep, each with its own step control, from the start
+    rows, chart and gamma, as if the route had not been tried.  Paths hitting infinity are
     retried once, together, in one more pass on one random complex chart
     d . a = -1, drawn after c and gamma; a retried endpoint that is off
     a_m = -1 is a CHART_ESCAPE.  ``_finish`` audits the endpoints.
@@ -651,19 +692,24 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     _require_finite(B)
     rng = np.random.default_rng(seed)
     c, gamma = _draws(n, rng)
-    frame = _start_system(m, n)[0]
+    start = _start_system(m, n)
     z0 = _start_rows(m, n, c)
     shift = _unit_shift(B.data)
     target = np.ldexp(B.data, shift)
 
-    # the Newton route: C(u, m-1) distinct converged roots are all of them
-    z, failed = _Lockstep(target, target, 1.0, c).newton(z0)
+    # the Newton route: C(u, m-1) distinct converged roots are all of them.
+    # Newton at a real target on a real chart commutes with conjugation
+    fixed, rep = start.fixed, start.rep
+    w, failed = _Lockstep(target, c).newton(np.concatenate([z0[fixed].real, z0[rep]]))
     if not failed:
+        z = np.empty_like(z0)
+        z[fixed], z[rep] = w[: len(fixed)], w[len(fixed) :]
+        z[start.partner[rep]] = w[len(fixed) :].conj()
         report = _finish(B, z, failed, gamma, c, NEWTON, shift)
         if report.complete and not report.closure:
             return report
 
-    z, failed = _Lockstep(frame.Aprime.data, target, gamma, c).run(z0)
+    z, failed = _Lockstep(target, c, start.frame.Aprime.data, gamma).run(z0)
     # (reason, detail) of every path that ends without an endpoint
     errors = {idx: error for idx, error in failed.items() if error[0] != AT_INFINITY}
 
@@ -676,7 +722,7 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
         a_r = z0[retry, :m] @ R.T
         a_r /= -a_r[:, -1:]
         a_r[:, -1] = -1.0
-        tracker = _Lockstep(frame.Aprime.data @ R.conj().T, target @ R.conj().T, gamma, c)
+        tracker = _Lockstep(target @ R.conj().T, c, start.frame.Aprime.data @ R.conj().T, gamma)
         z_r, failed_r = tracker.run(np.concatenate([a_r, z0[retry, m:]], axis=1))
         for row, (reason, detail) in failed_r.items():
             errors[int(retry[row])] = (reason, "retry chart: " + detail)

@@ -150,6 +150,15 @@ class TestAgainst:
         assert lines[2].endswith("  divisors --m 3 --n 3  [identical]")
         assert lines[3] == "1 of 2 outputs identical to 0123456789ab"
 
+    @pytest.mark.parametrize("argv", [[], ["--against", "HEAD"]], ids=["run", "against"])
+    def test_no_out_leaves_no_directory(self, tamper, argv, tmp_path, monkeypatch, capsys):
+        # without --out the inputs and outputs go to a temporary directory
+        # that is gone on exit, and no line names it
+        monkeypatch.setattr(output_digest.tempfile, "tempdir", str(tmp_path))
+        assert output_digest.main(argv) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert "# outputs in" not in capsys.readouterr().out
+
 
 def test_failed_child_run_names_its_exit_and_stderr(tmp_path, monkeypatch):
     # no child starts: the replaced subprocess.run sees the tree's package at one BLAS thread

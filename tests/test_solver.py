@@ -83,7 +83,8 @@ class TestStartSolutions:
         # reference: one subset at a time, as the start system was built
         # before it was stacked; the arithmetic is the same, so are the bits
         u = m + n - 2
-        _, a_rows, _, subsets = solver._start_system(m, n)
+        start = solver._start_system(m, n)
+        a_rows, subsets = start.a_rows, start.subsets
         real = start_solutions(m, n).real
         roots = polyfactor.neg_roots(u)
         for idx, subset in enumerate(subsets):
@@ -99,7 +100,8 @@ class TestStartSolutions:
     def test_kernels_are_the_svd_null_vectors(self, m, n):
         # oracle: the last right singular vector of each start pencil; the
         # closed-form cofactor rows must span the same one-dimensional kernel
-        frame, a_rows, kernels, _ = solver._start_system(m, n)
+        start = solver._start_system(m, n)
+        frame, a_rows, kernels = start.frame, start.a_rows, start.kernels
         pencils = tensorcore.pencil_eval(a_rows, frame.Aprime)
         _, svals, Vh = np.linalg.svd(pencils)
         assert np.max(np.abs(np.linalg.norm(kernels, axis=1) - 1.0)) < 1e-15
@@ -147,7 +149,9 @@ class TestStartSolutions:
         _, target = perturbed_target(m, n, 1e-3, seed=(60, m, n))
         report = solve_all(target, seed=7)
         assert report.route == solver.NEWTON
-        assert start_solutions(m, n, seed=7).solutions.tobytes() == started[0].tobytes()
+        # the real starts' real parts, then the lower row of each conjugate pair
+        z, start = start_solutions(m, n, seed=7).solutions, solver._start_system(m, n)
+        assert np.concatenate([z[start.fixed].real, z[start.rep]]).tobytes() == started[0].tobytes()
 
     @pytest.mark.parametrize("seed", [None, 1.5, "x"], ids=repr)
     def test_seed_outside_documented_types_refused(self, seed):
@@ -175,6 +179,24 @@ class TestStartSolutions:
             assert np.array_equal(real, closed), (m, n)
             assert np.array_equal(projectively_real(z[:, :m], z[:, m:], 1e-8), closed), (m, n)
             assert real.sum() == polyfactor.alpha_closed(m, n), (m, n)
+
+    def test_partner_is_the_conjugate_start(self):
+        # on every format with at most 2,000 start rows the partner map is an
+        # involution whose fixed points are the closed subsets, alpha of them,
+        # and each partner's start row (a, b) is its row's conjugate
+        formats = [(m, n) for m in range(3, 9) for n in range(m, 70) if math.comb(m + n - 2, m - 1) <= 2000]
+        assert len(formats) == 93
+        for m, n in formats:
+            start = solver._start_system(m, n)
+            k = np.arange(len(start.subsets))
+            closed = polyfactor.conjugation_closed(m + n - 2, start.subsets)
+            assert np.array_equal(start.partner[start.partner], k), (m, n)
+            assert np.array_equal(start.partner == k, closed), (m, n)
+            assert len(start.fixed) == polyfactor.alpha_closed(m, n), (m, n)
+            assert start.fixed.tolist() == np.flatnonzero(closed).tolist(), (m, n)
+            assert start.rep.tolist() == np.flatnonzero(start.partner > k).tolist(), (m, n)
+            rows = np.concatenate([start.a_rows, start.kernels], axis=1)
+            assert np.abs(rows[start.partner] - rows.conj()).max() < 1e-10, (m, n)
 
     def test_colliding_start_rows_are_refused(self, monkeypatch):
         # start rows that fail the endpoint audit are no start system
@@ -274,8 +296,8 @@ class TestLockstep:
         # trackers of one format share its index arrays, built once and read-only
         frame, target = perturbed_target(3, 5, 1e-3, seed=85)
         c = np.full(5, 1 / np.sqrt(5))
-        one = solver._Lockstep(frame.Aprime.data, target.data, 1j, c)
-        two = solver._Lockstep(target.data, target.data, 1.0, c)
+        one = solver._Lockstep(target.data, c, frame.Aprime.data, 1j)
+        two = solver._Lockstep(target.data, c)
         assert one.order is two.order and one.inverse is two.inverse
         layout = solver._layout(3, 5)
         assert layout[1] is one.order and layout[2] is one.inverse
@@ -284,6 +306,21 @@ class TestLockstep:
         assert layout[0].tolist() == [0, 1, 7]  # a_1, a_2, a_3 within z
         assert one.order.tolist() == [0, 1, 3, 4, 5, 6, 7, 2]
         assert one.inverse.tolist() == np.argsort(one.order).tolist()
+
+    def test_one_tensor_map_is_the_t_1_map_without_its_zero_half(self):
+        # the system of B alone: the upper half of the map of the homotopy
+        # from B to B at gamma 1, whose lower half is zero, and the same
+        # Jacobians and values at t = 1 up to the summation order
+        _, target = perturbed_target(3, 5, 1e-3, seed=85)
+        c = solver._draws(5, np.random.default_rng(86))[0]
+        one, both = solver._Lockstep(target.data, c), solver._Lockstep(target.data, c, target.data, 1.0)
+        assert one.L.shape == (8, 6 * 7) and both.L.shape == (16, 6 * 7)
+        assert np.array_equal(one.L, both.L[:8]) and not both.L[8:].any()
+        z, t = solver._start_rows(3, 5, c)[:, one.order], np.ones(15)
+        J_one, J_both = one._stack(15), both._stack(15)
+        F_one, F_both = one._evaluate(J_one, z, t), both._evaluate(J_both, z, t)
+        assert np.max(np.abs(J_one - J_both)) <= 1e-15 * np.max(np.abs(J_both))
+        assert np.max(np.abs(F_one - F_both)) <= 1e-13
 
     def test_singular_row_fails_alone(self):
         rng = np.random.default_rng(27)
@@ -328,7 +365,7 @@ class TestLockstep:
         z0 = solver._start_rows(m, n, c)
         z0_bad = np.insert(z0, 3, 0.0, axis=0)
 
-        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), c)
+        tracker = solver._Lockstep(target.data, c, frame.Aprime.data, complex(0.6, -0.8))
         z_ref, failed_ref = tracker.run(z0)
         z_bad, failed_bad = tracker.run(z0_bad)
         assert not failed_ref
@@ -342,7 +379,7 @@ class TestLockstep:
     def _tracker(m, n, seed):
         frame, target = perturbed_target(m, n, 1e-1, seed=seed)
         c = solver._draws(n, np.random.default_rng(seed))[0]
-        tracker = solver._Lockstep(frame.Aprime.data, target.data, complex(0.6, -0.8), c)
+        tracker = solver._Lockstep(target.data, c, frame.Aprime.data, complex(0.6, -0.8))
         return frame, target, tracker, c
 
     def test_corrector_rows_leave_alone(self):
@@ -488,7 +525,7 @@ class TestLockstep:
         B_to = rng.standard_normal((u, n, m))
         c, gamma = solver._draws(n, rng)
         B_from = tensorcore.make_start_frame(m, n).Aprime.data
-        tracker = solver._Lockstep(B_from, B_to, gamma, c)
+        tracker = solver._Lockstep(B_to, c, B_from, gamma)
         ends, failed = tracker.run(solver._start_rows(m, n, c))
         ends = np.delete(ends, list(failed), axis=0)
         # the endpoints, and points 1e-3 off them with a_m kept, at t = 1
@@ -568,7 +605,7 @@ class TestLockstep:
             target = rng.standard_normal((u, n, m))
             c, gamma = solver._draws(n, rng)
             frame = tensorcore.make_start_frame(m, n)
-            tracker = solver._Lockstep(frame.Aprime.data, target, gamma, c)
+            tracker = solver._Lockstep(target, c, frame.Aprime.data, gamma)
             z, failed = tracker.run(solver._start_rows(m, n, c))
             ends = np.setdiff1d(np.arange(len(z)), list(failed))
             assert ends.size, (m, n, seed)
@@ -1004,7 +1041,7 @@ class TestNewtonRoute:
 
         with monkeypatch.context() as patch:
             patch.setattr(solver._Lockstep, "_correct", no_corrector)
-            _, failed = solver._Lockstep(target.data, target.data, 1.0, c).newton(solver._start_rows(3, 5, c))
+            _, failed = solver._Lockstep(target.data, c).newton(solver._start_rows(3, 5, c))
         assert sorted(failed) == list(range(15))
         assert set(failed.values()) == {(PATH_STALL, "pre-test: a first Newton step passes the basin")}
         report = solve_all(target, seed=76)
@@ -1076,6 +1113,23 @@ class TestNewtonRoute:
         second = {137: (5, 4), 210: (5, 4), 212: (5, 4), 278: (5, 4)}
         assert dict(enumerate(work)) == {k: second.get(k, (4, 3)) for k in range(300)}
 
+    def test_route_rows_are_closed_by_construction(self, monkeypatch):
+        # on the 300 mc-perturb-3x5 inputs at seed 777 the route's real rows
+        # are the real starts' and exactly real, alpha of them, and every
+        # partner row holds the bytes of its row's conjugate
+        reports, solve = [], solver.solve_all
+        monkeypatch.setattr(solver, "solve_all", lambda *args, **kw: reports.append(solve(*args, **kw)) or reports[-1])
+        certifier.perturb_experiment(tensorcore.Format(3, 5), 1e-3, 300, seed=777)
+        start = solver._start_system(3, 5)
+        assert len(reports) == 300
+        for report in reports:
+            z = report.solutions
+            assert report.route == solver.NEWTON and report.path_index.tolist() == list(range(15))
+            assert report.real_count == polyfactor.alpha_closed(3, 5)
+            assert np.flatnonzero(report.real).tolist() == start.fixed.tolist()
+            assert not z[report.real].imag.any()
+            assert z[start.partner[start.rep]].tobytes() == z[start.rep].conj().tobytes()
+
     def test_gaussian_pool_declines_after_two_steps(self, monkeypatch):
         # the 400 mc-gauss-3x3 inputs at seed 777, drawn as the benchmark's
         # global_experiment draws them: the second step does not contract,
@@ -1090,6 +1144,24 @@ class TestNewtonRoute:
         solves = self.solve_work(monkeypatch)
         certifier.global_experiment(tensorcore.Format(3, 3), 400, seed=777)
         assert solves == [(solver.TRACKED, (2, 2))] * 400
+
+    def test_certify_pool_declines_after_two_steps(self, monkeypatch):
+        # the 60 certify-5x5 inputs at seed 777, drawn as the benchmark draws
+        # them (rng (777, 555, i), certificate seed 777000 + i): like the
+        # Gaussian pool, each is declined after 2 stacked evaluations and 2
+        # stacked solves, input 50 included, so every recorded verdict stays
+        # tracking's.  Tracking is stubbed out: its work is not counted.
+        def no_corrector(*args):
+            raise AssertionError("the corrector ran")
+
+        monkeypatch.setattr(solver._Lockstep, "_correct", no_corrector)
+        monkeypatch.setattr(solver._Lockstep, "run", lambda self, z0: (z0, {0: (PATH_STALL, "not tracked")}))
+        solves = self.solve_work(monkeypatch)
+        fmt = tensorcore.Format(5, 5)
+        for i in range(60):
+            T = np.random.default_rng((777, 555, i)).standard_normal((fmt.n, fmt.p, fmt.m))
+            certifier.certify(tensorcore.Tensor3(T), 777000 + i)
+        assert solves == [(solver.TRACKED, (2, 2))] * 60
 
     @pytest.mark.parametrize("max_newton,route,work", [
         (1, solver.TRACKED, (1, 1)),
@@ -1150,7 +1222,7 @@ class TestNewtonRoute:
         c = solver._draws(5, np.random.default_rng(82))[0]
         z0 = solver._start_rows(3, 5, c)
         monkeypatch.setattr(solver, "STACK_ENTRIES", 4 * 7**2)  # 4 rows a batch
-        tracker = solver._Lockstep(target.data, target.data, 1.0, c)
+        tracker = solver._Lockstep(target.data, c)
         first, failed = tracker.newton(z0)
         assert failed == {}
         z0[-1, [0, 3]] += 10.0
@@ -1164,7 +1236,7 @@ class TestNewtonRoute:
         _, target = perturbed_target(3, 5, 1e-3, seed=81)
         c = solver._draws(5, np.random.default_rng(82))[0]
         monkeypatch.setattr(solver, "MAX_NEWTON", 1)
-        _, failed = solver._Lockstep(target.data, target.data, 1.0, c).newton(solver._start_rows(3, 5, c))
+        _, failed = solver._Lockstep(target.data, c).newton(solver._start_rows(3, 5, c))
         assert sorted(failed) == list(range(15))
         assert set(failed.values()) == {(PATH_STALL, "no convergence in 1 Newton steps")}
 
