@@ -37,19 +37,20 @@ DEGENERATE_KERNEL_TOL = 1e-8
 
 @dataclass(eq=False)
 class RankCertificate:
-    """Verdict plus the evidence needed to audit it."""
+    """Verdict plus the evidence needed to audit it, in the order of the
+    ``certify`` command's report, whose ``result`` is ``dataclasses.asdict``."""
 
     verdict: str
+    m: int
+    n: int
+    p: int
     dim_u: int
     real_points: int
     n_paths: int
     paths_failed: int
     tolerances: dict
-    psi_matrix: np.ndarray
     notes: list[str]
-    m: int
-    n: int
-    p: int
+    psi_matrix: np.ndarray
 
 
 @dataclass
@@ -71,15 +72,16 @@ class ExperimentStats:
 def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
     """Certify whether the n x p x m tensor T has rank p or rank > p.
 
-    Raises ResourceLimitError for a format over ``solver.PATH_BUDGET``,
-    ChartViolationError when T sits outside the sigma chart, and
-    ValueError for a non-finite entry of T or a seed that
-    ``solver.solve_all`` refuses.  A kernel of
+    Raises ValueError, before any work, for a seed that
+    ``solver.solve_all`` refuses; then ValueError for a non-finite entry of
+    T, ResourceLimitError for a format over ``solver.PATH_BUDGET`` and
+    ChartViolationError when T sits outside the sigma chart.  A kernel of
     dimension >= 2 at any real solution poisons the span count and forces
     INCONCLUSIVE, as does any path failure or, in a complete solve, a
     broken conjugate closure or real-count parity (the notes of
     ``SolveReport.closure``).
     """
+    solver._seed_entropy(seed)  # a bad seed is refused before any work
     fmt = tensorcore.vspace_format(T)
     m, n = fmt.m, fmt.n
     solver._require_finite(T, "tensor")
@@ -112,6 +114,9 @@ def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
 
     return RankCertificate(
         verdict=verdict,
+        m=m,
+        n=n,
+        p=fmt.p,
         dim_u=dim_u,
         real_points=report.real_count,
         n_paths=report.n_paths,
@@ -123,11 +128,8 @@ def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
             "chart_cond": tensorcore.COND_LIMIT,
             "corrector_tol": solver.CORRECTOR_TOL,
         },
-        psi_matrix=psi_matrix,
         notes=notes,
-        m=m,
-        n=n,
-        p=fmt.p,
+        psi_matrix=psi_matrix,
     )
 
 
@@ -146,7 +148,7 @@ def perturb_experiment(
     """
     if not 0 <= eps < np.inf:
         raise ValueError(f"eps must be nonnegative and finite, got {eps:g}")
-    W0 = solver._start_system(fmt.m, fmt.n)[0].W0
+    W0 = solver._start_system(fmt.m, fmt.n).frame.W0
 
     def draw(rng):
         return tensorcore.tau(W0 + eps * rng.standard_normal((fmt.u, fmt.p)), fmt)
@@ -191,9 +193,8 @@ def _trials(fmt, draw, tag, eps, trials, seed, collect) -> ExperimentStats:
             dims.append(cert.dim_u)
         except ChartViolationError:
             cert = RankCertificate(
-                verdict=INCONCLUSIVE, dim_u=0, real_points=0, n_paths=0, paths_failed=0,
-                tolerances={}, psi_matrix=np.zeros((fmt.p, 0)),
-                notes=["sigma chart violation"], m=fmt.m, n=fmt.n, p=fmt.p,
+                verdict=INCONCLUSIVE, m=fmt.m, n=fmt.n, p=fmt.p, dim_u=0, real_points=0, n_paths=0,
+                paths_failed=0, tolerances={}, notes=["sigma chart violation"], psi_matrix=np.zeros((fmt.p, 0)),
             )
         counts[cert.verdict] += 1
         if collect is not None:

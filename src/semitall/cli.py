@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 domain/usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import re
 import sys
@@ -118,7 +119,7 @@ def _cmd_solve(args: argparse.Namespace):
         target = tensorcore.load_tensor(args.input)
     else:
         _require(args, "m", "n")
-        frame = solver._start_system(args.m, args.n)[0]
+        frame = solver._start_system(args.m, args.n).frame
         if args.eps:
             rng = np.random.default_rng(args.seed)
             target = tensorcore.Tensor3(frame.Aprime.data + args.eps * rng.standard_normal(frame.Aprime.shape))
@@ -144,18 +145,7 @@ def _cmd_solve(args: argparse.Namespace):
 def _cmd_certify(args: argparse.Namespace):
     """rank-p certificate for an n x p x m tensor file"""
     cert = certifier.certify(tensorcore.load_tensor(args.input), seed=args.seed)
-    doc = {
-        "verdict": cert.verdict,
-        "m": cert.m, "n": cert.n, "p": cert.p,
-        "dim_u": cert.dim_u,
-        "real_points": cert.real_points,
-        "n_paths": cert.n_paths,
-        "paths_failed": cert.paths_failed,
-        "tolerances": cert.tolerances,
-        "notes": cert.notes,
-        "psi_matrix": cert.psi_matrix,
-    }
-    return doc, (0 if cert.verdict != certifier.INCONCLUSIVE else 2)
+    return dataclasses.asdict(cert), (0 if cert.verdict != certifier.INCONCLUSIVE else 2)
 
 
 def _cmd_experiment(args: argparse.Namespace):
@@ -227,7 +217,7 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         handler, flags, _ = _COMMANDS[args.command]
         _require(args, *(f[:-1] for f in flags.split() if f.endswith("!")))
         # the library refuses a bad seed too, but only after solve has handed
-        # it to numpy and certify has mapped the tensor through its chart
+        # it to numpy for its --eps draw
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         result, code = handler(args)

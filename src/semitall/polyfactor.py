@@ -99,19 +99,13 @@ def closed_selections(u: int, d: int) -> list[tuple[int, ...]]:
     count = _closed_count(u, d)
     if count > DIVISOR_BUDGET:
         raise ResourceLimitError(f"{count} real divisors of degree {d} of y^{u} + 1 exceed the budget {DIVISOR_BUDGET}")
+    # an odd d takes the fixed point, which only an odd u has
+    if d % 2 and u % 2 == 0:
+        return []
+    fixed = [(u - 1) // 2] if d % 2 else []
     pairs = [(k, u - 1 - k) for k in range(u // 2)]
-    fixed = (u - 1) // 2 if u % 2 == 1 else None
-    out = []
-    for use_fixed in ((False,) if fixed is None else (False, True)):
-        rem = d - (1 if use_fixed else 0)
-        if rem < 0 or rem % 2 == 1:
-            continue
-        for chosen in itertools.combinations(pairs, rem // 2):
-            idx = [k for pair in chosen for k in pair]
-            if use_fixed:
-                idx.append(fixed)
-            out.append(tuple(sorted(idx)))
-    return sorted(out)
+    return sorted(tuple(sorted([k for pair in chosen for k in pair] + fixed))
+                  for chosen in itertools.combinations(pairs, d // 2))
 
 
 def divisor_coefficients(u: int, subsets) -> np.ndarray:

@@ -266,16 +266,15 @@ def _start_system(m: int, n: int) -> _StartSystem:
 @functools.lru_cache(maxsize=16)
 def _layout(m: int, n: int):
     """The index arrays of the tracker's layout z = (a_1..a_(m-1), b, a_m)
-    for format (m, n), built once per process and read-only: the entries
-    of z that hold a, the (a, b) index of each entry of z, and the entry
-    of z that holds each (a, b) index."""
-    N, K = m + n, m + n - 1
-    a_entries = np.r_[: m - 1, K]
+    for format (m, n), built once per process and read-only: the (a, b)
+    index of each entry of z, and the entry of z that holds each (a, b)
+    index (its first m entries, those of a)."""
+    N = m + n
     order = np.r_[: m - 1, m:N, m - 1]
     inverse = np.argsort(order)
-    for arr in (a_entries, order, inverse):
+    for arr in (order, inverse):
         arr.flags.writeable = False
-    return a_entries, order, inverse
+    return order, inverse
 
 
 def _start_rows(m: int, n: int, c: np.ndarray) -> np.ndarray:
@@ -299,7 +298,7 @@ def start_solutions(m: int, n: int, seed: object = 0) -> SolveReport:
     seed.  A failure of the audit raises DegenerateStartError naming the
     first."""
     _seed_entropy(seed)
-    frame = _start_system(m, n)[0]
+    frame = _start_system(m, n).frame
     c = _draws(n, np.random.default_rng(seed))[0]
     # A' has largest entry 1, so its unit shift is 0
     report = _finish(frame.Aprime, _start_rows(m, n, c), {}, 1.0 + 0.0j, c, START, 0)
@@ -358,11 +357,11 @@ class _Lockstep:
             np.subtract(B_to, B0, out=S[1])
         S = S.transpose(0, 3, 1, 2)  # (1 or 2, m, u, n)
         N, K = m + n, m + n - 1
-        a_entries, self.order, self.inverse = _layout(m, n)
+        self.order, self.inverse = _layout(m, n)
         # rows (s, x) over all of z and columns (i, y) over the unknowns, so that [z, t z] @ L
         # (z @ L for one tensor) is J_top
         L = np.zeros((len(S), N, u, K), dtype=complex)
-        L[:, a_entries, :, m - 1 :] = S  # d(M b)_i / d b_j = sum_k B_ijk a_k
+        L[:, self.inverse[:m], :, m - 1 :] = S  # d(M b)_i / d b_j = sum_k B_ijk a_k
         L[:, m - 1 : K, :, : m - 1] = S[:, : m - 1].transpose(0, 3, 2, 1)  # d(M b)_i / d a_k = sum_j B_ijk b_j
         self.L = L.reshape(len(S) * N, u * K)
         self.L1 = self.L[N:]

@@ -107,6 +107,17 @@ class TestCertify:
         with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer .*, got "):
             certify(T, seed=seed)
 
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_bad_seed_refused_before_any_work(self, seed, monkeypatch):
+        # the zero tensor sits outside the sigma chart, and sigma is never
+        # reached: the seed is refused first
+        def refuse(*args, **kwargs):
+            raise AssertionError("sigma ran before the seed check")
+
+        monkeypatch.setattr(tensorcore, "sigma", refuse)
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer .*, got "):
+            certify(Tensor3(np.zeros((3, 5, 3))), seed=seed)
+
     def test_numpy_integer_seed_is_that_seed(self):
         T = random_rank_sum(Format(3, 3), 5, np.random.default_rng(0))
         ref, cert = certify(T, seed=3), certify(T, seed=np.int64(3))
@@ -245,6 +256,33 @@ class TestGlobalExperiment:
         # None and "x" must not run as seed 0
         with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer"):
             global_experiment(Format(3, 3), trials=2, seed=seed)
+
+    def test_chart_violation_is_an_inconclusive_placeholder(self, monkeypatch):
+        # a trial whose tensor sits outside the sigma chart counts as
+        # INCONCLUSIVE, hands collect a placeholder certificate and stays out
+        # of the mean dim U
+        fmt = Format(3, 3)
+        ref = []
+        before = global_experiment(fmt, trials=3, seed=37, collect=lambda i, c: ref.append(c))
+
+        def certify_or_refuse(T, seed):
+            if seed[2] == 1:
+                raise ChartViolationError("refused")
+            return certify(T, seed)
+
+        monkeypatch.setattr(certifier, "certify", certify_or_refuse)
+        seen = []
+        after = global_experiment(fmt, trials=3, seed=37, collect=lambda i, c: seen.append(c))
+        counts = dict(before.counts)
+        counts[ref[1].verdict] -= 1
+        counts[INCONCLUSIVE] += 1
+        assert after.counts == counts
+        assert after.mean_dim_u == np.mean([ref[0].dim_u, ref[2].dim_u])
+        placeholder = seen[1]
+        assert (placeholder.verdict, placeholder.dim_u, placeholder.n_paths) == (INCONCLUSIVE, 0, 0)
+        assert placeholder.notes == ["sigma chart violation"]
+        assert placeholder.psi_matrix.shape == (fmt.p, 0)
+        assert [c.notes for c in (seen[0], seen[2])] == [ref[0].notes, ref[2].notes]
 
     def test_numpy_integer_and_list_seeds(self):
         fmt = Format(3, 3)

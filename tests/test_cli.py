@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import time
@@ -264,9 +265,25 @@ class TestCertify:
         assert res["paths_failed"] == 0
         assert "span_tol" in res["tolerances"]
 
+    def test_result_is_the_certificate_fields_in_order(self, tmp_path):
+        fmt = Format(3, 3)
+        path = tmp_path / "tensor.json"
+        save_tensor(tau(make_start_frame(3, 3).W0, fmt), path)
+        code, doc = run_json(["certify", "--input", str(path)])
+        assert code == 0
+        assert list(doc["result"]) == [f.name for f in dataclasses.fields(certifier.RankCertificate)]
+
     def test_missing_input(self):
         code, _ = dispatch(["certify"])
         assert code == 1
+
+    def test_chart_violation_exits_2(self, tmp_path):
+        # the zero tensor's leading fl2 block is singular
+        path = tmp_path / "tensor.json"
+        save_tensor(tensorcore.Tensor3(np.zeros((3, 5, 3))), path)
+        code, text = dispatch(["certify", "--input", str(path)])
+        assert code == 2
+        assert text == "error: ChartViolationError: leading fl2 block has condition number inf beyond 1.0e+12\n"
 
     def test_non_finite_input_is_named(self, tmp_path):
         fmt = Format(3, 3)

@@ -132,6 +132,14 @@ class TestRealDivisors:
             with pytest.raises(ResourceLimitError, match=message):
                 enumerate_(u, d)
 
+    def test_closed_selections_are_the_closed_combinations(self):
+        # oracle: every d-subset in itertools order, kept when closed under
+        # k <-> u-1-k
+        for u in range(1, 15):
+            for d in range(1, u + 1):
+                closed = [s for s in itertools.combinations(range(u), d) if all(u - 1 - k in s for k in s)]
+                assert closed_selections(u, d) == closed, (u, d)
+
 
 class TestConjugationCharacterization:
     @pytest.mark.parametrize("u", range(1, 13))

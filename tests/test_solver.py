@@ -28,6 +28,16 @@ def perturbed_target(m, n, eps, seed):
     return frame, tensorcore.Tensor3(frame.Aprime.data + eps * rng.standard_normal(frame.Aprime.shape))
 
 
+def retried_target():
+    # a (3,3) target whose slice 0 nearly kills v: at seed 1 one path runs
+    # off to infinity on a_m = -1 and is retried on a complex chart
+    rng = np.random.default_rng((29, 3, 3, 1))
+    data = rng.standard_normal((4, 3, 3))
+    v = rng.standard_normal(3)
+    data[:, :, 0] -= (1 - 1e-8) * np.outer(data[:, :, 0] @ v, v) / (v @ v)
+    return tensorcore.Tensor3(data)
+
+
 def endpoint_residual(B, z, m):
     # 2-norm of M(a, B) b at one row z = (a, b)
     return solver._residuals(B, z[None, :m], z[None, m:], solver._unit_shift(B.data))[0]
@@ -70,7 +80,7 @@ class TestStartSolutions:
         # and scaled onto a_m = -1, in closed_selections order
         u = m + n - 2
         report = start_solutions(m, n, seed=(8, m, n))
-        z, real, subsets = report.solutions, report.real, solver._start_system(m, n)[3]
+        z, real, subsets = report.solutions, report.real, solver._start_system(m, n).subsets
         x = polyfactor.divisor_points(polyfactor.real_divisors(u, m - 1))
         xprime = np.stack([sign * x[:, src] for src, sign in tensorcore.slice_reorder(m)], axis=1)
         expected = xprime / -xprime[:, -1:]
@@ -112,13 +122,13 @@ class TestStartSolutions:
 
     def test_cached_frame_is_read_only(self):
         # callers outside the solver share the cached frame
-        frame = solver._start_system(3, 3)[0]
+        frame = solver._start_system(3, 3).frame
         for arr in (frame.Aprime.data, frame.W0):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
 
     def test_chart_orthogonal_to_a_kernel_names_its_subset(self, monkeypatch):
-        kernels = solver._start_system(3, 3)[2]
+        kernels = solver._start_system(3, 3).kernels
         c = np.array([kernels[0, 1], -kernels[0, 0], 0.0])  # kernels[0] @ c == 0
         monkeypatch.setattr(solver, "_draws", lambda n, rng: (c, 1.0 + 0.0j))
         with pytest.raises(DegenerateStartError, match=r"^chart vector nearly orthogonal to the kernel at \(0, 1\)$"):
@@ -160,32 +170,22 @@ class TestStartSolutions:
             start_solutions(3, 3, seed=seed)
 
     def test_chart_conventions(self):
-        z, subsets = start_solutions(3, 4, seed=3).solutions, solver._start_system(3, 4)[3]
+        z, subsets = start_solutions(3, 4, seed=3).solutions, solver._start_system(3, 4).subsets
         assert len(subsets) == len(z)
         for row, subset in zip(z, subsets):
             assert row[2] == -1.0 + 0.0j
             assert isinstance(subset, tuple) and len(subset) == 2
 
-    def test_real_flags_match_the_closed_subsets(self):
-        # the audit's numeric flags against the combinatorial oracle, on
-        # every format with at most 1,000 start rows; the real rows are real
-        # to 1e-8 as well, 100 times below REALITY_TOL
-        formats = [(m, n) for m in range(3, 8) for n in range(m, 45) if math.comb(m + n - 2, m - 1) <= 1000]
-        assert len(formats) == 66
-        for m, n in formats:
-            report = start_solutions(m, n, seed=(4, m, n))
-            z, real, subsets = report.solutions, report.real, solver._start_system(m, n)[3]
-            closed = polyfactor.conjugation_closed(m + n - 2, subsets)
-            assert np.array_equal(real, closed), (m, n)
-            assert np.array_equal(projectively_real(z[:, :m], z[:, m:], 1e-8), closed), (m, n)
-            assert real.sum() == polyfactor.alpha_closed(m, n), (m, n)
-
     def test_partner_is_the_conjugate_start(self):
         # on every format with at most 2,000 start rows the partner map is an
         # involution whose fixed points are the closed subsets, alpha of them,
-        # and each partner's start row (a, b) is its row's conjugate
+        # and each partner's start row (a, b) is its row's conjugate.  On the
+        # formats with at most 1,000 start rows the audit's numeric real flags
+        # match the combinatorial oracle too, and the real rows are real to
+        # 1e-8 as well, 100 times below REALITY_TOL
         formats = [(m, n) for m in range(3, 9) for n in range(m, 70) if math.comb(m + n - 2, m - 1) <= 2000]
-        assert len(formats) == 93
+        audited = [(m, n) for m in range(3, 8) for n in range(m, 45) if math.comb(m + n - 2, m - 1) <= 1000]
+        assert len(formats) == 93 and len(audited) == 66 and set(audited) <= set(formats)
         for m, n in formats:
             start = solver._start_system(m, n)
             k = np.arange(len(start.subsets))
@@ -197,6 +197,12 @@ class TestStartSolutions:
             assert start.rep.tolist() == np.flatnonzero(start.partner > k).tolist(), (m, n)
             rows = np.concatenate([start.a_rows, start.kernels], axis=1)
             assert np.abs(rows[start.partner] - rows.conj()).max() < 1e-10, (m, n)
+            if (m, n) in audited:
+                report = start_solutions(m, n, seed=(4, m, n))
+                z, real = report.solutions, report.real
+                assert np.array_equal(real, closed), (m, n)
+                assert np.array_equal(projectively_real(z[:, :m], z[:, m:], 1e-8), closed), (m, n)
+                assert real.sum() == polyfactor.alpha_closed(m, n), (m, n)
 
     def test_colliding_start_rows_are_refused(self, monkeypatch):
         # start rows that fail the endpoint audit are no start system
@@ -220,7 +226,7 @@ class TestStartSolutions:
         # a start row is rescaled onto a_m = -1 by the constant coefficient
         # of its monic divisor of y^u + 1, a product of unit roots
         u = m + n - 2
-        subsets = solver._start_system(m, n)[3]
+        subsets = solver._start_system(m, n).subsets
         c0 = polyfactor.divisor_coefficients(u, subsets)[:, 0]
         assert np.max(np.abs(np.abs(c0) - 1.0)) < 1e-14
 
@@ -300,10 +306,10 @@ class TestLockstep:
         two = solver._Lockstep(target.data, c)
         assert one.order is two.order and one.inverse is two.inverse
         layout = solver._layout(3, 5)
-        assert layout[1] is one.order and layout[2] is one.inverse
+        assert layout[0] is one.order and layout[1] is one.inverse
         assert all(x is y for x, y in zip(layout, solver._layout(3, 5)))
         assert not any(arr.flags.writeable for arr in layout)
-        assert layout[0].tolist() == [0, 1, 7]  # a_1, a_2, a_3 within z
+        assert one.inverse[:3].tolist() == [0, 1, 7]  # a_1, a_2, a_3 within z
         assert one.order.tolist() == [0, 1, 3, 4, 5, 6, 7, 2]
         assert one.inverse.tolist() == np.argsort(one.order).tolist()
 
@@ -638,7 +644,7 @@ class TestSolveAll:
         assert report.n_paths == 6
         assert report.complete
         assert report.real_count == 2
-        subsets = set(solver._start_system(3, 3)[3])
+        subsets = set(solver._start_system(3, 3).subsets)
         assert len(report.solutions) == len(subsets)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4)])
@@ -757,11 +763,7 @@ class TestSolveAll:
         # a_m = -1 but ends at a finite point; the retry pass lands it, and
         # it is reported back on a_m = -1 like every other endpoint
         m, n = 3, 3
-        rng = np.random.default_rng((29, m, n, 1))
-        data = rng.standard_normal((4, n, m))
-        v = rng.standard_normal(m)
-        data[:, :, 0] -= (1 - 1e-8) * np.outer(data[:, :, 0] @ v, v) / (v @ v)
-        target = tensorcore.Tensor3(data)
+        target = retried_target()
         report = solve_all(target, seed=1)
 
         # the path that reaches infinity when tracked alone on a_m = -1
@@ -788,6 +790,16 @@ class TestSolveAll:
         # inside the bound that the corrector's relative max-norm test implies
         u = tensorcore.Format(m, n).u
         assert report.residuals[k] <= np.sqrt(u) * solver.CORRECTOR_TOL * max(1.0, np.abs(row).max())
+
+    def test_retried_path_that_blows_up_again_names_the_retry_chart(self, monkeypatch):
+        # with a blow-up norm of 3 the retried rows run off to infinity on
+        # the retry chart too; each failure says so
+        monkeypatch.setattr(solver, "BLOWUP_NORM", 3.0)
+        report = solve_all(retried_target(), seed=1)
+        assert report.route == solver.TRACKED and report.failures
+        for f in report.failures:
+            assert f.reason == AT_INFINITY
+            assert f.detail.startswith("retry chart: coordinate norm beyond 3e+00 at t = "), f.detail
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 5), (5, 5), (6, 10)])
     def test_retry_rotation_keeps_the_pencil(self, m, n):
@@ -1175,7 +1187,7 @@ class TestNewtonRoute:
         # steps (stacked solves), the second chance included.  Tracking is
         # stubbed out: its work is not counted.
         fmt = tensorcore.Format(3, 5)
-        W0 = solver._start_system(3, 5)[0].W0
+        W0 = solver._start_system(3, 5).frame.W0
         T = tensorcore.tau(W0 + 1e-3 * np.random.default_rng((777, 101, 137)).standard_normal((fmt.u, fmt.p)), fmt)
         monkeypatch.setattr(solver, "MAX_NEWTON", max_newton)
         monkeypatch.setattr(solver._Lockstep, "run", lambda self, z0: (z0, {0: (PATH_STALL, "not tracked")}))

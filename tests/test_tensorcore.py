@@ -360,3 +360,15 @@ class TestTensorFile:
         path.write_text('{"shape": [2, 2, 2], "data": [1.0, 2.0]}')
         with pytest.raises(ValueError):
             load_tensor(path)
+
+    @pytest.mark.parametrize("shape,data", [([3, 0, 2], []), ([2, 2], [1.0, 2.0, 3.0, 4.0])], ids=["empty-axis", "two-axes"])
+    def test_load_refuses_other_than_three_positive_axes(self, tmp_path, shape, data):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"shape": {shape}, "data": {data}}}')
+        message = f"^tensor file has shape {re.escape(str(tuple(shape)))}, expected 3 positive axes$"
+        with pytest.raises(ValueError, match=message):
+            load_tensor(path)
+
+    def test_tensor3_refuses_two_axes(self):
+        with pytest.raises(ValueError, match=r"^expected 3 axes, got shape \(2, 2\)$"):
+            Tensor3(np.ones((2, 2)))
