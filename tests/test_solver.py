@@ -176,16 +176,26 @@ class TestStartSolutions:
             assert row[2] == -1.0 + 0.0j
             assert isinstance(subset, tuple) and len(subset) == 2
 
+    def test_real_flags_match_the_closed_subsets(self):
+        # the audit's numeric flags against the combinatorial oracle, on
+        # every format with at most 1,000 start rows; the real rows are real
+        # to 1e-8 as well, 100 times below REALITY_TOL
+        formats = [(m, n) for m in range(3, 8) for n in range(m, 45) if math.comb(m + n - 2, m - 1) <= 1000]
+        assert len(formats) == 66
+        for m, n in formats:
+            report = start_solutions(m, n, seed=(4, m, n))
+            z, real, subsets = report.solutions, report.real, solver._start_system(m, n).subsets
+            closed = polyfactor.conjugation_closed(m + n - 2, subsets)
+            assert np.array_equal(real, closed), (m, n)
+            assert np.array_equal(projectively_real(z[:, :m], z[:, m:], 1e-8), closed), (m, n)
+            assert real.sum() == polyfactor.alpha_closed(m, n), (m, n)
+
     def test_partner_is_the_conjugate_start(self):
         # on every format with at most 2,000 start rows the partner map is an
         # involution whose fixed points are the closed subsets, alpha of them,
-        # and each partner's start row (a, b) is its row's conjugate.  On the
-        # formats with at most 1,000 start rows the audit's numeric real flags
-        # match the combinatorial oracle too, and the real rows are real to
-        # 1e-8 as well, 100 times below REALITY_TOL
+        # and each partner's start row (a, b) is its row's conjugate
         formats = [(m, n) for m in range(3, 9) for n in range(m, 70) if math.comb(m + n - 2, m - 1) <= 2000]
-        audited = [(m, n) for m in range(3, 8) for n in range(m, 45) if math.comb(m + n - 2, m - 1) <= 1000]
-        assert len(formats) == 93 and len(audited) == 66 and set(audited) <= set(formats)
+        assert len(formats) == 93
         for m, n in formats:
             start = solver._start_system(m, n)
             k = np.arange(len(start.subsets))
@@ -197,12 +207,6 @@ class TestStartSolutions:
             assert start.rep.tolist() == np.flatnonzero(start.partner > k).tolist(), (m, n)
             rows = np.concatenate([start.a_rows, start.kernels], axis=1)
             assert np.abs(rows[start.partner] - rows.conj()).max() < 1e-10, (m, n)
-            if (m, n) in audited:
-                report = start_solutions(m, n, seed=(4, m, n))
-                z, real = report.solutions, report.real
-                assert np.array_equal(real, closed), (m, n)
-                assert np.array_equal(projectively_real(z[:, :m], z[:, m:], 1e-8), closed), (m, n)
-                assert real.sum() == polyfactor.alpha_closed(m, n), (m, n)
 
     def test_colliding_start_rows_are_refused(self, monkeypatch):
         # start rows that fail the endpoint audit are no start system
