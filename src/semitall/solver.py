@@ -391,34 +391,31 @@ class _Lockstep:
         return F
 
     def _tangent(self, J, z, t):
-        """dz/dt of each path at its own t, and whether its system was regular
-        (the solved row is not NaN): J k = -M(a, B_to - gamma B_from) b, the
-        b-columns of L1 z times b.  Overwrites the top rows of J."""
+        """dz/dt of each path at its own t, NaN where its system is singular:
+        J k = -M(a, B_to - gamma B_from) b, the b-columns of L1 z times b.
+        Overwrites the top rows of J."""
         self._build(J, z, t)
         P, m, u, K = len(z), self.m, self.u, self.K
         rhs = np.zeros((P, K), dtype=complex)
-        rhs[:, :u] = -np.matmul((z @ self.L1).reshape(P, u, K)[..., m - 1 :], z[:, m - 1 : K, None])[..., 0]
+        top = rhs[:, :u, None]
+        np.negative(np.matmul((z @ self.L1).reshape(P, u, K)[..., m - 1 :], z[:, m - 1 : K, None], out=top), out=top)
         k = np.zeros(z.shape, dtype=complex)  # a_m does not move
         _solve_rows(J, rhs, k[:, :K])
-        return k, ~np.logical_or.reduce(np.isnan(k), axis=1)
+        return k
 
     def _correct(self, J, z, t, limit, iters):
         """Newton on each path at its own t, from the Jacobian buffer J of
         z's stack (its top rows are overwritten); returns (z, converged,
-        total correction size) and leaves the input z untouched.  The total
-        correction is the sum of the max-norms of a row's Newton steps, and
-        a converged row's total is at most its ``limit``.  A path leaves the
-        loop on convergence, on breakdown (residual beyond 1e10 or not
-        finite), once its total passes its limit, or on a singular Jacobian,
-        where its solve comes back NaN and so does its next residual; the
-        last three are not converged.  The total only grows, so a row past
-        its limit could not converge within it.  A row's residual is checked
-        at most iters + 1 times, around at most iters solves.  Rows that do
-        not converge come back as given."""
-        K = self.K
-        out = z.copy()
-        ok = np.zeros(len(z), dtype=bool)
-        moved = np.zeros(len(z))
+        total correction size), leaving the input z untouched and the rows
+        that do not converge as given.  The total correction is the sum of
+        the max-norms of a row's Newton steps; it only grows, so a row
+        leaves once it passes its ``limit``, which it could not converge
+        within.  A row also leaves on convergence, on breakdown (residual
+        beyond 1e10 or not finite) and on a singular Jacobian, whose solve
+        comes back NaN and so does its next residual.  A row's residual is
+        checked at most iters + 1 times, around at most iters solves, and
+        the loop ends once every row has left."""
+        out, ok, moved = z.copy(), np.zeros(len(z), dtype=bool), np.zeros(len(z))
         # the rows still iterating, gathered anew only when one leaves
         live, zl, tl, ml, ll = np.arange(len(z)), z, t, moved, limit
         for it in range(iters + 1):
@@ -426,21 +423,21 @@ class _Lockstep:
             rn = np.maximum.reduce(np.abs(F), axis=1)
             fine = (rn <= 1e10) & (ml <= ll)  # False for NaN as well
             conv = fine & (rn < CORRECTOR_TOL * np.fmax(1.0, np.maximum.reduce(np.abs(zl), axis=1)))
-            if np.count_nonzero(conv):
-                rows = live[conv]
-                ok[rows] = True
-                out[rows] = zl[conv]
-                moved[rows] = ml[conv]
-            if it == iters:
+            n_conv = np.count_nonzero(conv)
+            if n_conv == len(conv):  # every row converged: no mask to apply
+                ok[live], out[live], moved[live] = True, zl, ml
                 break
-            more = fine ^ conv
-            n_more = np.count_nonzero(more)
-            if n_more < len(more):
-                if not n_more:
-                    break
+            if n_conv:
+                rows = live[conv]
+                ok[rows], out[rows], moved[rows] = True, zl[conv], ml[conv]
+            n_more = np.count_nonzero(fine) - n_conv
+            if it == iters or not n_more:
+                break
+            if n_more < len(conv):
+                more = fine ^ conv
                 live, zl, tl, ml, ll, J, F = live[more], zl[more], tl[more], ml[more], ll[more], J[more], F[more]
             dz = np.zeros(zl.shape, dtype=complex)
-            _solve_rows(J, F, dz[:, :K])
+            _solve_rows(J, F, dz[:, : self.K])
             zl = zl - dz
             ml = ml + np.maximum.reduce(np.abs(dz), axis=1)
         return out, ok, moved
@@ -510,19 +507,19 @@ class _Lockstep:
             if not idx.size:
                 break
             ha = np.minimum(ha, 1.0 - ta)
-            k1, ok1 = self._tangent(J, za, ta)
             half = 0.5 * ha
-            k2, ok2 = self._tangent(J, za + half[:, None] * k1, ta + half)
-            regular = ok1 & ok2  # a singular tangent halves the step like a rejection
+            k = self._tangent(J, za, ta)
+            # a singular tangent is NaN, and so are the midpoint, the second
+            # tangent and the basin guard below, which fails the corrector
+            k = self._tangent(J, za + half[:, None] * k, ta + half)
 
-            dz_pred = ha[:, None] * k2
+            dz_pred = ha[:, None] * k
             t_new = ta + ha
             # basin guard: the corrector must only refine the prediction,
             # a large pullback signals a possible jump onto another path, so
             # a row stops correcting once its corrections pass a quarter of it
             guard = np.maximum(np.maximum.reduce(np.abs(dz_pred), axis=1), 1e-8)
             z_new, ok, moved = self._correct(J, za + dz_pred, t_new, BASIN * guard, MAX_NEWTON)
-            ok &= regular
             ta = np.where(ok, t_new, ta)
             za = np.where(ok[:, None], z_new, za)
             ha = ha * np.where(ok, 1.0 + (moved < 0.01 * guard), 0.5)
@@ -531,10 +528,13 @@ class _Lockstep:
             leave = (ta >= 1.0) | (ha < MIN_STEP) | (norm > BLOWUP_NORM)
             if np.count_nonzero(leave):
                 under = ~ok & (ha < MIN_STEP)
-                fail(under & ~regular, PATH_STALL, "singular tangent at t = {t:.6f}")
-                fail(under & regular, PATH_STALL, "step underflow at t = {t:.6f}")
-                blown = regular & ~under & (norm > BLOWUP_NORM)
-                fail(blown, AT_INFINITY, f"coordinate norm beyond {BLOWUP_NORM:.0e} at t = {{t:.6f}}")
+                blown = ~under & (norm > BLOWUP_NORM)
+                if np.count_nonzero(under | blown):
+                    regular = ~np.logical_or.reduce(np.isnan(k), axis=1)
+                    blown &= regular
+                    fail(under & ~regular, PATH_STALL, "singular tangent at t = {t:.6f}")
+                    fail(under & regular, PATH_STALL, "step underflow at t = {t:.6f}")
+                    fail(blown, AT_INFINITY, f"coordinate norm beyond {BLOWUP_NORM:.0e} at t = {{t:.6f}}")
                 done = (ta >= 1.0) & ~blown
                 z[idx[done]] = za[done]
                 stay = ~(under | blown | done)

@@ -314,11 +314,13 @@ def _numbers(x) -> list[float]:
 
 
 def load_tensor(path) -> Tensor3:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except RecursionError:
             raise ValueError("tensor file nests too deeply to parse") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValueError(f"tensor file is not JSON: {err}") from None
     if not isinstance(doc, dict) or not {"shape", "data"} <= doc.keys():
         raise ValueError("tensor file must be a JSON object with keys 'shape' and 'data'")
     try:

@@ -310,8 +310,12 @@ class TestWrongShape:
 
 
 class TestMalformedInput:
-    # (file contents, or None for a directory; words the error must contain)
+    # (file contents, as text or bytes, or None for a directory; words the
+    # error must contain)
     CASES = {
+        "empty": ("", "tensor file is not JSON: "),
+        "not_json": ("shape = [3, 5, 3]", "tensor file is not JSON: "),
+        "binary": (b"\xff\xfe\x00\x81 not utf-8", "tensor file is not JSON: "),
         "no_shape": ('{"data": [1.0]}', "keys 'shape' and 'data'"),
         "scalar_data": ('{"shape": [1, 1, 1], "data": 5}', "flat list of numbers"),
         "top_level_list": ("[1.0, 2.0]", "JSON object"),
@@ -335,6 +339,8 @@ class TestMalformedInput:
         path = tmp_path / "tensor.json"
         if contents is None:
             path.mkdir()
+        elif isinstance(contents, bytes):
+            path.write_bytes(contents)
         else:
             path.write_text(contents)
         code, text = dispatch([command, "--input", str(path)])

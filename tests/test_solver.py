@@ -385,6 +385,53 @@ class TestLockstep:
         assert "singular tangent" in detail
         assert np.max(np.abs(np.delete(z_bad, 3, axis=0) - z_ref)) < 1e-10
 
+    def test_singular_midpoint_tangent_stalls(self, monkeypatch):
+        # every tangent at a step's midpoint comes back NaN while every
+        # tangent at its start is regular: each step is rejected until the
+        # step underflows, and the failure names the singular tangent
+        m, n = 3, 4
+        frame, target = perturbed_target(m, n, 1e-2, seed=28)
+        c = solver._draws(n, np.random.default_rng(28))[0]
+        tangent, solve_rows = solver._Lockstep._tangent, solver._solve_rows
+        state, firsts = {"tangents": 0, "inside": False}, []
+
+        def counted(self, J, z, t):
+            state["tangents"] += 1
+            state["inside"] = True
+            try:
+                return tangent(self, J, z, t)
+            finally:
+                state["inside"] = False
+
+        def midpoint_singular(A, rhs, out):
+            solve_rows(A, rhs, out)
+            if state["inside"]:  # a tangent's solve; every second is a midpoint's
+                if state["tangents"] % 2:
+                    firsts.append(out.copy())
+                else:
+                    out[:] = np.nan
+            return out
+
+        monkeypatch.setattr(solver._Lockstep, "_tangent", counted)
+        monkeypatch.setattr(solver, "_solve_rows", midpoint_singular)
+        report = track_path(frame.Aprime, target, solver._start_rows(m, n, c)[0], complex(0.6, -0.8), c)
+        [failure] = report.failures
+        assert failure.reason == PATH_STALL
+        assert failure.detail == "singular tangent at t = 0.000000"
+        assert len(firsts) > 20 and not np.isnan(np.concatenate(firsts)).any()
+
+    def test_tracking_work_is_pinned(self, monkeypatch):
+        # the (stacked evaluations, stacked solves) of tracking alone on
+        # fixed Gaussian targets: a change to any step decision (an accept,
+        # a reject, a step size or when a row leaves a stack) moves them
+        solves = TestNewtonRoute.solve_work(monkeypatch)
+        pinned = {(3, 3, 0): (302, 381), (3, 3, 1): (159, 198), (3, 3, 2): (102, 127),
+                  (5, 5, 0): (332, 406), (5, 5, 1): (519, 644)}
+        for m, n, k in pinned:
+            target = tensorcore.Tensor3(np.random.default_rng((94, m, n, k)).standard_normal((m + n - 2, n, m)))
+            assert tracker_only(monkeypatch, target, (95, m, n, k)).complete
+        assert solves == [(solver.TRACKED, work) for work in pinned.values()]
+
     @staticmethod
     def _tracker(m, n, seed):
         frame, target = perturbed_target(m, n, 1e-1, seed=seed)
@@ -517,8 +564,8 @@ class TestLockstep:
         P = 4
         z = rng.standard_normal((P, m + n)) + 1j * rng.standard_normal((P, m + n))
         t = rng.uniform(0.0, 1.0, P)
-        k, ok = tracker._tangent(tracker._stack(P), z[:, tracker.order], t)
-        assert ok.all()
+        k = tracker._tangent(tracker._stack(P), z[:, tracker.order], t)
+        assert not np.isnan(k).any()
         assert not k[:, -1].any()
         J, _, dF = full_system(frame.Aprime.data, target.data, complex(0.6, -0.8), c, z, t)
         lhs = np.einsum("pij,pj->pi", J, k[:, np.argsort(tracker.order)])
@@ -554,8 +601,8 @@ class TestLockstep:
             return out
 
         monkeypatch.setattr(solver, "_solve_rows", record)
-        k, ok = tracker._tangent(tracker._stack(len(z)), z[:, order], t)
-        assert ok.all() and not k[:, -1].any()
+        k = tracker._tangent(tracker._stack(len(z)), z[:, order], t)
+        assert not np.isnan(k).any() and not k[:, -1].any()
         tracker._correct(tracker._stack(len(ends)), z[off][:, order], t[off], np.full(len(ends), np.inf), 1)
         assert len(solved) == 2 and np.array_equal(solved[0][1], k[:, :-1])
 
