@@ -28,7 +28,6 @@ from .errors import (
 from .polyfactor import (
     alpha_brute,
     alpha_closed,
-    conjugation_closed,
     divisor_coefficients,
     divisor_points,
     neg_roots,
@@ -62,7 +61,7 @@ __all__ = [
     "fl1", "fl2", "pencil_eval", "psi", "span_dim",
     "sigma", "tau", "mu", "nu",
     "make_base_tensor", "make_start_frame", "save_tensor", "load_tensor",
-    "neg_roots", "divisor_coefficients", "conjugation_closed", "real_divisors", "divisor_points",
+    "neg_roots", "divisor_coefficients", "real_divisors", "divisor_points",
     "alpha_closed", "alpha_brute",
     "ConditionReport", "lambda_seq", "lambda_det", "rank_conditions",
     "SolveReport", "start_solutions", "track_path", "solve_all",

@@ -25,11 +25,6 @@ RANK_GT_P = "RANK_GT_P"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-# Relative singular-value cutoff of the psi span.  On the 400 certificates
-# of the (3,3) global experiment at seed 777 the smallest kept ratio is
-# 7.0e-4, and no ratio falls below the cutoff.
-SPAN_TOL = 1e-8
-
 # Relative gap under which the second-smallest singular value of the
 # pencil marks a kernel of dimension >= 2 at a real endpoint.
 DEGENERATE_KERNEL_TOL = 1e-8
@@ -98,7 +93,7 @@ def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
     notes = [f"path {i}: kernel dimension >= 2 at a real solution" for i in index[real][degenerate].tolist()]
     psi_rows = tensorcore.psi(a_real[~degenerate], b_real[~degenerate], fmt)
     psi_matrix = psi_rows.T
-    dim_u = tensorcore.span_dim(psi_rows, SPAN_TOL)
+    dim_u = tensorcore.span_dim(psi_rows)
     broken = report.closure
 
     if report.failures:
@@ -122,7 +117,7 @@ def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
         n_paths=report.n_paths,
         paths_failed=len(report.failures),
         tolerances={
-            "span_tol": SPAN_TOL,
+            "span_tol": tensorcore.SPAN_TOL,
             "reality_tol": solver.REALITY_TOL,
             "degenerate_tol": DEGENERATE_KERNEL_TOL,
             "chart_cond": tensorcore.COND_LIMIT,

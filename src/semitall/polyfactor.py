@@ -121,13 +121,6 @@ def divisor_coefficients(u: int, subsets) -> np.ndarray:
     return coeffs
 
 
-def conjugation_closed(u: int, subsets) -> np.ndarray:
-    """One flag per index subset (rows of a (K, d) array): whether the
-    subset is closed under k <-> u-1-k, i.e. names a real divisor."""
-    subsets = np.asarray(subsets, dtype=int)
-    return np.all(np.sort(u - 1 - subsets, axis=1) == np.sort(subsets, axis=1), axis=1)
-
-
 def real_divisors(u: int, d: int) -> np.ndarray:
     """Coefficient rows (K, d+1), lowest degree first, of all monic
     degree-d divisors of y^u + 1 with real coefficients, in

@@ -39,7 +39,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -202,7 +201,8 @@ def _draws(n: int, rng: np.random.Generator) -> tuple[np.ndarray, complex]:
     return v / np.linalg.norm(v), complex(np.cos(theta), np.sin(theta))
 
 
-class _StartSystem(NamedTuple):
+@dataclass(frozen=True, eq=False, slots=True)
+class _StartSystem:
     frame: tensorcore.StartFrame
     a_rows: np.ndarray
     kernels: np.ndarray
@@ -260,7 +260,7 @@ def _start_system(m: int, n: int) -> _StartSystem:
     fixed, rep = np.flatnonzero(partner == k), np.flatnonzero(partner > k)
     for arr in (frame.Aprime.data, frame.W0, a_rows, kernels, partner, fixed, rep):
         arr.flags.writeable = False
-    return _StartSystem(frame, a_rows, kernels, subsets, partner, fixed, rep)
+    return _StartSystem(frame=frame, a_rows=a_rows, kernels=kernels, subsets=subsets, partner=partner, fixed=fixed, rep=rep)
 
 
 @functools.lru_cache(maxsize=16)

@@ -38,6 +38,11 @@ from .errors import ChartViolationError
 # Chart inversions refuse blocks with condition number beyond this.
 COND_LIMIT = 1e12
 
+# Relative singular-value cutoff of the psi span.  On the 400 certificates
+# of the (3,3) global experiment at seed 777 the smallest kept ratio is
+# 7.0e-4, and no ratio falls below the cutoff.
+SPAN_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Format:
@@ -85,9 +90,10 @@ class Tensor3:
 class StartFrame:
     """The reordered, row-permuted copy A' of the base tensor, and W0.
 
-    Invariants (exact integer equalities, verified on construction): the
-    last u columns of fl1(Aprime) equal -E_u, W0 is the leading p-column
-    block of fl1(Aprime), and mu(W0) = Aprime.
+    Invariants (exact integer equalities): the last u columns of
+    fl1(Aprime) equal -E_u, which ``make_start_frame`` verifies; W0 is the
+    leading p-column block of fl1(Aprime), by construction; and
+    mu(W0) = Aprime, which acceptance criterion 5 checks.
     """
 
     Aprime: Tensor3
@@ -142,21 +148,15 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
         return _lapack_svd(a, signature="d->d")
 
 
-def span_dim(rows: np.ndarray, tol: float) -> int:
-    """Numerical rank of the span of the rows of a (k, p) matrix.
-
-    Counts singular values above tol times the largest one.  Refuses a tol
-    that is not positive and finite: NaN or inf would count no singular
-    value and read as a span of dimension 0.
-    """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"span_tol must be positive and finite, got {tol:g}")
+def span_dim(rows: np.ndarray) -> int:
+    """Numerical rank of the span of the rows of a (k, p) matrix: the count
+    of singular values above ``SPAN_TOL`` times the largest one."""
     if not len(rows):
         return 0
     s = _singular_values(rows.T)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > SPAN_TOL * s[0]))
 
 
 # -- transfer maps ----------------------------------------------------------

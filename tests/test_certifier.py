@@ -94,6 +94,19 @@ class TestCertify:
         assert cert.notes == [f"path {k}: kernel dimension >= 2 at a real solution" for k in range(6)]
         assert cert.tolerances["degenerate_tol"] == 2.0
 
+    def test_span_tol_has_one_reader(self, monkeypatch):
+        # the span count and the reported tolerance both read
+        # tensorcore.SPAN_TOL: at 0.5 two of the five psi singular values
+        # (1.64, 1.37, 0.75, 0.35, 0.12) stay above the cutoff
+        T = random_rank_sum(Format(3, 3), 5, np.random.default_rng(0))
+        cert = certify(T, seed=0)
+        assert (cert.verdict, cert.dim_u, cert.tolerances["span_tol"]) == (RANK_P, 5, 1e-8)
+        monkeypatch.setattr(tensorcore, "SPAN_TOL", 0.5)
+        cert = certify(T, seed=0)
+        svals = np.linalg.svd(cert.psi_matrix, compute_uv=False)
+        assert cert.dim_u == np.count_nonzero(svals > 0.5 * svals[0]) == 2
+        assert (cert.verdict, cert.tolerances["span_tol"]) == (RANK_GT_P, 0.5)
+
     @pytest.mark.parametrize("span_tol", BAD_SPAN_TOLS)
     def test_span_tol_refused_before_solving(self, span_tol, monkeypatch):
         T = random_rank_sum(Format(3, 3), 5, np.random.default_rng(0))

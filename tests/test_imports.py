@@ -93,39 +93,6 @@ def test_the_check_sees_an_unread_definition():
     assert unread_definitions(["mod.py"], {"mod.py": module, "user.py": user}) == ["mod.py: dead"]
 
 
-def positional_start_reads(source: str) -> list[int]:
-    """The lines of ``source`` that index a ``_start_system(...)`` call by a
-    constant.  The start system is a named tuple; a read by position would
-    hand its caller another field after a reorder, so fields are read by
-    name."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call):
-            func = node.value.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            index = node.slice.operand if isinstance(node.slice, ast.UnaryOp) else node.slice
-            if name == "_start_system" and isinstance(index, ast.Constant):
-                lines.append(node.lineno)
-    return lines
-
-
-@pytest.mark.parametrize("path", [p for top in ("src", "tests", "scripts") for p in sorted((ROOT / top).rglob("*.py"))],
-                         ids=lambda p: str(p.relative_to(ROOT)))
-def test_start_system_fields_are_read_by_name(path):
-    assert positional_start_reads(path.read_text()) == []
-
-
-def test_the_check_sees_a_positional_start_read():
-    source = (
-        "from semitall import solver\n"
-        "frame = solver._start_system(3, 5)[0]\n"
-        "last = _start_system(3, 5)[-1]\n"
-        "named = solver._start_system(3, 5).frame\n"
-        "other = solver._layout(3, 5)[0]\n"
-    )
-    assert positional_start_reads(source) == [2, 3]
-
-
 def missing_bench_names(source: str) -> list[str]:
     """The names a benchmark script ``source`` reaches in the package that
     the package lacks: each (module, "attr") pair of its ``SPANS``, whose

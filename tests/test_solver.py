@@ -127,6 +127,16 @@ class TestStartSolutions:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
 
+    def test_start_system_is_read_by_name(self):
+        # a frozen record: no read by position, no field reassigned
+        start = solver._start_system(3, 5)
+        with pytest.raises(TypeError):
+            start[0]
+        with pytest.raises(TypeError):
+            frame, *rest = start
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            start.frame = None
+
     def test_chart_orthogonal_to_a_kernel_names_its_subset(self, monkeypatch):
         kernels = solver._start_system(3, 3).kernels
         c = np.array([kernels[0, 1], -kernels[0, 0], 0.0])  # kernels[0] @ c == 0
@@ -185,7 +195,8 @@ class TestStartSolutions:
         for m, n in formats:
             report = start_solutions(m, n, seed=(4, m, n))
             z, real, subsets = report.solutions, report.real, solver._start_system(m, n).subsets
-            closed = polyfactor.conjugation_closed(m + n - 2, subsets)
+            closed_set = set(polyfactor.closed_selections(m + n - 2, m - 1))
+            closed = np.array([s in closed_set for s in subsets])
             assert np.array_equal(real, closed), (m, n)
             assert np.array_equal(projectively_real(z[:, :m], z[:, m:], 1e-8), closed), (m, n)
             assert real.sum() == polyfactor.alpha_closed(m, n), (m, n)
@@ -199,7 +210,8 @@ class TestStartSolutions:
         for m, n in formats:
             start = solver._start_system(m, n)
             k = np.arange(len(start.subsets))
-            closed = polyfactor.conjugation_closed(m + n - 2, start.subsets)
+            closed_set = set(polyfactor.closed_selections(m + n - 2, m - 1))
+            closed = np.array([s in closed_set for s in start.subsets])
             assert np.array_equal(start.partner[start.partner], k), (m, n)
             assert np.array_equal(start.partner == k, closed), (m, n)
             assert len(start.fixed) == polyfactor.alpha_closed(m, n), (m, n)
@@ -688,6 +700,21 @@ class TestSolveAll:
         c, gamma = solver._draws(3, np.random.default_rng(seed))
         assert np.array_equal(report.chart_b, c)
         assert report.gamma == gamma
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 19: a positive-dimensional solution set reads as complete")
+    @pytest.mark.parametrize("zero", ["target", "last_slice"])
+    def test_positive_dimensional_solution_set_is_not_complete(self, zero):
+        # every a with M(a, B) = 0 has a kernel: the zero target (route
+        # TRACKED) and, with B_3 = 0, a = (0, 0, -1) (route NEWTON).  Both
+        # come back as complete solves with 6 endpoints, real count 2 and no
+        # closure note
+        data = np.random.default_rng(0).standard_normal((4, 3, 3))
+        data[..., -1] = 0.0
+        if zero == "target":
+            data[:] = 0.0
+        report = solve_all(tensorcore.Tensor3(data), seed=0)
+        assert not report.complete
 
     def test_recovers_start_system(self):
         frame = tensorcore.make_start_frame(3, 3)

@@ -309,31 +309,21 @@ class TestSpanDim:
     def test_two_unit_vectors(self):
         e1, e2 = np.zeros(5), np.zeros(5)
         e1[0] = e2[1] = 1.0
-        assert span_dim(np.array([e1, e2]), 1e-8) == 2
+        assert span_dim(np.array([e1, e2])) == 2
 
     def test_parallel_vectors(self):
         v = np.arange(1.0, 6.0)
-        assert span_dim(np.array([v, 2 * v]), 1e-8) == 1
+        assert span_dim(np.array([v, 2 * v])) == 1
 
     def test_random_full_span(self):
         rng = np.random.default_rng(3)
-        assert span_dim(rng.standard_normal((5, 5)), 1e-8) == 5
+        assert span_dim(rng.standard_normal((5, 5))) == 5
 
     def test_empty(self):
-        assert span_dim(np.zeros((0, 5)), 1e-8) == 0
+        assert span_dim(np.zeros((0, 5))) == 0
 
     def test_zero_vector_only(self):
-        assert span_dim(np.zeros((1, 4)), 1e-8) == 0
-
-    def test_tol_guard(self):
-        with pytest.raises(ValueError):
-            span_dim(np.ones((1, 3)), 0.0)
-
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
-    def test_non_finite_tol_refused(self, tol):
-        # NaN or inf would keep no singular value and read as dimension 0
-        with pytest.raises(ValueError, match="span_tol must be positive and finite"):
-            span_dim(np.eye(3), tol)
+        assert span_dim(np.zeros((1, 4))) == 0
 
 
 class TestTensorFile:
