@@ -84,10 +84,10 @@ def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
     Y = tensorcore.mu(tensorcore.sigma(T), fmt)
     report = solver.solve_all(Y, seed=seed)
 
+    # the real endpoints' phase-aligned halves, which the reality flags were read from
     real, index = report.real, report.path_index
-    Z = report.solutions[real]
-    a_real = np.real(solver._aligned(Z[:, :m]))
-    b_real = np.real(solver._aligned(Z[:, m:]))
+    a_aligned, b_aligned = report.aligned
+    a_real, b_real = a_aligned[real].real, b_aligned[real].real
     svals = tensorcore._singular_values(tensorcore.pencil_eval(a_real, Y))
     degenerate = svals[:, -2] < DEGENERATE_KERNEL_TOL * svals[:, 0]
     notes = [f"path {i}: kernel dimension >= 2 at a real solution" for i in index[real][degenerate].tolist()]
@@ -99,7 +99,7 @@ def certify(T: tensorcore.Tensor3, seed: object = 0) -> RankCertificate:
     if report.failures:
         verdict = INCONCLUSIVE
         notes.extend(f"path {f.index}: {f.reason}" for f in report.failures)
-    elif degenerate.any() or broken:
+    elif np.count_nonzero(degenerate) or broken:
         verdict = INCONCLUSIVE
         notes.extend(broken)
     elif dim_u == fmt.p:

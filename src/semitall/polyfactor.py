@@ -112,12 +112,32 @@ def divisor_coefficients(u: int, subsets) -> np.ndarray:
     """Monic coefficient rows (lowest degree first) of the divisors of
     y^u + 1 named by the index subsets, the rows of a (K, d) array: row i
     of the (K, d+1) result is the product of (y - r_k) over k in
-    subsets[i], expanded one subset at a time by ``_expand_from_roots``."""
+    subsets[i], bit for bit as ``_expand_from_roots`` expands it.
+
+    That tree's node over leaves lo..hi-1 is the product over the first
+    2^(L-1) of them times the product over the rest, 2^(L-1) < hi - lo <=
+    2^L, so a node is fixed by the root indices under it in leaf order.
+    Each node is expanded once per call, by the same np.convolve on the same
+    inputs, and shared by every subset whose tree holds it: subsets that
+    share roots share sub-products.
+    """
     subsets = np.asarray(subsets, dtype=int)
     roots = neg_roots(u)
     coeffs = np.empty((len(subsets), subsets.shape[1] + 1), dtype=complex)
-    for row, subset in zip(coeffs, subsets):
-        row[:] = _expand_from_roots(roots[subset])
+    nodes: dict[tuple[int, ...], np.ndarray] = {(): np.array([1.0 + 0.0j])}
+
+    def node(key):
+        if key not in nodes:
+            if len(key) == 1:
+                nodes[key] = np.array([-roots[key[0]], 1.0])
+            else:
+                half = 1 << ((len(key) - 1).bit_length() - 1)
+                nodes[key] = np.convolve(node(key[:half]), node(key[half:]))
+        return nodes[key]
+
+    for row, leaves in zip(coeffs, subsets[:, _leaf_order(subsets.shape[1])].tolist()):
+        row[:] = node(tuple(leaves))
+        row[-1] = 1.0  # exact monic normalization, in the row: a node is shared
     return coeffs
 
 

@@ -169,7 +169,17 @@ class SolveReport:
 
     @property
     def real_count(self) -> int:
-        return int(self.real.sum())
+        return int(np.count_nonzero(self.real))
+
+    @functools.cached_property
+    def aligned(self) -> tuple[np.ndarray, np.ndarray]:
+        """The a and the b halves of the endpoint rows, each vector divided
+        by its entry of largest modulus (``projectively_real``'s phase
+        alignment): the halves of a real endpoint are real up to the
+        reality tolerance.  ``_finish`` hands over the arrays its reality
+        flags were read from, and a report built otherwise computes them
+        once from its rows.  Read-only."""
+        return _phase_aligned(self.solutions, self.m)
 
     @functools.cached_property
     def closure(self) -> list[str]:
@@ -180,7 +190,8 @@ class SolveReport:
         paths failed, as the failures say why.  Computed once per report."""
         if self.failures:
             return []
-        Z, index = self.solutions[~self.real], self.path_index[~self.real]
+        nonreal = ~self.real
+        Z, index = self.solutions[nonreal], self.path_index[nonreal]
         i, j = close_pairs(Z, Z.conj())
         paired = np.zeros(len(Z), dtype=bool)
         paired[i[i != j]] = True  # an endpoint is not its own partner
@@ -198,7 +209,8 @@ def _draws(n: int, rng: np.random.Generator) -> tuple[np.ndarray, complex]:
     theta = rng.uniform(0.1 * np.pi, 0.9 * np.pi)
     if rng.random() < 0.5:
         theta = -theta
-    return v / np.linalg.norm(v), complex(np.cos(theta), np.sin(theta))
+    # the 2-norm as np.linalg.norm computes a real vector's
+    return v / np.sqrt(v.dot(v)), complex(np.cos(theta), np.sin(theta))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -210,6 +222,8 @@ class _StartSystem:
     partner: np.ndarray
     fixed: np.ndarray
     rep: np.ndarray
+    route: np.ndarray
+    fill: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -218,8 +232,11 @@ def _start_system(m: int, n: int) -> _StartSystem:
     built once per process after the budget check: the frame, the a rows,
     the kernel vectors b with unit 2-norm, the divisor index subsets, each
     start index's conjugation partner, the starts that are their own
-    partner (``fixed``, the real starts) and the lower index of each
-    conjugate pair (``rep``).
+    partner (``fixed``, the real starts), the lower index of each
+    conjugate pair (``rep``), the starts the Newton route runs from
+    (``route``: ``fixed``, then ``rep``) and the row of each start among
+    the route's results followed by the conjugates of its ``rep`` results
+    (``fill``).
     The arrays, the frame's A' and W0 too, are read-only; callers copy what
     they hand out.
 
@@ -258,9 +275,16 @@ def _start_system(m: int, n: int) -> _StartSystem:
     partner = np.array([index[tuple(u - 1 - i for i in reversed(subset))] for subset in subsets], dtype=int)
     k = np.arange(n_paths)
     fixed, rep = np.flatnonzero(partner == k), np.flatnonzero(partner > k)
-    for arr in (frame.Aprime.data, frame.W0, a_rows, kernels, partner, fixed, rep):
+    route = np.concatenate([fixed, rep])
+    fill = np.empty(n_paths, dtype=int)
+    fill[route] = np.arange(len(route))
+    fill[partner[rep]] = len(route) + np.arange(len(rep))
+    for arr in (frame.Aprime.data, frame.W0, a_rows, kernels, partner, fixed, rep, route, fill):
         arr.flags.writeable = False
-    return _StartSystem(frame=frame, a_rows=a_rows, kernels=kernels, subsets=subsets, partner=partner, fixed=fixed, rep=rep)
+    return _StartSystem(
+        frame=frame, a_rows=a_rows, kernels=kernels, subsets=subsets, partner=partner, fixed=fixed, rep=rep,
+        route=route, fill=fill,
+    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -282,7 +306,7 @@ def _start_rows(m: int, n: int, c: np.ndarray) -> np.ndarray:
     chart c . b = 1; a new array."""
     start = _start_system(m, n)
     cb = start.kernels @ c
-    flat = np.flatnonzero(np.abs(cb) < 1e-10)
+    flat = (np.abs(cb) < 1e-10).nonzero()[0]
     if flat.size:
         raise DegenerateStartError(f"chart vector nearly orthogonal to the kernel at {start.subsets[flat[0]]}")
     return np.concatenate([start.a_rows, start.kernels / cb[:, None]], axis=1)
@@ -406,8 +430,10 @@ class _Lockstep:
     def _correct(self, J, z, t, limit, iters):
         """Newton on each path at its own t, from the Jacobian buffer J of
         z's stack (its top rows are overwritten); returns (z, converged,
-        total correction size), leaving the input z untouched and the rows
-        that do not converge as given.  The total correction is the sum of
+        total correction size, max-norm), leaving the input z untouched and
+        the rows that do not converge as given.  The max-norm of a converged
+        row is max |z| over its returned row, the scale of its convergence
+        test; it is 0 on the other rows.  The total correction is the sum of
         the max-norms of a row's Newton steps; it only grows, so a row
         leaves once it passes its ``limit``, which it could not converge
         within.  A row also leaves on convergence, on breakdown (residual
@@ -415,45 +441,47 @@ class _Lockstep:
         comes back NaN and so does its next residual.  A row's residual is
         checked at most iters + 1 times, around at most iters solves, and
         the loop ends once every row has left."""
-        out, ok, moved = z.copy(), np.zeros(len(z), dtype=bool), np.zeros(len(z))
+        out, ok, moved, norm = z.copy(), np.zeros(len(z), dtype=bool), np.zeros(len(z)), np.zeros(len(z))
         # the rows still iterating, gathered anew only when one leaves
         live, zl, tl, ml, ll = np.arange(len(z)), z, t, moved, limit
         for it in range(iters + 1):
             F = self._evaluate(J, zl, tl)
             rn = np.maximum.reduce(np.abs(F), axis=1)
+            nl = np.maximum.reduce(np.abs(zl), axis=1)
             fine = (rn <= 1e10) & (ml <= ll)  # False for NaN as well
-            conv = fine & (rn < CORRECTOR_TOL * np.fmax(1.0, np.maximum.reduce(np.abs(zl), axis=1)))
+            conv = fine & (rn < CORRECTOR_TOL * np.fmax(1.0, nl))
             n_conv = np.count_nonzero(conv)
             if n_conv == len(conv):  # every row converged: no mask to apply
-                ok[live], out[live], moved[live] = True, zl, ml
+                ok[live], out[live], moved[live], norm[live] = True, zl, ml, nl
                 break
             if n_conv:
                 rows = live[conv]
-                ok[rows], out[rows], moved[rows] = True, zl[conv], ml[conv]
+                ok[rows], out[rows], moved[rows], norm[rows] = True, zl.compress(conv, 0), ml[conv], nl[conv]
             n_more = np.count_nonzero(fine) - n_conv
             if it == iters or not n_more:
                 break
             if n_more < len(conv):
                 more = fine ^ conv
-                live, zl, tl, ml, ll, J, F = live[more], zl[more], tl[more], ml[more], ll[more], J[more], F[more]
+                live, tl, ml, ll = live[more], tl[more], ml[more], ll[more]
+                zl, J, F = zl.compress(more, 0), J.compress(more, 0), F.compress(more, 0)
             dz = np.zeros(zl.shape, dtype=complex)
             _solve_rows(J, F, dz[:, : self.K])
             zl = zl - dz
             ml = ml + np.maximum.reduce(np.abs(dz), axis=1)
-        return out, ok, moved
+        return out, ok, moved, norm
 
+    # singular rows come back NaN and breakdowns may overflow; the passes read both off the values
+    @np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
     def _batches(self, z0: np.ndarray, step) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
         """The rows (a, b) of z0 after ``step`` and the (reason, detail) of each failed
         row, whose row is meaningless.  ``step`` runs in the tracker's layout on
         consecutive batches of whole rows, updating each in place, and returns its failures."""
-        z = np.asarray(z0, dtype=complex)[:, self.order]
+        z = np.asarray(z0, dtype=complex).take(self.order, 1)
         failed: dict[int, tuple[str, str]] = {}
         size = max(1, STACK_ENTRIES // self.K**2)
-        # singular rows come back NaN and breakdowns may overflow; the passes read both off the values
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-            for lo in range(0, len(z), size):
-                failed.update((lo + p, error) for p, error in step(z[lo : lo + size]).items())
-        return z[:, self.inverse], failed
+        for lo in range(0, len(z), size):
+            failed.update((lo + p, error) for p, error in step(z[lo : lo + size]).items())
+        return z.take(self.inverse, 1), failed
 
     def run(self, z0: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
         """Track every row (a, b) of z0, which lies on the charts, from t = 0
@@ -481,13 +509,13 @@ class _Lockstep:
             dz = np.zeros(z.shape, dtype=complex)
             _solve_rows(J, self._evaluate(J, zk, t), dz[:, : self.K])
             zk, step = zk - dz, np.maximum.reduce(np.abs(dz), axis=1)
-            if np.all(step < bound):  # False for a NaN step as well
+            if np.count_nonzero(step < bound) == P:  # False for a NaN step as well
                 break
             bound = BASIN * step
         else:
             return dict.fromkeys(range(P), (PATH_STALL, "pre-test: a first Newton step passes the basin"))
-        z[:], ok, _ = self._correct(J, zk, t, np.full(P, np.inf), MAX_NEWTON - taken)
-        return dict.fromkeys(np.flatnonzero(~ok).tolist(), (PATH_STALL, f"no convergence in {MAX_NEWTON} Newton steps"))
+        z[:], ok, _, _ = self._correct(J, zk, t, np.full(P, np.inf), MAX_NEWTON - taken)
+        return dict.fromkeys((~ok).nonzero()[0].tolist(), (PATH_STALL, f"no convergence in {MAX_NEWTON} Newton steps"))
 
     def _run(self, z):
         # tracks one batch in place and returns its failures; every path
@@ -496,8 +524,10 @@ class _Lockstep:
         # corrector converged at t = 1, so its endpoint needs no more Newton.
         P = len(z)
         failed: dict[int, tuple[str, str]] = {}
-        # the paths still moving: batch row, z, t, step, Jacobian buffer
+        # the paths still moving: batch row, z, t, step, Jacobian buffer,
+        # and the max-norm of z for the blow-up test
         idx, za, ta, ha, J = np.arange(P), z, np.zeros(P), np.full(P, INITIAL_STEP), self._stack(P)
+        na = np.maximum.reduce(np.abs(z), axis=1)
 
         def fail(sel, reason, message):
             for p in np.flatnonzero(sel):
@@ -519,16 +549,16 @@ class _Lockstep:
             # a large pullback signals a possible jump onto another path, so
             # a row stops correcting once its corrections pass a quarter of it
             guard = np.maximum(np.maximum.reduce(np.abs(dz_pred), axis=1), 1e-8)
-            z_new, ok, moved = self._correct(J, za + dz_pred, t_new, BASIN * guard, MAX_NEWTON)
+            z_new, ok, moved, norm = self._correct(J, za + dz_pred, t_new, BASIN * guard, MAX_NEWTON)
             ta = np.where(ok, t_new, ta)
             za = np.where(ok[:, None], z_new, za)
+            na = np.where(ok, norm, na)  # a rejected row keeps its z and so its norm
             ha = ha * np.where(ok, 1.0 + (moved < 0.01 * guard), 0.5)
 
-            norm = np.maximum.reduce(np.abs(za), axis=1)
-            leave = (ta >= 1.0) | (ha < MIN_STEP) | (norm > BLOWUP_NORM)
+            leave = (ta >= 1.0) | (ha < MIN_STEP) | (na > BLOWUP_NORM)
             if np.count_nonzero(leave):
                 under = ~ok & (ha < MIN_STEP)
-                blown = ~under & (norm > BLOWUP_NORM)
+                blown = ~under & (na > BLOWUP_NORM)
                 if np.count_nonzero(under | blown):
                     regular = ~np.logical_or.reduce(np.isnan(k), axis=1)
                     blown &= regular
@@ -536,9 +566,10 @@ class _Lockstep:
                     fail(under & regular, PATH_STALL, "step underflow at t = {t:.6f}")
                     fail(blown, AT_INFINITY, f"coordinate norm beyond {BLOWUP_NORM:.0e} at t = {{t:.6f}}")
                 done = (ta >= 1.0) & ~blown
-                z[idx[done]] = za[done]
+                z[idx[done]] = za.compress(done, 0)
                 stay = ~(under | blown | done)
-                idx, za, ta, ha, J = idx[stay], za[stay], ta[stay], ha[stay], J[stay]
+                idx, ta, ha, na = idx[stay], ta[stay], ha[stay], na[stay]
+                za, J = za.compress(stay, 0), J.compress(stay, 0)
         # the paths still moving have used up the step budget
         fail(np.ones(idx.size, dtype=bool), PATH_STALL, f"step budget {MAX_STEPS} exhausted at t = {{t:.6f}}")
         return failed
@@ -558,7 +589,7 @@ def _unit_shift(data: np.ndarray) -> int:
     [2^-SCALE_BAND, 2^SCALE_BAND], else the e that brings that entry nearest
     1.  M(a, 2^e B) b = 2^e M(a, B) b, and the product is exact barring
     overflow and underflow, so 2^e B has the kernel pairs of B."""
-    peak = np.abs(data).max()
+    peak = np.maximum.reduce(np.abs(data), axis=None)
     shift = -round(math.log2(peak)) if peak > 0 else 0
     return shift if abs(shift) > SCALE_BAND else 0
 
@@ -577,9 +608,12 @@ def _residuals(B: tensorcore.Tensor3, a: np.ndarray, b: np.ndarray, shift: int) 
     evaluated at 2^shift B and scaled back exactly.  Callers pass
     ``_unit_shift(B.data)``, the scale ``solve_all`` solves B at, so that a
     target far from unit scale overflows no square."""
-    # contract b first: the (P, u, m) intermediate is the smaller, m <= n
-    Bb = np.einsum("ijk,pj->pik", np.ldexp(B.data, shift).astype(complex), b)
-    return np.ldexp(np.linalg.norm(np.einsum("pik,pk->pi", Bb, a), axis=1), -shift)
+    # contract b first: the (P, u, m) intermediate is the smaller, m <= n;
+    # 2^0 B is B, and the 2-norms are np.linalg.norm's, without its wrapper
+    data = np.ldexp(B.data, shift) if shift else B.data
+    r = np.einsum("pik,pk->pi", np.einsum("ijk,pj->pik", data.astype(complex), b), a)
+    norms = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1))
+    return np.ldexp(norms, -shift) if shift else norms
 
 
 def track_path(
@@ -609,6 +643,19 @@ def _aligned(v: np.ndarray) -> np.ndarray:
     return v / v[np.arange(len(v)), np.abs(v).argmax(axis=1), None]
 
 
+def _phase_aligned(z: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # the phase-aligned a and b halves of the rows z, read-only
+    halves = _aligned(z[:, :m]), _aligned(z[:, m:])
+    for half in halves:
+        half.flags.writeable = False
+    return halves
+
+
+def _phase_imag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the largest imaginary part of each phase-aligned row pair (a, b)
+    return np.maximum(np.maximum.reduce(np.abs(a.imag), axis=1), np.maximum.reduce(np.abs(b.imag), axis=1))
+
+
 def projectively_real(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Whether each row pair (a, b) of the stacks a (P, m) and b (P, n) is
     real as a pair of projective points, one flag per row.
@@ -617,10 +664,7 @@ def projectively_real(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     alignment); conjugate pairs are accepted or rejected together by
     symmetry.
     """
-    imag = np.maximum(
-        np.maximum.reduce(np.abs(_aligned(a).imag), axis=1), np.maximum.reduce(np.abs(_aligned(b).imag), axis=1)
-    )
-    return imag < tol
+    return _phase_imag(_aligned(a), _aligned(b)) < tol
 
 
 def close_pairs(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -637,7 +681,7 @@ def close_pairs(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     count = hi - lo
     j = np.arange(len(w)).repeat(count)
     i = order[np.arange(len(j)) + (hi - count.cumsum()).repeat(count)]
-    hit = np.maximum.reduce(np.abs(z[i] - w[j]), axis=1) < DEDUP_TOL
+    hit = np.maximum.reduce(np.abs(z.take(i, 0) - w.take(j, 0)), axis=1) < DEDUP_TOL
     return i[hit], j[hit]
 
 
@@ -650,14 +694,15 @@ def _first_kept(z: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
     pair = i > j
     later, earlier = i[pair], j[pair]
     order = np.lexsort((earlier, later))
-    kept = np.ones(len(z), dtype=bool)
     named: dict[int, int] = {}
-    # pairs in (later, earlier) row order: every earlier row is settled first
+    # pairs in (later, earlier) row order: every earlier row is settled
+    # first, and a row is kept while it is not named
     for hi, lo in zip(later[order].tolist(), earlier[order].tolist()):
-        if kept[hi] and kept[lo]:
-            kept[hi] = False
+        if hi not in named and lo not in named:
             named[hi] = lo
-    return kept, named
+    dropped = np.zeros(len(z), dtype=bool)
+    dropped[list(named)] = True
+    return ~dropped, named
 
 
 def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
@@ -694,16 +739,16 @@ def solve_all(B: tensorcore.Tensor3, seed: object = 0) -> SolveReport:
     start = _start_system(m, n)
     z0 = _start_rows(m, n, c)
     shift = _unit_shift(B.data)
-    target = np.ldexp(B.data, shift)
+    target = np.ldexp(B.data, shift) if shift else B.data
 
     # the Newton route: C(u, m-1) distinct converged roots are all of them.
     # Newton at a real target on a real chart commutes with conjugation
-    fixed, rep = start.fixed, start.rep
-    w, failed = _Lockstep(target, c).newton(np.concatenate([z0[fixed].real, z0[rep]]))
+    rows = z0.take(start.route, 0)
+    rows[: len(start.fixed)].imag = 0.0  # the real parts of the real starts
+    w, failed = _Lockstep(target, c).newton(rows)
     if not failed:
-        z = np.empty_like(z0)
-        z[fixed], z[rep] = w[: len(fixed)], w[len(fixed) :]
-        z[start.partner[rep]] = w[len(fixed) :].conj()
+        # each start's row: its own result, or the conjugate of its partner's
+        z = np.concatenate([w, w[len(start.fixed) :].conj()]).take(start.fill, 0)
         report = _finish(B, z, failed, gamma, c, NEWTON, shift)
         if report.complete and not report.closure:
             return report
@@ -747,36 +792,43 @@ def _finish(
     paths, whose rows it never reads.  A row within ``DEDUP_TOL`` of an earlier kept
     one is a WARN_MULTIPLICITY naming it; path conservation is checked; each kept
     row gets its residual at B, evaluated at 2^shift B (``_residuals``), and its
-    ``projectively_real`` flag."""
+    ``projectively_real`` flag, read from its phase-aligned halves, which the
+    report keeps as ``aligned``."""
     m, n_paths = B.shape[2], len(z)
     errors = dict(errors)
-    ends = np.array([idx for idx in range(n_paths) if idx not in errors], dtype=int)
-    kept, named = _first_kept(z[ends])
+    ends = np.arange(n_paths)
+    ends = ends[np.isin(ends, list(errors), invert=True)] if errors else ends
+    kept, named = _first_kept(z.take(ends, 0))
     for row, first in named.items():
         errors[int(ends[row])] = (WARN_MULTIPLICITY, f"endpoint within {DEDUP_TOL:g} of path {int(ends[first])}")
-    failures = [PathFailureInfo(idx, *errors[idx]) for idx in sorted(errors)]
+    index = sorted(errors)
+    failures = [PathFailureInfo(idx, *errors[idx]) for idx in index]
     keep = ends[kept]
 
     # path conservation: every start index ends as exactly one endpoint or failure
-    seen = sorted(keep.tolist() + [f.index for f in failures])
-    if seen != list(range(n_paths)):
-        raise RuntimeError(f"path conservation violated: {n_paths} paths, indices {seen}")
+    seen = np.concatenate([keep, np.array(index, dtype=int)])
+    seen.sort()
+    if len(seen) != n_paths or np.count_nonzero(seen != np.arange(n_paths)):
+        raise RuntimeError(f"path conservation violated: {n_paths} paths, indices {seen.tolist()}")
 
-    z = z[keep]
+    z = z.take(keep, 0)
     a_k, b_k = z[:, :m], z[:, m:]
-    return SolveReport(
+    aligned = _phase_aligned(z, m)
+    report = SolveReport(
         m=m,
         n=B.shape[1],
         n_paths=n_paths,
         solutions=z,
         residuals=_residuals(B, a_k, b_k, shift),
-        real=projectively_real(a_k, b_k, REALITY_TOL),
+        real=_phase_imag(*aligned) < REALITY_TOL,
         path_index=keep,
         failures=failures,
         gamma=gamma,
         chart_b=c,
         route=route,
     )
+    report.__dict__["aligned"] = aligned  # the value of the cached property
+    return report
 
 
 def _seed_entropy(seed: object) -> int:
@@ -784,14 +836,10 @@ def _seed_entropy(seed: object) -> int:
     integer (numpy integers too) or a tuple or list of them; anything else
     raises ValueError naming it."""
 
-    def whole(x):
-        return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
-
-    if whole(seed):
-        return int(seed)
-    if isinstance(seed, (tuple, list)) and all(map(whole, seed)):
-        acc = 0
-        for part in seed:
-            acc = (acc * 1000003 + int(part)) % (2**63)
-        return acc
-    raise ValueError(f"seed must be a nonnegative integer or a tuple or list of them, got {seed!r}")
+    parts = seed if isinstance(seed, (tuple, list)) else (seed,)
+    acc = 0
+    for part in parts:
+        if not isinstance(part, (int, np.integer)) or isinstance(part, bool) or part < 0:
+            raise ValueError(f"seed must be a nonnegative integer or a tuple or list of them, got {seed!r}")
+        acc = (acc * 1000003 + int(part)) % (2**63)
+    return acc if parts is seed else int(seed)

@@ -23,7 +23,8 @@ provides:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,25 +49,22 @@ SPAN_TOL = 1e-8
 class Format:
     """Critical semi-tall format, stored as the pair (m, n) with 3 <= m <= n.
 
-    The derived dimensions are p = (m-1)(n-1)+1 and u = mn - p = m+n-2.
+    The derived dimensions are p = (m-1)(n-1)+1 and u = mn - p = m+n-2,
+    set once at construction; equality, hash and repr read (m, n) only.
     """
 
     m: int
     n: int
+    p: int = field(init=False, repr=False, compare=False)
+    u: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.m, (int, np.integer)) and isinstance(self.n, (int, np.integer))):
             raise ValueError("m and n must be integers")
         if not (3 <= self.m <= self.n):
             raise ValueError(f"format requires 3 <= m <= n, got ({self.m}, {self.n})")
-
-    @property
-    def p(self) -> int:
-        return (self.m - 1) * (self.n - 1) + 1
-
-    @property
-    def u(self) -> int:
-        return self.m + self.n - 2
+        object.__setattr__(self, "p", (self.m - 1) * (self.n - 1) + 1)
+        object.__setattr__(self, "u", self.m + self.n - 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,13 +137,15 @@ def _nonconvergence(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
+# the error state is entered by the decorator's own wrapper, with no errstate
+# object built per call
+@np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _singular_values(a: np.ndarray) -> np.ndarray:
     """The singular values of each real matrix of the stack a, in
     descending order, as np.linalg.svd(a, compute_uv=False) gives them,
     without its Python wrapper.  Raises LinAlgError where it does: on a NaN
     entry, or when the SVD does not converge."""
-    with np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _lapack_svd(a, signature="d->d")
+    return _lapack_svd(a, signature="d->d")
 
 
 def span_dim(rows: np.ndarray) -> int:
@@ -156,7 +156,7 @@ def span_dim(rows: np.ndarray) -> int:
     s = _singular_values(rows.T)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > SPAN_TOL * s[0]))
+    return int(np.count_nonzero(s > SPAN_TOL * s[0]))
 
 
 # -- transfer maps ----------------------------------------------------------
@@ -182,12 +182,11 @@ def kernel_format(Y: Tensor3) -> Format:
 
 
 def _guarded_solve(block: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    # the 2-norm condition number as np.linalg.cond gives it
+    # the 2-norm condition number as np.linalg.cond gives it, in Python
+    # floats, whose quotient overflows to inf without a warning; a singular
+    # block, the zero block (0/0) too, is inf as np.linalg.cond reads it
     s = _singular_values(block)
-    with np.errstate(all="ignore"):
-        cond = s[0] / s[-1]
-    if np.isnan(cond):  # 0/0 on a zero block, which np.linalg.cond reads as inf
-        cond = np.inf
+    cond = float(s[0]) / float(s[-1]) if s[-1] else math.inf
     if cond > COND_LIMIT:
         raise ChartViolationError(f"{what} block has condition number {cond:.3e} beyond {COND_LIMIT:.1e}")
     # the bound above leaves no singular block, on which gesv would return NaN
@@ -209,8 +208,11 @@ def tau(W: np.ndarray, fmt: Format) -> Tensor3:
     W = np.asarray(W, dtype=float)
     if W.shape != (fmt.u, fmt.p):
         raise ValueError(f"expected a {fmt.u} x {fmt.p} matrix, got {W.shape}")
-    stacked = np.vstack([np.eye(fmt.p), W])
-    return Tensor3(stacked.reshape(fmt.m, fmt.n, fmt.p).transpose(1, 2, 0))
+    p = fmt.p
+    stacked = np.zeros((fmt.m * fmt.n, p))  # (E_p; W), m n = p + u
+    stacked.reshape(-1)[: p * p : p + 1] = 1.0
+    stacked[p:] = W
+    return Tensor3(stacked.reshape(fmt.m, fmt.n, p).transpose(1, 2, 0))
 
 
 def nu(Y: Tensor3) -> np.ndarray:
@@ -228,8 +230,13 @@ def mu(W: np.ndarray, fmt: Format) -> Tensor3:
     W = np.asarray(W, dtype=float)
     if W.shape != (fmt.u, fmt.p):
         raise ValueError(f"expected a {fmt.u} x {fmt.p} matrix, got {W.shape}")
-    M = np.hstack([W, -np.eye(fmt.u)])
-    return Tensor3(M.reshape(fmt.u, fmt.m, fmt.n).transpose(0, 2, 1))
+    u, p = W.shape
+    # (W, -E_u), whose zeros are -0.0 as in the negated identity
+    M = np.empty((u, p + u))
+    M[:, :p] = W
+    M[:, p:] = -0.0
+    M.reshape(-1)[p :: p + u + 1] = -1.0
+    return Tensor3(M.reshape(u, fmt.m, fmt.n).transpose(0, 2, 1))
 
 
 # -- base tensor and start frame --------------------------------------------

@@ -106,6 +106,20 @@ class TestStartSolutions:
             assert np.array_equal(a_rows[idx], a), subset
             assert real[idx] == all((u - 1 - k) in subset for k in subset), subset
 
+    @pytest.mark.parametrize("m,n", [(3, 5), (4, 5), (5, 5), (4, 12), (3, 30)])
+    def test_kernel_rows_match_per_subset_loop(self, m, n):
+        # reference: each cofactor expanded alone, without the sub-products
+        # the stacked expansion shares between subsets; the arithmetic is the
+        # same, so are the bits, and the kernels are those rows normalized
+        u = m + n - 2
+        start = solver._start_system(m, n)
+        roots = polyfactor.neg_roots(u)
+        cofactors = [[k for k in range(u) if k not in subset] for subset in start.subsets]
+        rows = polyfactor.divisor_coefficients(u, cofactors)
+        for row, cofactor in zip(rows, cofactors):
+            assert row.tobytes() == polyfactor._expand_from_roots(roots[cofactor]).tobytes(), cofactor
+        assert start.kernels.tobytes() == (rows / np.linalg.norm(rows, axis=1, keepdims=True)).tobytes()
+
     @pytest.mark.parametrize("m,n", [(3, 5), (4, 5), (5, 5), (4, 12)])
     def test_kernels_are_the_svd_null_vectors(self, m, n):
         # oracle: the last right singular vector of each start pencil; the
@@ -473,8 +487,8 @@ class TestLockstep:
         t = np.zeros(len(z))
         # run() silences the floating-point flags of the NaN, huge and zero rows
         with np.errstate(all="ignore"):
-            out, ok, moved = tracker._correct(tracker._stack(len(z)), z, t, np.full(len(z), np.inf), 3)
-            alone, ok_alone, moved_alone = tracker._correct(tracker._stack(1), near[None], t[:1], np.full(1, np.inf), 3)
+            out, ok, moved, _ = tracker._correct(tracker._stack(len(z)), z, t, np.full(len(z), np.inf), 3)
+            alone, ok_alone, moved_alone, _ = tracker._correct(tracker._stack(1), near[None], t[:1], np.full(1, np.inf), 3)
             huge_ok = tracker._correct(tracker._stack(1), huge[None], t[:1], np.full(1, np.inf), 60)[1][0]
         got = {name: (out[i], ok[i], moved[i]) for i, name in enumerate(rows)}
         assert np.array_equal(z, np.array(list(rows.values())), equal_nan=True)  # input untouched
@@ -522,11 +536,11 @@ class TestLockstep:
         checked = 0
         with np.errstate(all="ignore"):
             for row in z:
-                out_inf, ok_inf, moved_inf = tracker._correct(tracker._stack(1), row[None], t, inf, solver.MAX_NEWTON)
+                out_inf, ok_inf, moved_inf, _ = tracker._correct(tracker._stack(1), row[None], t, inf, solver.MAX_NEWTON)
                 need = moved_inf[0]
                 for limit in (0.0, 0.5 * need, need, np.nextafter(need, 0.0), 2.0 * need, 1e-9, 1e-3, 1.0):
                     lim = np.full(1, limit)
-                    out, ok, moved = tracker._correct(tracker._stack(1), row[None], t, lim, solver.MAX_NEWTON)
+                    out, ok, moved, _ = tracker._correct(tracker._stack(1), row[None], t, lim, solver.MAX_NEWTON)
                     assert ok[0] == (ok_inf[0] and moved_inf[0] <= limit), (row, limit)
                     if ok[0]:
                         assert out.tobytes() == out_inf.tobytes() and moved.tobytes() == moved_inf.tobytes()
@@ -534,6 +548,18 @@ class TestLockstep:
                     else:
                         assert np.array_equal(out, row[None]) and moved[0] == 0.0
         assert checked > len(z)  # rows converged under limits both at and above their need
+
+    def test_returned_norm_is_the_max_norm_of_converged_rows(self):
+        # the corrector hands back the max-norm it tested each converged row
+        # at, which is max |z| over the row it returns, bit for bit; rows that
+        # leave unconverged (here: half of them, past a tiny limit) get 0
+        tracker, z = self._predictions(3, 4, seed=44)
+        limit = np.where(np.arange(len(z)) % 2 == 0, np.inf, 1e-12)
+        with np.errstate(all="ignore"):
+            out, ok, _, norm = tracker._correct(tracker._stack(len(z)), z, np.zeros(len(z)), limit, solver.MAX_NEWTON)
+        assert ok.any() and not ok.all()
+        assert norm[ok].tobytes() == np.abs(out[ok]).max(axis=1).tobytes()
+        assert not norm[~ok].any()
 
     def test_rows_past_their_limit_leave_the_stack(self, monkeypatch):
         # a row whose corrections pass its limit is in no later stacked solve
@@ -553,9 +579,9 @@ class TestLockstep:
         free = np.arange(len(z)) % 2 == 0
         limit = np.where(free, np.inf, 1e-12)
         t = np.zeros(len(z))
-        _, ok, _ = tracker._correct(tracker._stack(len(z)), z, t, limit, solver.MAX_NEWTON)
+        _, ok, _, _ = tracker._correct(tracker._stack(len(z)), z, t, limit, solver.MAX_NEWTON)
         mixed, heights[:] = heights[:], []
-        _, ok_free, _ = tracker._correct(tracker._stack(free.sum()), z[free], t[free], limit[free], solver.MAX_NEWTON)
+        _, ok_free, _, _ = tracker._correct(tracker._stack(free.sum()), z[free], t[free], limit[free], solver.MAX_NEWTON)
         alone, heights[:] = heights[:], []
         tracker._correct(tracker._stack(len(z)), z, t, np.full(len(z), np.inf), solver.MAX_NEWTON)
         unlimited = heights[:]
@@ -634,7 +660,7 @@ class TestLockstep:
             assert close(np.append(x, np.zeros((len(x), 1)), axis=1), full[:, order], tol)
         # Newton to convergence leaves a_m = -1 as it was, bit for bit
         inf = np.full(len(ends), np.inf)
-        out, ok, _ = tracker._correct(tracker._stack(len(ends)), z[off][:, order], t[off], inf, solver.MAX_NEWTON)
+        out, ok, _, _ = tracker._correct(tracker._stack(len(ends)), z[off][:, order], t[off], inf, solver.MAX_NEWTON)
         assert ok.all() and np.all(out[:, -1] == -1.0)
 
     @pytest.mark.parametrize("P", [0, 1, 6, 70])
@@ -680,7 +706,7 @@ class TestLockstep:
             assert ends.size, (m, n, seed)
             inf = np.full(ends.size, np.inf)
             z = z[ends][:, tracker.order]
-            out, ok, moved = tracker._correct(tracker._stack(ends.size), z, np.ones(ends.size), inf, 0)
+            out, ok, moved, _ = tracker._correct(tracker._stack(ends.size), z, np.ones(ends.size), inf, 0)
             assert ok.all(), (m, n, seed, ends[~ok])
             assert np.array_equal(out, z) and not moved.any()
 
